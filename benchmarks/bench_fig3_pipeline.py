@@ -26,19 +26,19 @@ def test_fig3_report(benchmark):
     repo, _corpus = corpus_repository(CORPUS_SIZE)
     engine = repo.engine()
     engine.search(keywords=PAPER_KEYWORDS, fragment=PAPER_FRAGMENT)
-    trace = engine.last_trace
-    assert trace is not None
+    profile = engine.last_profile
+    assert profile is not None
     lines = [
         "Figure 3: schema search algorithm data flow",
         f"(corpus: {repo.schema_count} schemas, candidate pool: "
         f"{engine.config.candidate_pool})",
         "",
-        trace.summary(),
+        profile.summary(),
     ]
     report("fig3_pipeline", "\n".join(lines))
-    names = [phase.name for phase in trace.phases]
-    assert names == ["query_parse", "candidate_extraction",
-                     "schema_matching", "tightness_of_fit"]
+    assert list(profile.phase_seconds) == [
+        "query_parse", "candidate_extraction", "schema_matching",
+        "tightness_of_fit"]
 
 
 def test_fig3_phase1_candidates_benchmark(benchmark):

@@ -61,10 +61,10 @@ def time_round(engine: SchemrEngine, queries: list[dict]) \
     phase2 = total = 0.0
     for query in queries:
         engine.search(**query)
-        trace = engine.last_trace
-        assert trace is not None
-        phase2 += trace.phase(PHASE_MATCHING).seconds
-        total += trace.total_seconds
+        profile = engine.last_profile
+        assert profile is not None
+        phase2 += profile.phase_seconds[PHASE_MATCHING]
+        total += profile.total_seconds
     return phase2, total
 
 

@@ -340,7 +340,7 @@ def instrument_project(sanitizer: LockOrderSanitizer) -> list[type]:
     from repro.index.segments.sharded import ShardedSegmentIndex
     from repro.replication.replica import ReplicaSyncer
     from repro.resilience.breaker import CircuitBreaker
-    from repro.sharding.engine import ShardedEngine
+    from repro.sharding.engine import ShardExecutor
     from repro.sharding.pool import WorkerHandle
     from repro.telemetry.metrics import MetricsRegistry
 
@@ -350,7 +350,7 @@ def instrument_project(sanitizer: LockOrderSanitizer) -> list[type]:
         ShardedSegmentIndex,
         ReplicaSyncer,
         CircuitBreaker,
-        ShardedEngine,
+        ShardExecutor,
         WorkerHandle,
         MetricsRegistry,
     ]

@@ -154,9 +154,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
             print(format_deduped(collapse_duplicates(results, repo)))
         else:
             print(format_result_table(results))
-        if args.trace and engine.last_trace is not None:
+        if args.trace and engine.last_profile is not None:
             print()
-            print(engine.last_trace.summary())
+            print(engine.last_profile.summary())
     return 0
 
 

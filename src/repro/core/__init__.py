@@ -10,14 +10,11 @@ Figure 2 tabular view displays.
 
 from repro.core.config import SchemrConfig
 from repro.core.engine import DictSchemaSource, SchemaSource, SchemrEngine
-from repro.core.pipeline import PhaseTrace, PipelineTrace
 from repro.core.results import ElementMatch, SearchResult, format_result_table
 
 __all__ = [
     "DictSchemaSource",
     "ElementMatch",
-    "PhaseTrace",
-    "PipelineTrace",
     "SchemaSource",
     "SchemrConfig",
     "SchemrEngine",

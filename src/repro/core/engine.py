@@ -1,4 +1,13 @@
-"""The Schemr search engine: all three phases behind one call."""
+"""The Schemr search engine: one query lifecycle over an executor port.
+
+:class:`SchemrEngine` owns everything about a query that does not
+depend on *where* the phases run — validation, the deadline, the
+degradation ladder, the final sort and page, the phase-1 fallback,
+the :class:`~repro.telemetry.QueryProfile` and telemetry.  The three
+phases of Figure 3 execute behind :class:`SearchExecutor`:
+:class:`InProcessExecutor` here, the scatter-gather pool of
+:mod:`repro.sharding` for ``--shards N``.
+"""
 
 from __future__ import annotations
 
@@ -7,22 +16,21 @@ import threading
 import time
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from repro.core.config import SchemrConfig
 from repro.core.pipeline import (
+    ALL_PHASES,
     PHASE_CANDIDATES,
     PHASE_MATCHING,
     PHASE_PARSE,
     PHASE_TIGHTNESS,
-    PipelineTrace,
-    timed_phase,
 )
 from repro.core.results import ElementMatch, SearchResult
 from repro.errors import QueryError
 from repro.index.inverted import InvertedIndex
-from repro.index.searcher import IndexSearcher
-from repro.index.searcher import IndexHit
+from repro.index.searcher import IndexHit, IndexSearcher, SearchStats
 from repro.matching.ensemble import MatcherEnsemble
 from repro.matching.profile import MatchScratch, SchemaMatchProfile
 from repro.model.query import QueryGraph
@@ -46,6 +54,7 @@ from repro.telemetry import (
     EMPTY_ALL_FILTERED,
     EMPTY_NO_INDEX_HITS,
     EMPTY_OFFSET_BEYOND,
+    MetricsRegistry,
     QueryProfile,
     Telemetry,
 )
@@ -78,6 +87,71 @@ class DictSchemaSource:
             raise QueryError(f"unknown schema id {schema_id}") from None
 
 
+@dataclass(slots=True)
+class Phase1Stats:
+    """How phase 1 was answered, as the profile reports it."""
+
+    strategy: str = ""
+    cache_hit: bool = False
+    pruned_early: bool = False
+    docs_scored: int = 0
+    #: Shards in the serving pool (0 = in-process).
+    shards_total: int = 0
+    #: Shards that answered; an executor may keep lowering this through
+    #: :meth:`SearchExecutor.match` — the engine reads it at the end.
+    shards_used: int = 0
+
+    def adopt(self, stats: SearchStats) -> None:
+        """Take over what a local :class:`IndexSearcher` run reported."""
+        self.strategy = stats.strategy
+        self.cache_hit = stats.cache_hit
+        self.pruned_early = stats.pruned_early
+        self.docs_scored = stats.docs_scored
+
+
+class SearchExecutor(Protocol):
+    """Where the three phases execute; the engine owns the rest.
+
+    Executors that serve an index also expose ``searcher``,
+    ``breakers`` and ``close()``; the lifecycle itself needs only the
+    three methods below.
+    """
+
+    def candidates(self, flattened: list[str], pool_n: int,
+                   deadline: Deadline
+                   ) -> tuple[list[IndexHit], Phase1Stats]:  # pragma: no cover
+        """Phase 1: the ``pool_n`` best index hits, and how they were found."""
+        ...
+
+    def match(self, query: QueryGraph, pool: list[IndexHit],
+              deadline: Deadline, cheap_only: bool) -> list:  # pragma: no cover
+        """Phase 2 over ``pool``; survivors **in pool order**.
+
+        Raises :class:`DeadlineExceeded` when the budget dies mid-pool
+        and :class:`CircuitOpenError` when the schema source failed for
+        every candidate (or its breaker is open)."""
+        ...
+
+    def score(self, matched: list) -> list[SearchResult]:  # pragma: no cover
+        """Phase 3: one unsorted result per matched candidate."""
+        ...
+
+
+def build_searcher(index: InvertedIndex,
+                   config: SchemrConfig) -> IndexSearcher:
+    """The phase-1 searcher ``config`` asks for (fuzzy, query cache)."""
+    fuzzy = None
+    if config.use_fuzzy_expansion:
+        from repro.index.fuzzy import TrigramIndex
+        fuzzy = TrigramIndex.from_terms(index.vocabulary())
+    query_cache = None
+    if config.query_cache_size > 0:
+        from repro.index.cache import QueryCache
+        query_cache = QueryCache(config.query_cache_size)
+    return IndexSearcher(index, use_coordination=config.use_coordination,
+                         fuzzy=fuzzy, query_cache=query_cache)
+
+
 class SchemrEngine:
     """Executes the three-phase schema search of Figure 3.
 
@@ -95,56 +169,39 @@ class SchemrEngine:
         Pipeline knobs; see :class:`SchemrConfig`.
     telemetry:
         Shared :class:`~repro.telemetry.Telemetry` facade; built from
-        ``config`` when omitted (and then owned — closed with the
-        engine).  Disabled telemetry costs a handful of no-op calls
-        per query.
+        ``config`` when omitted.  Disabled telemetry costs a handful of
+        no-op calls per query.
+    executor:
+        Where the phases run; defaults to an :class:`InProcessExecutor`
+        over ``index``/``source``/``ensemble`` (which are then
+        required).
+    owns_telemetry:
+        Whether :meth:`close` also closes ``telemetry``; defaults to
+        "only when the engine built it".
     """
 
-    def __init__(self, index: InvertedIndex, source: SchemaSource,
+    def __init__(self, index: InvertedIndex | None = None,
+                 source: SchemaSource | None = None,
                  ensemble: MatcherEnsemble | None = None,
                  config: SchemrConfig | None = None,
                  telemetry: Telemetry | None = None,
-                 clock: Callable[[], float] | None = None) -> None:
+                 clock: Callable[[], float] | None = None, *,
+                 executor: SearchExecutor | None = None,
+                 owns_telemetry: bool | None = None) -> None:
         self._config = config or SchemrConfig()
         #: Monotonic clock for deadlines and breakers — injectable so
         #: the chaos suite advances time without sleeping.
         self._clock = clock or time.monotonic
-        self._owns_telemetry = telemetry is None
+        self._owns_telemetry = (telemetry is None if owns_telemetry is None
+                                else owns_telemetry)
         self._telemetry = telemetry or Telemetry.from_config(self._config)
-        fuzzy = None
-        if self._config.use_fuzzy_expansion:
-            from repro.index.fuzzy import TrigramIndex
-            fuzzy = TrigramIndex.from_terms(index.vocabulary())
-        self._fuzzy_generation = index.generation
-        query_cache = None
-        if self._config.query_cache_size > 0:
-            from repro.index.cache import QueryCache
-            query_cache = QueryCache(self._config.query_cache_size)
-        self._searcher = IndexSearcher(
-            index, use_coordination=self._config.use_coordination,
-            fuzzy=fuzzy, query_cache=query_cache)
-        self._source = source
-        # Sources that precompute match profiles (ProfileStore) expose
-        # get_profile; the engine takes the fast path when it exists.
-        self._get_profile = getattr(source, "get_profile", None)
-        self._ensemble = ensemble or MatcherEnsemble.default()
-        self._guard = GuardedEnsemble(
-            self._ensemble,
-            failure_threshold=self._config.breaker_failure_threshold,
-            reset_seconds=self._config.breaker_reset_seconds,
-            clock=self._clock)
-        self._store_breaker = CircuitBreaker(
-            "schema_source",
-            failure_threshold=self._config.breaker_failure_threshold,
-            reset_seconds=self._config.breaker_reset_seconds,
-            clock=self._clock)
+        self._executor = executor or InProcessExecutor(
+            index, source, ensemble, self._config, self._clock,
+            self._telemetry.metrics)
         self._ladder = DegradationLadder(
             reduced_pool_fraction=self._config.degrade_reduced_pool_fraction,
             name_only_fraction=self._config.degrade_name_only_fraction,
             phase1_fraction=self._config.degrade_phase1_fraction)
-        self._tightness = TightnessScorer(self._config.penalties)
-        self._executor: ThreadPoolExecutor | None = None
-        self.last_trace: PipelineTrace | None = None
         #: The :class:`QueryProfile` of the most recent search —
         #: populated whether or not telemetry is enabled, so callers can
         #: always see *why* a query came back empty.
@@ -153,9 +210,9 @@ class SchemrEngine:
         # threading HTTP server) that must read *their own* search's
         # profile, not whichever search finished last.
         self._thread_profile = threading.local()
-        self._register_instruments(index)
+        self._register_instruments()
 
-    def _register_instruments(self, index: InvertedIndex) -> None:
+    def _register_instruments(self) -> None:
         """Resolve hot-path instruments once and wire callback gauges.
 
         On a disabled registry every instrument is a shared no-op, so
@@ -171,8 +228,7 @@ class SchemrEngine:
         self._m_phase = {
             name: m.histogram("schemr_phase_seconds",
                               "Per-phase wall time", phase=name)
-            for name in (PHASE_PARSE, PHASE_CANDIDATES, PHASE_MATCHING,
-                         PHASE_TIGHTNESS)
+            for name in ALL_PHASES
         }
         self._m_candidates = m.histogram(
             "schemr_phase1_candidates", "Phase-1 candidates per query",
@@ -198,71 +254,59 @@ class SchemrEngine:
         self._m_deadline_expired = m.counter(
             "schemr_deadline_expired_total",
             "Searches whose wall-clock budget ran out mid-pipeline")
-        self._m_source_failures = m.counter(
-            "schemr_source_failures_total",
-            "Candidate fetches the schema source failed")
-        if m.enabled:
-            m.gauge("schemr_index_documents", "Indexed documents",
-                    callback=lambda: index.document_count)
-            m.gauge("schemr_index_terms", "Distinct index terms",
-                    callback=lambda: index.term_count)
-            m.gauge("schemr_index_generation", "Index generation",
-                    callback=lambda: index.generation)
-            if hasattr(index, "segment_count"):
-                # Serving from a SegmentedIndex: expose the segment
-                # topology so operators can watch flushes and merges.
-                m.gauge("schemr_segment_count", "Live mmapped segments",
-                        callback=lambda: index.segment_count)
-                m.gauge("schemr_segment_mmap_bytes",
-                        "Bytes memory-mapped across live segments",
-                        callback=lambda: index.mmap_bytes)
-                m.gauge("schemr_segment_delta_docs",
-                        "Documents in the in-memory delta segment",
-                        callback=lambda: index.delta_document_count)
-                m.gauge("schemr_segment_deleted_docs",
-                        "Tombstoned documents awaiting a merge",
-                        callback=lambda: index.deleted_count)
-            cache = self._searcher.query_cache
-            if cache is not None:
-                m.counter("schemr_query_cache_hits_total",
-                          "Query-cache hits", callback=lambda: cache.hits)
-                m.counter("schemr_query_cache_misses_total",
-                          "Query-cache misses",
-                          callback=lambda: cache.misses)
-                m.counter("schemr_query_cache_evictions_total",
-                          "Query-cache LRU evictions",
-                          callback=lambda: cache.evictions)
-                m.counter("schemr_query_cache_stale_evictions_total",
-                          "Query-cache stale-generation sweeps",
-                          callback=lambda: cache.stale_evictions)
-                m.gauge("schemr_query_cache_entries",
-                        "Query-cache live entries",
-                        callback=lambda: len(cache))
-            for name, breaker in self.breakers.items():
-                m.gauge("schemr_breaker_state",
-                        "Breaker state: 0 closed, 1 half-open, 2 open",
-                        callback=lambda b=breaker: b.state_code,
-                        breaker=name)
-                m.counter("schemr_breaker_opens_total",
-                          "Times a breaker tripped open",
-                          callback=lambda b=breaker: b.open_count,
-                          breaker=name)
-            source = self._source
-            if all(hasattr(source, name)
-                   for name in ("hits", "misses", "evictions")):
-                m.counter("schemr_profile_cache_hits_total",
-                          "Profile-cache hits",
-                          callback=lambda: source.hits)
-                m.counter("schemr_profile_cache_misses_total",
-                          "Profile-cache misses",
-                          callback=lambda: source.misses)
-                m.counter("schemr_profile_cache_evictions_total",
-                          "Profile-cache LRU evictions",
-                          callback=lambda: source.evictions)
+        searcher = getattr(self._executor, "searcher", None)
+        if not m.enabled or searcher is None:
+            return
+        index = searcher.index
+        m.gauge("schemr_index_documents", "Indexed documents",
+                callback=lambda: index.document_count)
+        m.gauge("schemr_index_terms", "Distinct index terms",
+                callback=lambda: index.term_count)
+        m.gauge("schemr_index_generation", "Index generation",
+                callback=lambda: index.generation)
+        if hasattr(index, "segment_count"):
+            # Serving from a SegmentedIndex: expose the segment
+            # topology so operators can watch flushes and merges.
+            m.gauge("schemr_segment_count", "Live mmapped segments",
+                    callback=lambda: index.segment_count)
+            m.gauge("schemr_segment_mmap_bytes",
+                    "Bytes memory-mapped across live segments",
+                    callback=lambda: index.mmap_bytes)
+            m.gauge("schemr_segment_delta_docs",
+                    "Documents in the in-memory delta segment",
+                    callback=lambda: index.delta_document_count)
+            m.gauge("schemr_segment_deleted_docs",
+                    "Tombstoned documents awaiting a merge",
+                    callback=lambda: index.deleted_count)
+        cache = searcher.query_cache
+        if cache is not None:
+            m.counter("schemr_query_cache_hits_total",
+                      "Query-cache hits", callback=lambda: cache.hits)
+            m.counter("schemr_query_cache_misses_total",
+                      "Query-cache misses",
+                      callback=lambda: cache.misses)
+            m.counter("schemr_query_cache_evictions_total",
+                      "Query-cache LRU evictions",
+                      callback=lambda: cache.evictions)
+            m.counter("schemr_query_cache_stale_evictions_total",
+                      "Query-cache stale-generation sweeps",
+                      callback=lambda: cache.stale_evictions)
+            m.gauge("schemr_query_cache_entries",
+                    "Query-cache live entries",
+                    callback=lambda: len(cache))
+        for name, breaker in self.breakers.items():
+            m.gauge("schemr_breaker_state",
+                    "Breaker state: 0 closed, 1 half-open, 2 open",
+                    callback=lambda b=breaker: b.state_code,
+                    breaker=name)
+            m.counter("schemr_breaker_opens_total",
+                      "Times a breaker tripped open",
+                      callback=lambda b=breaker: b.open_count,
+                      breaker=name)
 
     @property
     def ensemble(self) -> MatcherEnsemble:
-        return self._ensemble
+        return self._executor.ensemble
 
     @property
     def config(self) -> SchemrConfig:
@@ -270,7 +314,8 @@ class SchemrEngine:
 
     @property
     def searcher(self) -> IndexSearcher:
-        return self._searcher
+        """The executor's searcher over the whole corpus (suggest)."""
+        return self._executor.searcher
 
     @property
     def telemetry(self) -> Telemetry:
@@ -279,21 +324,17 @@ class SchemrEngine:
     @property
     def store_breaker(self) -> CircuitBreaker:
         """The breaker around the schema source (sqlite/ProfileStore)."""
-        return self._store_breaker
+        return self._executor.store_breaker
 
     @property
     def breakers(self) -> dict[str, CircuitBreaker]:
-        """Every breaker this engine owns, keyed by name.
+        """Every breaker the executor surfaces, keyed by name.
 
-        ``schema_source`` plus one ``matcher.<name>`` entry per
-        ensemble matcher; the readiness probe and the ``/metrics``
+        In process: ``schema_source`` plus one ``matcher.<name>`` entry
+        per ensemble matcher.  The readiness probe and the ``/metrics``
         gauges read these.
         """
-        all_breakers = {"schema_source": self._store_breaker}
-        all_breakers.update(
-            (breaker.name, breaker)
-            for breaker in self._guard.breakers.values())
-        return all_breakers
+        return getattr(self._executor, "breakers", {})
 
     @property
     def thread_profile(self) -> QueryProfile | None:
@@ -305,11 +346,11 @@ class SchemrEngine:
         return getattr(self._thread_profile, "profile", None)
 
     def close(self) -> None:
-        """Release the match-phase thread pool and, when this engine
-        created its own telemetry, the history sink (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Release the executor's resources and, when this engine owns
+        its telemetry, the history sink (idempotent)."""
+        close = getattr(self._executor, "close", None)
+        if close is not None:
+            close()
         if self._owns_telemetry:
             self._telemetry.close()
 
@@ -331,154 +372,26 @@ class SchemrEngine:
         through the ranking: the user "can ... ask for the next n
         schemas" (offset=top_n gets page two).
         """
-        trace = PipelineTrace()
+        profile = QueryProfile()
         deadline = Deadline(self._config.search_budget_seconds,
                             clock=self._clock)
         tracer = self._telemetry.tracer
         with tracer.span("search"):
-            with timed_phase(trace, PHASE_PARSE) as phase, \
+            with profile.timed_phase(PHASE_PARSE) as phase, \
                     tracer.span(PHASE_PARSE):
                 query = parse_query(keywords=keywords, fragment=fragment)
                 phase.items_out = len(query)
-            results = self._run(query, top_n, trace, offset, deadline)
-        self.last_trace = trace
-        return results
+            return self._run(query, top_n, offset, profile, deadline)
 
     def search_graph(self, query: QueryGraph, top_n: int = 10,
                      offset: int = 0) -> list[SearchResult]:
         """Search with a pre-built query graph."""
         if query.is_empty():
             raise QueryError("query graph is empty")
-        trace = PipelineTrace()
         deadline = Deadline(self._config.search_budget_seconds,
                             clock=self._clock)
         with self._telemetry.tracer.span("search"):
-            results = self._run(query, top_n, trace, offset, deadline)
-        self.last_trace = trace
-        return results
-
-    def _ensure_fuzzy_current(self) -> None:
-        """Re-sync the fuzzy vocabulary with the index generation.
-
-        The trigram index is built from the vocabulary at construction
-        time; after an indexer refresh/rebuild the index generation
-        moves and new schemas' terms would be invisible to fuzzy
-        expansion.  Comparing generations makes the check O(1) per
-        query and the vocabulary walk happens only when something
-        actually changed.
-        """
-        fuzzy = self._searcher.fuzzy
-        if fuzzy is None:
-            return
-        index = self._searcher.index
-        generation = index.generation
-        if generation != self._fuzzy_generation:
-            fuzzy.update_from(index.vocabulary())
-            self._fuzzy_generation = generation
-
-    # -- pipeline --------------------------------------------------------
-
-    def _run(self, query: QueryGraph, top_n: int, trace: PipelineTrace,
-             offset: int = 0,
-             deadline: Deadline | None = None) -> list[SearchResult]:
-        if top_n <= 0:
-            raise QueryError(f"top_n must be positive, got {top_n}")
-        if offset < 0:
-            raise QueryError(f"offset must be >= 0, got {offset}")
-        if deadline is None:
-            deadline = Deadline(self._config.search_budget_seconds,
-                                clock=self._clock)
-
-        tracer = self._telemetry.tracer
-
-        # Phase 1: candidate extraction over the document index.
-        self._ensure_fuzzy_current()
-        with timed_phase(trace, PHASE_CANDIDATES) as phase, \
-                tracer.span(PHASE_CANDIDATES):
-            flattened = query.flatten()
-            phase.items_in = len(flattened)
-            FAULTS.hit("engine.phase1")
-            hits = self._searcher.search(
-                flattened, top_n=self._config.candidate_pool)
-            phase.items_out = len(hits)
-
-        # Between phases 1 and 2 the degradation ladder decides how
-        # much of the remaining pipeline the budget can afford.
-        level = self._ladder.level_for(deadline)
-        deadline_expired = deadline.expired()
-        if level >= DEGRADE_PHASE1_ONLY:
-            page = self._phase1_page(hits, top_n, offset)
-            self._finish_search(flattened, trace, hits, len(hits), page,
-                                top_n, offset, level=level,
-                                deadline=deadline,
-                                deadline_expired=deadline_expired)
-            return page
-
-        pool = hits
-        if level >= DEGRADE_REDUCED_POOL:
-            keep = max(top_n + offset, self._config.candidate_pool // 4)
-            pool = hits[:keep]
-        cheap_only = level >= DEGRADE_NAME_ONLY
-
-        # Phase 2: fine-grained matching of each candidate.  A budget
-        # that dies inside the scoring loop — or a schema source whose
-        # breaker is open — degrades to the phase-1 ranking instead of
-        # failing the search.
-        scored: list[SearchResult] = []
-        source_failures_before = self._store_breaker.failure_count
-        try:
-            with timed_phase(trace, PHASE_MATCHING) as phase, \
-                    tracer.span(PHASE_MATCHING):
-                phase.items_in = len(pool)
-                matched = self._match_candidates(query, pool, deadline,
-                                                 cheap_only=cheap_only)
-                phase.items_out = len(matched)
-            if (not matched and pool and self._store_breaker.failure_count
-                    > source_failures_before):
-                # Every candidate's schema fetch failed (but the breaker
-                # has not tripped yet): an empty page would misreport a
-                # source outage as "nothing matched".
-                raise CircuitOpenError(
-                    "schema source failed for every candidate",
-                    breaker=self._store_breaker.name)
-
-            # Phase 3: tightness-of-fit scoring and final ranking.
-            with timed_phase(trace, PHASE_TIGHTNESS) as phase, \
-                    tracer.span(PHASE_TIGHTNESS):
-                phase.items_in = len(matched)
-                for (hit, candidate, ensemble_result, element_scores,
-                     profile) in matched:
-                    scored.append(self._score_candidate(
-                        hit.score, candidate, ensemble_result,
-                        element_scores, profile))
-                scored.sort(
-                    key=lambda r: (-r.score, -r.coarse_score, r.name))
-                page = scored[offset:offset + top_n]
-                phase.items_out = len(page)
-        except DeadlineExceeded as exc:
-            logger.warning("search degraded to phase-1 ranking: %s", exc)
-            page = self._phase1_page(hits, top_n, offset)
-            self._finish_search(flattened, trace, hits, len(hits), page,
-                                top_n, offset,
-                                level=DEGRADE_PHASE1_ONLY,
-                                deadline=deadline, deadline_expired=True)
-            return page
-        except CircuitOpenError as exc:
-            logger.warning("search degraded to phase-1 ranking "
-                           "(breaker %s open)", exc.breaker)
-            page = self._phase1_page(hits, top_n, offset)
-            self._finish_search(flattened, trace, hits, len(hits), page,
-                                top_n, offset,
-                                level=DEGRADE_PHASE1_ONLY,
-                                deadline=deadline,
-                                deadline_expired=deadline.expired())
-            return page
-        self._finish_search(flattened, trace, hits, len(scored), page,
-                            top_n, offset, level=level, deadline=deadline,
-                            deadline_expired=deadline.expired())
-        logger.debug("search: %d candidate(s) -> %d result(s) in %.4fs",
-                     len(hits), len(page), trace.total_seconds)
-        return page
+            return self._run(query, top_n, offset, QueryProfile(), deadline)
 
     def match_and_score(self, query: QueryGraph, pool: list[IndexHit],
                         deadline: Deadline | None = None,
@@ -490,30 +403,89 @@ class SchemrEngine:
         owns ranking.  This is the per-shard work unit of
         :mod:`repro.sharding`: a scatter-gather front selects the
         global pool, each worker runs its shard's slice through here,
-        and the front applies the engine's final sort, so the merged
+        and the front's engine applies the final sort, so the merged
         page is byte-identical to a single engine's.
 
-        Raises exactly what :meth:`search`'s inner pipeline would:
-        :class:`DeadlineExceeded` when the budget dies mid-pool and
-        :class:`CircuitOpenError` when the schema source failed for
-        every candidate (or its breaker is open).
+        Raises exactly what :meth:`SearchExecutor.match` does.
         """
         if deadline is None:
             deadline = Deadline(None, clock=self._clock)
-        source_failures_before = self._store_breaker.failure_count
-        matched = self._match_candidates(query, pool, deadline,
-                                         cheap_only=cheap_only)
-        if (not matched and pool and self._store_breaker.failure_count
-                > source_failures_before):
-            raise CircuitOpenError(
-                "schema source failed for every candidate",
-                breaker=self._store_breaker.name)
-        return [
-            self._score_candidate(hit.score, candidate, ensemble_result,
-                                  element_scores, profile)
-            for (hit, candidate, ensemble_result, element_scores,
-                 profile) in matched
-        ]
+        executor = self._executor
+        return executor.score(
+            executor.match(query, pool, deadline, cheap_only))
+
+    # -- pipeline --------------------------------------------------------
+
+    def _run(self, query: QueryGraph, top_n: int, offset: int,
+             profile: QueryProfile, deadline: Deadline
+             ) -> list[SearchResult]:
+        if top_n <= 0:
+            raise QueryError(f"top_n must be positive, got {top_n}")
+        if offset < 0:
+            raise QueryError(f"offset must be >= 0, got {offset}")
+        tracer = self._telemetry.tracer
+        executor = self._executor
+
+        # Phase 1: candidate extraction over the document index.
+        with profile.timed_phase(PHASE_CANDIDATES) as phase, \
+                tracer.span(PHASE_CANDIDATES):
+            flattened = query.flatten()
+            phase.items_in = len(flattened)
+            FAULTS.hit("engine.phase1")
+            hits, stats = executor.candidates(
+                flattened, self._config.candidate_pool, deadline)
+            phase.items_out = len(hits)
+
+        # Between phases 1 and 2 the degradation ladder decides how
+        # much of the remaining pipeline the budget can afford.
+        level = self._ladder.level_for(deadline)
+        deadline_expired = deadline.expired()
+        page = None
+        if level < DEGRADE_PHASE1_ONLY:
+            pool = hits
+            if level >= DEGRADE_REDUCED_POOL:
+                keep = max(top_n + offset, self._config.candidate_pool // 4)
+                pool = hits[:keep]
+            # A budget that dies inside the scoring loop — or a schema
+            # source whose breaker is open — degrades to the phase-1
+            # ranking instead of failing the search.
+            try:
+                # Phase 2: fine-grained matching of each candidate.
+                with profile.timed_phase(PHASE_MATCHING) as phase, \
+                        tracer.span(PHASE_MATCHING):
+                    phase.items_in = len(pool)
+                    matched = executor.match(
+                        query, pool, deadline, level >= DEGRADE_NAME_ONLY)
+                    phase.items_out = len(matched)
+                # Phase 3: tightness-of-fit scoring and final ranking.
+                with profile.timed_phase(PHASE_TIGHTNESS) as phase, \
+                        tracer.span(PHASE_TIGHTNESS):
+                    phase.items_in = len(matched)
+                    scored = executor.score(matched)
+                    scored.sort(
+                        key=lambda r: (-r.score, -r.coarse_score, r.name))
+                    page = scored[offset:offset + top_n]
+                    phase.items_out = len(page)
+                matched_count = len(scored)
+                deadline_expired = deadline.expired()
+            except DeadlineExceeded as exc:
+                logger.warning("search degraded to phase-1 ranking: %s", exc)
+                level = DEGRADE_PHASE1_ONLY
+                deadline_expired = True
+            except CircuitOpenError as exc:
+                logger.warning("search degraded to phase-1 ranking "
+                               "(breaker %s open)", exc.breaker)
+                level = DEGRADE_PHASE1_ONLY
+                deadline_expired = deadline.expired()
+        if page is None:
+            page = self._phase1_page(hits, top_n, offset)
+            matched_count = len(hits)
+        self._finish_search(profile, flattened, stats, len(hits),
+                            matched_count, page, top_n, offset, level,
+                            deadline, deadline_expired)
+        logger.debug("search: %d candidate(s) -> %d result(s) in %.4fs",
+                     len(hits), len(page), profile.total_seconds)
+        return page
 
     def _phase1_page(self, hits: list[IndexHit], top_n: int,
                      offset: int) -> list[SearchResult]:
@@ -536,49 +508,43 @@ class SchemrEngine:
             for hit in hits[offset:offset + top_n]
         ]
 
-    def _finish_search(self, flattened: list[str], trace: PipelineTrace,
-                       hits: list[IndexHit], matched_count: int,
-                       results: list[SearchResult], top_n: int,
-                       offset: int, level: int = 0,
-                       deadline: Deadline | None = None,
-                       deadline_expired: bool = False) -> None:
-        """Build the :class:`QueryProfile` and feed the telemetry sinks.
+    def _finish_search(self, profile: QueryProfile, flattened: list[str],
+                       stats: Phase1Stats, candidate_count: int,
+                       matched_count: int, results: list[SearchResult],
+                       top_n: int, offset: int, level: int,
+                       deadline: Deadline, deadline_expired: bool) -> None:
+        """Complete the :class:`QueryProfile` and feed the telemetry sinks.
 
-        The profile itself is always built (it is how callers learn an
-        empty page's reason); metric updates, the slow-query log, and
+        The profile itself is always filled in (it is how callers learn
+        an empty page's reason); metric updates, the slow-query log, and
         the history sink only run with telemetry enabled.
         """
-        empty_reason = None
         if not results:
-            if not hits:
-                empty_reason = EMPTY_NO_INDEX_HITS
+            if not candidate_count:
+                profile.empty_reason = EMPTY_NO_INDEX_HITS
             elif matched_count == 0:
-                empty_reason = EMPTY_ALL_FILTERED
+                profile.empty_reason = EMPTY_ALL_FILTERED
             else:
-                empty_reason = EMPTY_OFFSET_BEYOND
-        stats = self._searcher.last_stats
-        profile = QueryProfile(
-            query_terms=tuple(flattened),
-            started_at=self._telemetry.wall_clock() - trace.total_seconds,
-            total_seconds=trace.total_seconds,
-            phase_seconds={phase.name: phase.seconds
-                           for phase in trace.phases},
-            candidate_count=len(hits),
-            matched_count=matched_count,
-            result_count=len(results),
-            top_n=top_n,
-            offset=offset,
-            strategy=stats.strategy if stats is not None else "",
-            cache_hit=stats.cache_hit if stats is not None else False,
-            pruned_early=stats.pruned_early if stats is not None else False,
-            docs_scored=stats.docs_scored if stats is not None else 0,
-            empty_reason=empty_reason,
-            degradation_level=level,
-            degradation=degradation_name(level),
-            deadline_expired=deadline_expired,
-            budget_seconds=(deadline.budget_seconds
-                            if deadline is not None else None),
-        )
+                profile.empty_reason = EMPTY_OFFSET_BEYOND
+        profile.query_terms = tuple(flattened)
+        profile.total_seconds = sum(profile.phase_seconds.values())
+        profile.started_at = (self._telemetry.wall_clock()
+                              - profile.total_seconds)
+        profile.candidate_count = candidate_count
+        profile.matched_count = matched_count
+        profile.result_count = len(results)
+        profile.top_n = top_n
+        profile.offset = offset
+        profile.strategy = stats.strategy
+        profile.cache_hit = stats.cache_hit
+        profile.pruned_early = stats.pruned_early
+        profile.docs_scored = stats.docs_scored
+        profile.shards_total = stats.shards_total
+        profile.shards_used = stats.shards_used
+        profile.degradation_level = level
+        profile.degradation = degradation_name(level)
+        profile.deadline_expired = deadline_expired
+        profile.budget_seconds = deadline.budget_seconds
         self.last_profile = profile
         self._thread_profile.profile = profile
         telemetry = self._telemetry
@@ -621,6 +587,95 @@ class SchemrEngine:
             telemetry.history.record(profile.query_terms, results,
                                      total_seconds=profile.total_seconds)
 
+
+class InProcessExecutor:
+    """The three phases in this process: index, ensemble, tightness."""
+
+    def __init__(self, index: InvertedIndex, source: SchemaSource,
+                 ensemble: MatcherEnsemble | None, config: SchemrConfig,
+                 clock: Callable[[], float],
+                 metrics: MetricsRegistry) -> None:
+        self._config = config
+        self.searcher = build_searcher(index, config)
+        self._source = source
+        # Sources that precompute match profiles (ProfileStore) expose
+        # get_profile; the executor takes the fast path when it exists.
+        self._get_profile = getattr(source, "get_profile", None)
+        self.ensemble = ensemble or MatcherEnsemble.default()
+        self._guard = GuardedEnsemble(
+            self.ensemble,
+            failure_threshold=config.breaker_failure_threshold,
+            reset_seconds=config.breaker_reset_seconds,
+            clock=clock)
+        self.store_breaker = CircuitBreaker(
+            "schema_source",
+            failure_threshold=config.breaker_failure_threshold,
+            reset_seconds=config.breaker_reset_seconds,
+            clock=clock)
+        self._tightness = TightnessScorer(config.penalties)
+        self._threads: ThreadPoolExecutor | None = None
+        self._m_source_failures = metrics.counter(
+            "schemr_source_failures_total",
+            "Candidate fetches the schema source failed")
+        if metrics.enabled and all(
+                hasattr(source, name)
+                for name in ("hits", "misses", "evictions")):
+            metrics.counter("schemr_profile_cache_hits_total",
+                            "Profile-cache hits",
+                            callback=lambda: source.hits)
+            metrics.counter("schemr_profile_cache_misses_total",
+                            "Profile-cache misses",
+                            callback=lambda: source.misses)
+            metrics.counter("schemr_profile_cache_evictions_total",
+                            "Profile-cache LRU evictions",
+                            callback=lambda: source.evictions)
+
+    @property
+    def breakers(self) -> dict[str, CircuitBreaker]:
+        all_breakers = {"schema_source": self.store_breaker}
+        all_breakers.update(
+            (breaker.name, breaker)
+            for breaker in self._guard.breakers.values())
+        return all_breakers
+
+    def close(self) -> None:
+        """Release the match-phase thread pool (idempotent)."""
+        if self._threads is not None:
+            self._threads.shutdown(wait=True)
+            self._threads = None
+
+    def candidates(self, flattened: list[str], pool_n: int,
+                   deadline: Deadline
+                   ) -> tuple[list[IndexHit], Phase1Stats]:
+        searcher = self.searcher
+        searcher.sync_fuzzy()
+        hits = searcher.search(flattened, top_n=pool_n)
+        stats = Phase1Stats()
+        stats.adopt(searcher.last_stats)
+        return hits, stats
+
+    def match(self, query: QueryGraph, pool: list[IndexHit],
+              deadline: Deadline, cheap_only: bool) -> list:
+        source_failures_before = self.store_breaker.failure_count
+        matched = self._match_candidates(query, pool, deadline, cheap_only)
+        if (not matched and pool and self.store_breaker.failure_count
+                > source_failures_before):
+            # Every candidate's schema fetch failed (but the breaker
+            # has not tripped yet): an empty page would misreport a
+            # source outage as "nothing matched".
+            raise CircuitOpenError(
+                "schema source failed for every candidate",
+                breaker=self.store_breaker.name)
+        return matched
+
+    def score(self, matched: list) -> list[SearchResult]:
+        return [
+            self._score_candidate(hit.score, candidate, ensemble_result,
+                                  element_scores, profile)
+            for (hit, candidate, ensemble_result, element_scores,
+                 profile) in matched
+        ]
+
     def _match_candidates(self, query: QueryGraph, hits: list[IndexHit],
                           deadline: Deadline, cheap_only: bool = False):
         """Run the ensemble over every candidate, optionally in parallel.
@@ -644,11 +699,11 @@ class SchemrEngine:
             return self._match_chunk(query, hits, scratch, deadline,
                                      cheap_only)
         size = -(-len(hits) // workers)  # ceil division
-        executor = self._executor
+        executor = self._threads
         if executor is None:
             executor = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="schemr-match")
-            self._executor = executor
+            self._threads = executor
         futures = [
             executor.submit(self._match_chunk, query, hits[i:i + size],
                             scratch, deadline, cheap_only)
@@ -684,7 +739,7 @@ class SchemrEngine:
         phase-1 ranking instead of paying a timeout per candidate.
         """
         FAULTS.hit("engine.match_one")
-        breaker = self._store_breaker
+        breaker = self.store_breaker
         if not breaker.allow():
             raise CircuitOpenError(
                 "schema source circuit is open",

@@ -1,14 +1,8 @@
-"""Pipeline tracing: per-phase timing and sizes (Figure 3's data flow).
+"""The phase names of Figure 3's data flow.
 
-Every search records one :class:`PipelineTrace` holding a
-:class:`PhaseTrace` per phase, so the bench for Figure 3 can print the
-data-flow breakdown and callers can monitor production latency.
+Per-phase timing and item counts live on the search's one
+:class:`~repro.telemetry.QueryProfile` (``engine.last_profile``).
 """
-
-from __future__ import annotations
-
-import time
-from dataclasses import dataclass, field
 
 PHASE_PARSE = "query_parse"
 PHASE_CANDIDATES = "candidate_extraction"
@@ -16,61 +10,3 @@ PHASE_MATCHING = "schema_matching"
 PHASE_TIGHTNESS = "tightness_of_fit"
 
 ALL_PHASES = (PHASE_PARSE, PHASE_CANDIDATES, PHASE_MATCHING, PHASE_TIGHTNESS)
-
-
-@dataclass(slots=True)
-class PhaseTrace:
-    """One phase: wall-clock seconds plus an items-processed count."""
-
-    name: str
-    seconds: float = 0.0
-    items_in: int = 0
-    items_out: int = 0
-
-
-@dataclass(slots=True)
-class PipelineTrace:
-    """All phases of one search invocation, in execution order."""
-
-    phases: list[PhaseTrace] = field(default_factory=list)
-
-    def phase(self, name: str) -> PhaseTrace:
-        for phase in self.phases:
-            if phase.name == name:
-                return phase
-        raise KeyError(f"no phase {name!r} recorded")
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(phase.seconds for phase in self.phases)
-
-    def summary(self) -> str:
-        """Human-readable data-flow table (the Figure 3 rendition)."""
-        lines = [f"{'phase':<22} {'in':>8} {'out':>8} {'seconds':>10}"]
-        for phase in self.phases:
-            lines.append(f"{phase.name:<22} {phase.items_in:>8} "
-                         f"{phase.items_out:>8} {phase.seconds:>10.5f}")
-        lines.append(f"{'total':<22} {'':>8} {'':>8} "
-                     f"{self.total_seconds:>10.5f}")
-        return "\n".join(lines)
-
-
-class _PhaseTimer:
-    """Context manager recording one phase into a trace."""
-
-    def __init__(self, trace: PipelineTrace, name: str) -> None:
-        self._phase = PhaseTrace(name=name)
-        trace.phases.append(self._phase)
-        self._start = 0.0
-
-    def __enter__(self) -> PhaseTrace:
-        self._start = time.perf_counter()
-        return self._phase
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._phase.seconds = time.perf_counter() - self._start
-
-
-def timed_phase(trace: PipelineTrace, name: str) -> _PhaseTimer:
-    """Record a phase: ``with timed_phase(trace, PHASE_MATCHING) as ph:``"""
-    return _PhaseTimer(trace, name)

@@ -17,8 +17,8 @@ schemas".  This package provides exactly that:
   segments-and-delta composite that makes cold start O(segment count)
   instead of O(corpus);
 * :mod:`~repro.index.store` — persistence routed through the segment
-  format (with a read-only legacy JSONL path) so the offline indexer
-  can restart "at scheduled intervals" without a rebuild from nothing.
+  format so the offline indexer can restart "at scheduled intervals"
+  without a rebuild from nothing.
 """
 
 from repro.index.cache import QueryCache

@@ -43,6 +43,7 @@ indexer refreshes.
 from __future__ import annotations
 
 import heapq
+import threading
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -156,14 +157,27 @@ class IndexSearcher:
         self._analyzer = analyzer
         self._scorer = TfIdfScorer(index, use_coordination=use_coordination)
         self._fuzzy = fuzzy
+        self._fuzzy_generation = index.generation
         self._strategy = strategy
         self._cache = query_cache
         self._cache_generation = index.generation
         # Dense norm column for the pruned hot loop, rebuilt lazily
         # whenever the index generation moves: (generation, array).
         self._dense_norms: tuple[int, array] | None = None
-        # Overwritten per query (same lifecycle as engine.last_trace).
-        self.last_stats: SearchStats | None = None
+        self._thread_stats = threading.local()
+
+    @property
+    def last_stats(self) -> SearchStats | None:
+        """How the *calling thread's* most recent query was answered.
+
+        Per-thread (like ``engine.thread_profile``) so concurrent
+        serving threads never read each other's cache-hit/pruning
+        flags."""
+        return getattr(self._thread_stats, "stats", None)
+
+    @last_stats.setter
+    def last_stats(self, stats: SearchStats) -> None:
+        self._thread_stats.stats = stats
 
     @property
     def index(self) -> InvertedIndex:
@@ -184,6 +198,23 @@ class IndexSearcher:
     @property
     def query_cache(self) -> QueryCache | None:
         return self._cache
+
+    def sync_fuzzy(self) -> None:
+        """Re-sync the fuzzy vocabulary with the index generation.
+
+        The trigram index is built from the vocabulary at construction
+        time; after an indexer refresh/rebuild the index generation
+        moves and new schemas' terms would be invisible to fuzzy
+        expansion.  Comparing generations makes the check O(1) per
+        query and the vocabulary walk happens only when something
+        actually changed.
+        """
+        if self._fuzzy is None:
+            return
+        generation = self._index.generation
+        if generation != self._fuzzy_generation:
+            self._fuzzy.update_from(self._index.vocabulary())
+            self._fuzzy_generation = generation
 
     def analyze_query(self, raw_terms: list[str]) -> list[str]:
         """Run the flattened query words through the analyzer chain.

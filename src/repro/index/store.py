@@ -8,32 +8,16 @@ write-temp-then-rename.  :func:`load_index` sniffs what it is given:
 * a *segment directory* (``MANIFEST.json`` present) opens as a
   multi-segment :class:`~repro.index.segments.SegmentedIndex`;
 * a *segment file* (magic ``SCHMRSEG``) opens as a single-segment
-  ``SegmentedIndex`` — O(1) in corpus size, no postings rebuild;
-* a *legacy JSON-lines file* (format 1, the pre-segment layout) loads
-  through the old rebuild-postings path with a
-  :class:`DeprecationWarning` — read-only compatibility; re-saving
-  writes the segment format.
-
-The legacy path is deprecated because rebuild-on-load is linear in
-total tokens, which is exactly the cold-start cost the segment format
-exists to eliminate.
+  ``SegmentedIndex`` — O(1) in corpus size, no postings rebuild.
 """
 
 from __future__ import annotations
 
-import json
-import warnings
 from pathlib import Path
 
 from repro.errors import IndexError_
-from repro.index.documents import Document
-from repro.index.inverted import InvertedIndex
 from repro.index.segments import MAGIC, SegmentedIndex, write_segment
 from repro.index.segments.directory import MANIFEST_NAME
-
-#: Version of the *legacy* JSON-lines layout still accepted on read.
-LEGACY_FORMAT_VERSION = 1
-FORMAT_VERSION = LEGACY_FORMAT_VERSION
 
 
 def save_index(index, path: str | Path) -> None:
@@ -46,13 +30,8 @@ def save_index(index, path: str | Path) -> None:
     write_segment(path, index)
 
 
-def load_index(path: str | Path) -> InvertedIndex | SegmentedIndex:
-    """Load what :func:`save_index` (or an indexer flush) produced.
-
-    Returns a :class:`SegmentedIndex` for segment files and segment
-    directories; legacy JSON-lines files rebuild into an
-    :class:`InvertedIndex` (deprecated, see module docstring).
-    """
+def load_index(path: str | Path) -> SegmentedIndex:
+    """Load what :func:`save_index` (or an indexer flush) produced."""
     path = Path(path)
     if path.is_dir():
         if not (path / MANIFEST_NAME).exists():
@@ -63,52 +42,8 @@ def load_index(path: str | Path) -> InvertedIndex | SegmentedIndex:
         raise IndexError_(f"index file {path} does not exist")
     with open(path, "rb") as handle:
         head = handle.read(len(MAGIC))
-    if head == MAGIC:
-        return SegmentedIndex.from_segment_file(path)
-    return _load_legacy_jsonl(path)
-
-
-def _load_legacy_jsonl(path: Path) -> InvertedIndex:
-    """Rebuild an in-memory index from the pre-segment JSONL layout."""
-    index = InvertedIndex()
-    with open(path, encoding="utf-8") as handle:
-        header_line = handle.readline()
-        if not header_line:
-            raise IndexError_(f"index file {path} is empty")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise IndexError_(
-                f"index file {path} has a corrupt header") from exc
-        if header.get("format") != LEGACY_FORMAT_VERSION:
-            raise IndexError_(
-                f"index file {path} has unsupported format "
-                f"{header.get('format')!r}; expected "
-                f"{LEGACY_FORMAT_VERSION}")
-        warnings.warn(
-            f"index file {path} uses the legacy JSON-lines layout; "
-            "loading rebuilds postings (slow). Re-save to migrate to "
-            "the mmap segment format.",
-            DeprecationWarning, stacklevel=3)
-        for line_number, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                document = Document(
-                    doc_id=record["doc_id"],
-                    title=record["title"],
-                    summary=record.get("summary", ""),
-                    terms=list(record["terms"]),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise IndexError_(
-                    f"index file {path} is corrupt at line "
-                    f"{line_number}") from exc
-            index.add(document)
-    expected = header.get("documents")
-    if expected is not None and expected != index.document_count:
+    if head != MAGIC:
         raise IndexError_(
-            f"index file {path} is truncated: header says {expected} "
-            f"documents, found {index.document_count}")
-    return index
+            f"index file {path} is not a segment file: expected magic "
+            f"{MAGIC!r}, found {head!r}")
+    return SegmentedIndex.from_segment_file(path)

@@ -294,7 +294,7 @@ class RepositoryIndexer:
         """
         loaded = load_index(path)
         self._index = loaded
-        if isinstance(loaded, SegmentedIndex) and loaded.last_change_id:
+        if loaded.last_change_id:
             self._last_change_id = loaded.last_change_id
             return
         changes = self._repository.changes_since(self._last_change_id)

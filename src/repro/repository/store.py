@@ -387,14 +387,12 @@ class SchemaRepository:
                                merge_policy=config.merge_policy)
         indexer.telemetry = telemetry
         indexer.refresh()
-        engine = SchemrEngine(index=indexer.index,
-                              source=self.profile_store(),
-                              ensemble=ensemble, config=config,
-                              telemetry=telemetry)
         # The facade was created solely for this engine; its close()
         # should own the history sink's lifecycle.
-        engine._owns_telemetry = True
-        return engine
+        return SchemrEngine(index=indexer.index,
+                            source=self.profile_store(),
+                            ensemble=ensemble, config=config,
+                            telemetry=telemetry, owns_telemetry=True)
 
     # -- history / collaboration (thin wrappers; logic in submodules) ---
 

@@ -53,8 +53,8 @@ from pathlib import Path
 from repro.core.config import SchemrConfig
 from repro.core.engine import SchemrEngine
 from repro.errors import (AdmissionRejected, CircuitOpenError,
-                          DeadlineExceeded, RepositoryError, SchemrError,
-                          ServiceError)
+                          DeadlineExceeded, QueryError, RepositoryError,
+                          SchemrError, ServiceError)
 from repro.repository.indexer import RepositoryIndexer
 from repro.repository.store import SchemaRepository
 from repro.resilience.breaker import STATE_OPEN
@@ -295,8 +295,8 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
     def _handle_search(self, query_string: str, body: str | None) -> None:
         params = urllib.parse.parse_qs(query_string)
         keywords = " ".join(params.get("keywords", []))
-        top_n = int(params.get("top", ["10"])[0])
-        offset = int(params.get("offset", ["0"])[0])
+        top_n = _int_param(params, "top", default=10, minimum=1)
+        offset = _int_param(params, "offset", default=0, minimum=0)
         fragment = body if body else None
         with self.admission.admitted():
             results = self.engine.search(keywords=keywords or None,
@@ -384,7 +384,7 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
         from repro.index.suggest import PrefixSuggester
         params = urllib.parse.parse_qs(query_string)
         prefix = " ".join(params.get("prefix", [])).strip()
-        limit = int(params.get("limit", ["8"])[0])
+        limit = _int_param(params, "limit", default=8, minimum=0)
         suggester: PrefixSuggester = getattr(type(self), "suggester")
         suggestions = suggester.suggest(prefix, limit=limit)
         body = "".join(
@@ -402,7 +402,7 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
             params = urllib.parse.parse_qs(query_string)
         keywords = " ".join(params.get("keywords", [])).strip()
         fragment = "\n".join(params.get("fragment", [])).strip()
-        offset = int(params.get("offset", ["0"])[0])
+        offset = _int_param(params, "offset", default=0, minimum=0)
         results = None
         if keywords or fragment:
             with self.admission.admitted():
@@ -444,7 +444,7 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
         if scores is None:
             return
         layout = params.get("layout", ["radial"])[0]
-        depth = int(params.get("depth", ["3"])[0])
+        depth = _int_param(params, "depth", default=3, minimum=0)
         focus = params.get("focus", [None])[0]
         schema = self.repository.get_schema(schema_id)
         svg = render_schema_svg(schema, layout=layout, depth=depth,
@@ -700,9 +700,22 @@ def _build_replica_engine(repository: SchemaRepository,
     index = open_segment_index(config.segment_dir, sweep=True)
     syncer.attach_index(index)
     engine = SchemrEngine(index=index, source=repository.profile_store(),
-                          config=config, telemetry=telemetry)
-    engine._owns_telemetry = True
+                          config=config, telemetry=telemetry,
+                          owns_telemetry=True)
     return engine, syncer
+
+
+def _int_param(params: dict[str, list[str]], name: str, default: int,
+               minimum: int) -> int:
+    """An integer query parameter, validated at the edge (bad -> 400)."""
+    raw = params.get(name, [str(default)])[0]
+    try:
+        value = int(raw)
+    except ValueError:
+        raise QueryError(f"{name} must be an integer, got {raw!r}") from None
+    if value < minimum:
+        raise QueryError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 class _RunningServer:

@@ -15,6 +15,7 @@ render.
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -32,8 +33,10 @@ class QueryProfile:
     query_terms: tuple[str, ...] = ()
     started_at: float = 0.0  # wall clock
     total_seconds: float = 0.0
-    #: phase name -> wall seconds (the PipelineTrace phases).
+    #: phase name -> wall seconds, in execution order (Figure 3).
     phase_seconds: dict[str, float] = field(default_factory=dict)
+    #: phase name -> (items in, items out): the Figure 3 data flow.
+    phase_items: dict[str, tuple[int, int]] = field(default_factory=dict)
     #: Phase-1 candidates entering the match phase.
     candidate_count: int = 0
     #: Candidates surviving fine-grained matching (pre-paging).
@@ -77,6 +80,26 @@ class QueryProfile:
     #: the page was served degraded from the survivors.
     shards_used: int = 0
 
+    def timed_phase(self, name: str) -> "_PhaseTimer":
+        """Record a phase: ``with profile.timed_phase(name) as ph:``.
+
+        The block's wall time lands in :attr:`phase_seconds` (also when
+        it raises) and the ``items_in``/``items_out`` it sets on ``ph``
+        in :attr:`phase_items`.
+        """
+        return _PhaseTimer(self, name)
+
+    def summary(self) -> str:
+        """Human-readable data-flow table (the Figure 3 rendition)."""
+        lines = [f"{'phase':<22} {'in':>8} {'out':>8} {'seconds':>10}"]
+        for name, seconds in self.phase_seconds.items():
+            items_in, items_out = self.phase_items[name]
+            lines.append(f"{name:<22} {items_in:>8} {items_out:>8} "
+                         f"{seconds:>10.5f}")
+        lines.append(f"{'total':<22} {'':>8} {'':>8} "
+                     f"{sum(self.phase_seconds.values()):>10.5f}")
+        return "\n".join(lines)
+
     def to_dict(self) -> dict:
         """JSON-safe form (history sink, ``/stats``, logs)."""
         return {
@@ -101,6 +124,28 @@ class QueryProfile:
             "shards_total": self.shards_total,
             "shards_used": self.shards_used,
         }
+
+
+class _PhaseTimer:
+    """Context manager timing one phase into a :class:`QueryProfile`."""
+
+    __slots__ = ("_profile", "_name", "_start", "items_in", "items_out")
+
+    def __init__(self, profile: QueryProfile, name: str) -> None:
+        self._profile = profile
+        self._name = name
+        self._start = 0.0
+        self.items_in = 0
+        self.items_out = 0
+
+    def __enter__(self) -> "_PhaseTimer":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        profile = self._profile
+        profile.phase_seconds[self._name] = time.perf_counter() - self._start
+        profile.phase_items[self._name] = (self.items_in, self.items_out)
 
 
 class QueryProfileLog:

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core.config import SchemrConfig
-from repro.core.engine import DictSchemaSource, SchemrEngine
+from repro.core.engine import DictSchemaSource, Phase1Stats, SchemrEngine
 from repro.core.pipeline import ALL_PHASES
-from repro.errors import QueryError
+from repro.core.results import SearchResult
+from repro.errors import CircuitOpenError, DeadlineExceeded, QueryError
 from repro.index.documents import document_from_schema
 from repro.index.inverted import InvertedIndex
+from repro.index.searcher import IndexHit
 from repro.matching.ensemble import MatcherEnsemble
 from repro.model.query import QueryGraph
 from repro.scoring.tightness import PenaltyPolicy
@@ -99,26 +101,26 @@ class TestSearch:
 class TestTrace:
     def test_all_phases_recorded(self, engine, paper_keywords):
         engine.search(keywords=paper_keywords)
-        trace = engine.last_trace
-        assert trace is not None
-        assert [p.name for p in trace.phases] == list(ALL_PHASES)
+        profile = engine.last_profile
+        assert profile is not None
+        assert list(profile.phase_seconds) == list(ALL_PHASES)
+        assert profile.total_seconds == pytest.approx(
+            sum(profile.phase_seconds.values()))
 
     def test_phase_counts_flow(self, engine, paper_keywords):
         engine.search(keywords=paper_keywords)
-        trace = engine.last_trace
-        candidates = trace.phase("candidate_extraction")
-        matching = trace.phase("schema_matching")
-        assert candidates.items_in == 4  # four keywords
-        assert matching.items_in == candidates.items_out
+        items = engine.last_profile.phase_items
+        candidates_in, candidates_out = items["candidate_extraction"]
+        assert candidates_in == 4  # four keywords
+        assert items["schema_matching"][0] == candidates_out
 
     def test_search_graph_has_no_parse_phase(self, engine, paper_keywords):
         engine.search_graph(QueryGraph.build(keywords=paper_keywords))
-        names = [p.name for p in engine.last_trace.phases]
-        assert "query_parse" not in names
+        assert "query_parse" not in engine.last_profile.phase_seconds
 
     def test_trace_summary_renders(self, engine, paper_keywords):
         engine.search(keywords=paper_keywords)
-        summary = engine.last_trace.summary()
+        summary = engine.last_profile.summary()
         assert "candidate_extraction" in summary
         assert "total" in summary
 
@@ -135,7 +137,7 @@ class TestConfiguration:
         engine = SchemrEngine(index=index, source=DictSchemaSource(schemas),
                               config=SchemrConfig(candidate_pool=2))
         engine.search(keywords=paper_keywords)
-        assert engine.last_trace.phase("schema_matching").items_in == 2
+        assert engine.last_profile.phase_items["schema_matching"][0] == 2
 
     def test_invalid_candidate_pool(self):
         with pytest.raises(QueryError):
@@ -277,3 +279,73 @@ class TestDictSchemaSource:
     def test_missing_raises(self):
         with pytest.raises(QueryError):
             DictSchemaSource({}).get_schema(9)
+
+
+class _FakeExecutor:
+    """The whole port: three methods, no index, no pool."""
+
+    def __init__(self, match_error: Exception | None = None) -> None:
+        self.match_error = match_error
+        self.calls: list[tuple] = []
+
+    def candidates(self, flattened, pool_n, deadline):
+        self.calls.append(("candidates", tuple(flattened), pool_n))
+        hits = [IndexHit(1, 0.9, 2, "first"), IndexHit(2, 0.5, 1, "second")]
+        return hits, Phase1Stats(strategy="fake", docs_scored=2)
+
+    def match(self, query, pool, deadline, cheap_only):
+        self.calls.append(("match", len(pool), cheap_only))
+        if self.match_error is not None:
+            raise self.match_error
+        return list(pool)
+
+    def score(self, matched):
+        # Inverts the coarse order, so the page proves the engine sorts.
+        return [SearchResult(schema_id=hit.doc_id, name=hit.title,
+                             score=1.0 - hit.score, match_count=1,
+                             entity_count=1, attribute_count=1,
+                             coarse_score=hit.score)
+                for hit in matched]
+
+
+class TestExecutorPort:
+    def test_lifecycle_runs_on_a_fake_executor(self):
+        executor = _FakeExecutor()
+        engine = SchemrEngine(executor=executor,
+                              config=SchemrConfig(candidate_pool=7))
+        page = engine.search(keywords="patient height", top_n=1)
+        assert [r.schema_id for r in page] == [2]
+        assert [r.schema_id for r in engine.search(
+            keywords="patient height", top_n=1, offset=1)] == [1]
+        assert executor.calls[:2] == [
+            ("candidates", ("patient", "height"), 7), ("match", 2, False)]
+        profile = engine.last_profile
+        assert list(profile.phase_seconds) == list(ALL_PHASES)
+        assert profile.strategy == "fake"
+        assert (profile.candidate_count, profile.matched_count,
+                profile.result_count) == (2, 2, 1)
+        assert profile.degradation == "none"
+        assert engine.breakers == {}
+        engine.close()
+
+    @pytest.mark.parametrize("error", [
+        DeadlineExceeded("budget died mid-pool"),
+        CircuitOpenError("source down", breaker="schema_source"),
+    ])
+    def test_executor_failures_degrade_to_the_phase1_page(self, error):
+        engine = SchemrEngine(executor=_FakeExecutor(match_error=error))
+        page = engine.search(keywords="patient")
+        assert [(r.schema_id, r.score) for r in page] == [(1, 0.9), (2, 0.5)]
+        profile = engine.last_profile
+        assert profile.degradation == "phase1_only"
+        assert profile.deadline_expired is isinstance(error, DeadlineExceeded)
+        assert "tightness_of_fit" not in profile.phase_seconds
+
+    def test_validation_precedes_the_executor(self):
+        executor = _FakeExecutor()
+        engine = SchemrEngine(executor=executor)
+        with pytest.raises(QueryError):
+            engine.search(keywords="patient", top_n=0)
+        with pytest.raises(QueryError):
+            engine.search(keywords="patient", offset=-1)
+        assert executor.calls == []

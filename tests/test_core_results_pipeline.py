@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from repro.core.pipeline import PipelineTrace, timed_phase
 from repro.core.results import ElementMatch, SearchResult, format_result_table
+from repro.telemetry import QueryProfile
 
 
 def make_result(name: str = "clinic", score: float = 0.5,
@@ -65,34 +65,44 @@ class TestSearchResultHelpers:
 
 
 class TestPipelineTrace:
+    """Phase timing lives on the search's one QueryProfile."""
+
     def test_timed_phase_records_duration(self):
-        trace = PipelineTrace()
-        with timed_phase(trace, "work") as phase:
+        profile = QueryProfile()
+        with profile.timed_phase("work") as phase:
             phase.items_in = 10
             time.sleep(0.01)
             phase.items_out = 5
-        recorded = trace.phase("work")
-        assert recorded.seconds >= 0.01
-        assert recorded.items_in == 10
-        assert recorded.items_out == 5
+        assert profile.phase_seconds["work"] >= 0.01
+        assert profile.phase_items["work"] == (10, 5)
+
+    def test_timed_phase_records_when_the_block_raises(self):
+        profile = QueryProfile()
+        with pytest.raises(RuntimeError):
+            with profile.timed_phase("work") as phase:
+                phase.items_in = 3
+                raise RuntimeError("boom")
+        assert profile.phase_items["work"] == (3, 0)
+        assert "work" in profile.phase_seconds
 
     def test_total_seconds_sums(self):
-        trace = PipelineTrace()
-        with timed_phase(trace, "a"):
+        profile = QueryProfile()
+        with profile.timed_phase("a"):
             pass
-        with timed_phase(trace, "b"):
+        with profile.timed_phase("b"):
             pass
-        assert trace.total_seconds == pytest.approx(
-            sum(p.seconds for p in trace.phases))
+        assert list(profile.phase_seconds) == ["a", "b"]
+        assert f"{sum(profile.phase_seconds.values()):.5f}" in \
+            profile.summary().splitlines()[-1]
 
     def test_missing_phase_raises(self):
         with pytest.raises(KeyError):
-            PipelineTrace().phase("ghost")
+            QueryProfile().phase_items["ghost"]
 
     def test_summary_contains_every_phase(self):
-        trace = PipelineTrace()
-        with timed_phase(trace, "alpha"):
+        profile = QueryProfile()
+        with profile.timed_phase("alpha"):
             pass
-        summary = trace.summary()
+        summary = profile.summary()
         assert "alpha" in summary
         assert "total" in summary

@@ -450,7 +450,7 @@ class TestEngineEquivalence:
         assert engine.search("kaleidoskope") == []
         late = build_conservation_schema("kaleidoscope_catalog")
         late.schema_id = 77
-        engine._source._schemas[77] = late  # extend the dict source
+        engine._executor._source._schemas[77] = late  # extend the dict source
         index.add(document_from_schema(late))
         hits = engine.search("kaleidoskope", top_n=5)
         assert any(r.schema_id == 77 for r in hits)

@@ -1,6 +1,4 @@
-"""Unit tests for index persistence (segment format + legacy JSONL)."""
-
-import json
+"""Unit tests for index persistence (the segment format)."""
 
 import pytest
 
@@ -18,22 +16,6 @@ def index() -> InvertedIndex:
                      terms=["patient", "height"]))
     idx.add(Document(2, "hr", terms=["employee", "salary"]))
     return idx
-
-
-def write_legacy_jsonl(path, index: InvertedIndex) -> None:
-    """Produce the pre-segment JSON-lines layout by hand."""
-    lines = [json.dumps({"format": 1,
-                         "documents": index.document_count,
-                         "terms": index.term_count,
-                         "generation": index.generation})]
-    for document in index.documents():
-        lines.append(json.dumps({
-            "doc_id": document.doc_id,
-            "title": document.title,
-            "summary": document.summary,
-            "terms": document.terms,
-        }))
-    path.write_text("\n".join(lines) + "\n")
 
 
 class TestRoundtrip:
@@ -104,19 +86,20 @@ class TestRoundtrip:
 
 
 class TestLegacyCompat:
-    def test_legacy_jsonl_still_loads(self, index, tmp_path):
-        path = tmp_path / "old.jsonl"
-        write_legacy_jsonl(path, index)
-        with pytest.warns(DeprecationWarning, match="legacy JSON-lines"):
-            loaded = load_index(path)
-        assert loaded.document_count == 2
-        assert loaded.document(1).terms == ["patient", "height"]
-        assert loaded.norm(2) == index.norm(2)
-
     def test_new_saves_are_not_jsonl(self, index, tmp_path):
         path = tmp_path / "segment.seg"
         save_index(index, path)
         assert path.read_bytes()[:8] == b"SCHMRSEG"
+
+    def test_non_segment_file_names_expected_magic(self, tmp_path,
+                                                   recwarn):
+        """The JSON-lines layout is gone: anything that is not a
+        segment is rejected up front, with no deprecation path."""
+        path = tmp_path / "old.jsonl"
+        path.write_text('{"format": 1, "documents": 0}\n')
+        with pytest.raises(IndexError_, match="expected magic b'SCHMRSEG'"):
+            load_index(path)
+        assert not recwarn.list
 
 
 class TestCorruption:
@@ -127,39 +110,14 @@ class TestCorruption:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.seg"
         path.write_text("")
-        with pytest.raises(IndexError_, match="empty"):
+        with pytest.raises(IndexError_, match="found b''"):
             load_index(path)
 
     def test_corrupt_header(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(IndexError_, match="corrupt header"):
+        path = tmp_path / "bad.seg"
+        path.write_bytes(b"SCHMRSEX" + bytes(64))
+        with pytest.raises(IndexError_, match="not a segment file"):
             load_index(path)
-
-    def test_wrong_legacy_format_version(self, tmp_path):
-        path = tmp_path / "old.jsonl"
-        path.write_text(json.dumps({"format": 99, "documents": 0}) + "\n")
-        with pytest.raises(IndexError_, match="unsupported format"):
-            load_index(path)
-
-    def test_corrupt_legacy_record(self, index, tmp_path):
-        path = tmp_path / "old.jsonl"
-        write_legacy_jsonl(path, index)
-        lines = path.read_text().splitlines()
-        lines[1] = '{"doc_id": 1}'  # missing required keys
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(IndexError_, match="corrupt at line 2"):
-                load_index(path)
-
-    def test_truncated_legacy_file_detected(self, index, tmp_path):
-        path = tmp_path / "old.jsonl"
-        write_legacy_jsonl(path, index)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")  # drop last doc
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(IndexError_, match="truncated"):
-                load_index(path)
 
     def test_truncated_segment_detected(self, index, tmp_path):
         path = tmp_path / "segment.seg"

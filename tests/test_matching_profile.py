@@ -314,7 +314,7 @@ class TestAdjacencySharing:
         engine = _build_engine(profiled=True)
         assert calls["n"] == 0  # profiles are built lazily, none yet
         engine.search(keywords="name gender salary species")
-        candidates = engine.last_trace.phase("schema_matching").items_in
+        candidates = engine.last_profile.phase_items["schema_matching"][0]
         assert candidates > 1
         assert calls["n"] == candidates  # one build per candidate
         engine.search(keywords="name gender salary species")
@@ -333,7 +333,7 @@ class TestAdjacencySharing:
 
         engine = _build_engine()
         engine.search(keywords="name gender salary species")
-        candidates = engine.last_trace.phase("schema_matching").items_in
+        candidates = engine.last_profile.phase_items["schema_matching"][0]
         assert candidates > 1
         assert calls["n"] == 2 * candidates
 

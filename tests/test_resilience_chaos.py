@@ -22,6 +22,7 @@ from repro.repository.store import SchemaRepository
 from repro.resilience import (STATE_OPEN, FaultInjector, RetryPolicy)
 from repro.resilience.faults import FAULTS
 from repro.service.server import SchemrServer
+from repro.sharding import ShardedEngine
 from tests.conftest import (build_clinic_schema, build_conservation_schema,
                             build_hr_schema)
 
@@ -61,7 +62,25 @@ def make_engine(repo: SchemaRepository, clock: FakeClock,
                         config=config, clock=clock)
 
 
+def open_engine(shards: int, tmp_path, clock: FakeClock,
+                **config_kwargs) -> tuple[SchemaRepository, SchemrEngine]:
+    """The same three schemas behind either executor."""
+    if shards == 1:
+        repo = make_repo()
+        return repo, make_engine(repo, clock, **config_kwargs)
+    repo = SchemaRepository(str(tmp_path / "repo.db"))
+    repo.add_schema(build_clinic_schema())
+    repo.add_schema(build_hr_schema())
+    repo.add_schema(build_conservation_schema())
+    config = SchemrConfig(segment_dir=str(tmp_path / "segments"),
+                          shards=shards, **config_kwargs)
+    return repo, ShardedEngine(repo, config=config, clock=clock)
+
+
 KEYWORDS = "patient height gender diagnosis"
+# Fake seconds; generous because shard workers spend *real* time
+# against whatever share of it the front hands them.
+BUDGET = 10.0
 
 
 # -- engine degradation under budget pressure --------------------------------
@@ -78,25 +97,37 @@ class TestEngineDegradation:
         assert profile.budget_seconds is None
         repo.close()
 
+    @pytest.mark.parametrize("shards", [
+        pytest.param(1, id="in_process"),
+        pytest.param(2, id="shards2"),
+    ])
     @pytest.mark.parametrize("burn,expected", [
-        (0.6, "reduced_pool"),   # 40% budget left after phase 1
+        (0.1, "none"),           # 90% budget left after phase 1
+        (0.6, "reduced_pool"),   # 40% left
         (0.8, "name_only"),      # 20% left
         (0.95, "phase1_only"),   # 5% left
     ])
-    def test_ladder_levels_from_slow_phase1(self, burn, expected):
+    def test_ladder_levels_from_slow_phase1(self, burn, expected, shards,
+                                            tmp_path):
         clock = FakeClock()
-        repo = make_repo()
-        engine = make_engine(repo, clock, search_budget_seconds=1.0)
+        repo, engine = open_engine(shards, tmp_path, clock,
+                                   search_budget_seconds=BUDGET)
         FAULTS.inject("engine.phase1",
-                      hook=lambda: clock.advance(burn), times=1)
-        results = engine.search(keywords=KEYWORDS)
-        assert results, "degraded search must still answer"
-        profile = engine.last_profile
-        assert profile.degradation == expected
-        assert profile.budget_seconds == 1.0
-        # the paper's query still finds the clinic schema first
-        assert results[0].name == "clinic_emr"
-        repo.close()
+                      hook=lambda: clock.advance(burn * BUDGET), times=1)
+        try:
+            results = engine.search(keywords=KEYWORDS)
+            profile = engine.last_profile
+            assert profile.candidate_count > 0
+            assert results, "phase 1 had hits: the page is never empty"
+            assert profile.degradation == expected
+            assert profile.budget_seconds == BUDGET
+            assert profile.shards_total == (shards if shards > 1 else 0)
+            assert profile.shards_used == profile.shards_total
+            # the paper's query still finds the clinic schema first
+            assert results[0].name == "clinic_emr"
+        finally:
+            engine.close()
+            repo.close()
 
     def test_deadline_expiry_mid_match_loop_falls_back_to_phase1(self):
         clock = FakeClock()
@@ -127,6 +158,37 @@ class TestEngineDegradation:
         text = engine.telemetry.metrics.to_prometheus_text()
         assert 'schemr_degraded_searches_total{level="phase1_only"} 1' \
             in text
+        repo.close()
+
+
+class TestConcurrentProfiles:
+    def test_phase1_stats_belong_to_the_searching_thread(self):
+        """Two threads pass phase 1 before either finishes: the cached
+        query's profile says cache hit, the uncached one's says miss —
+        not whichever searched the index last."""
+        repo = make_repo()
+        engine = make_engine(repo, FakeClock())
+        engine.search(keywords=KEYWORDS)  # warm the query cache
+        barrier = threading.Barrier(2, timeout=10)
+        FAULTS.inject("engine.match_one", hook=barrier.wait, times=2)
+        profiles = {}
+
+        def run(name, keywords):
+            engine.search(keywords=keywords)
+            profiles[name] = engine.thread_profile
+
+        threads = [
+            threading.Thread(target=run, args=("cached", KEYWORDS)),
+            threading.Thread(target=run, args=("uncached", "salary name")),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert profiles["cached"].cache_hit is True
+        assert profiles["cached"].docs_scored == 0
+        assert profiles["uncached"].cache_hit is False
+        assert profiles["uncached"].docs_scored > 0
         repo.close()
 
 

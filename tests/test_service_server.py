@@ -45,6 +45,31 @@ class TestSearchEndpoint:
     def test_no_results(self, client):
         assert client.search("qqqzzzxxx") == []
 
+    @pytest.mark.parametrize("params", [
+        "top=abc", "top=0", "top=-3", "top=1.5",
+        "offset=x", "offset=-1",
+    ])
+    def test_bad_paging_parameter_is_a_structured_400(
+            self, running_server, params, caplog):
+        """Validated at the edge: never the generic-500 path, never a
+        logged traceback."""
+        with caplog.at_level("ERROR", logger="repro.service.server"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(
+                    f"{running_server.base_url}/search"
+                    f"?keywords=patient&{params}")
+        assert excinfo.value.code == 400
+        body = excinfo.value.read().decode()
+        assert '<error status="400">' in body
+        assert params.split("=")[0] in body
+        assert not caplog.records
+
+    def test_zero_offset_is_the_first_page(self, running_server):
+        with urllib.request.urlopen(
+                f"{running_server.base_url}/search"
+                "?keywords=patient&top=1&offset=0") as response:
+            assert response.status == 200
+
 
 class TestSchemaEndpoint:
     def test_graphml_roundtrip(self, client):
