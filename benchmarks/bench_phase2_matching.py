@@ -35,6 +35,8 @@ from pathlib import Path
 from repro.core.config import SchemrConfig
 from repro.core.engine import SchemrEngine
 from repro.core.pipeline import PHASE_MATCHING
+from repro.matching.name import _word_similarity
+from repro.matching.normalize import analysed_words
 
 from benchmarks.helpers import PAPER_FRAGMENT, PAPER_KEYWORDS, \
     corpus_repository, sampler_for
@@ -68,6 +70,14 @@ def time_round(engine: SchemrEngine, queries: list[dict]) \
     return phase2, total
 
 
+def clear_process_memos() -> None:
+    """Forget the process-wide identifier-analysis and word-similarity
+    memos, so the cold arm pays for them as a fresh process would
+    instead of reading what the profiled arms left behind."""
+    analysed_words.cache_clear()
+    _word_similarity.cache_clear()
+
+
 def measure(engines: dict[str, SchemrEngine], queries: list[dict],
             repeats: int) -> dict[str, dict]:
     """Median per-mode round times, rounds interleaved across modes.
@@ -75,7 +85,8 @@ def measure(engines: dict[str, SchemrEngine], queries: list[dict],
     Interleaving (cold, profiled, parallel, cold, ...) instead of
     running each mode's rounds back to back means clock-frequency and
     scheduler drift hit every mode equally, which matters when the
-    margin under test is a few percent.
+    margin under test is a few percent.  Each timed cold round starts
+    from cleared process-wide memos (:func:`clear_process_memos`).
     """
     rounds: dict[str, dict[str, list[float]]] = {
         name: {"phase2": [], "total": []} for name in engines}
@@ -83,6 +94,8 @@ def measure(engines: dict[str, SchemrEngine], queries: list[dict],
         time_round(engine, queries)  # warmup round per mode
     for _ in range(repeats):
         for name, engine in engines.items():
+            if name == "cold":
+                clear_process_memos()
             phase2, total = time_round(engine, queries)
             rounds[name]["phase2"].append(phase2)
             rounds[name]["total"].append(total)

@@ -114,7 +114,10 @@ class SearchExecutor(Protocol):
 
     Executors that serve an index also expose ``searcher``,
     ``breakers`` and ``close()``; the lifecycle itself needs only the
-    three methods below.
+    three methods below.  An executor whose :meth:`score` defers the
+    per-element drill-in (``SearchResult.element_matches``) also
+    exposes ``materialise(results, matched)``, which the engine calls
+    for the page only.
     """
 
     def candidates(self, flattened: list[str], pool_n: int,
@@ -198,6 +201,7 @@ class SchemrEngine:
         self._executor = executor or InProcessExecutor(
             index, source, ensemble, self._config, self._clock,
             self._telemetry.metrics)
+        self._materialise = getattr(self._executor, "materialise", None)
         self._ladder = DegradationLadder(
             reduced_pool_fraction=self._config.degrade_reduced_pool_fraction,
             name_only_fraction=self._config.degrade_name_only_fraction,
@@ -411,8 +415,13 @@ class SchemrEngine:
         if deadline is None:
             deadline = Deadline(None, clock=self._clock)
         executor = self._executor
-        return executor.score(
-            executor.match(query, pool, deadline, cheap_only))
+        matched = executor.match(query, pool, deadline, cheap_only)
+        results = executor.score(matched)
+        if self._materialise is not None:
+            # The caller pages after merging, so every result ships
+            # with its drill-in.
+            self._materialise(results, matched)
+        return results
 
     # -- pipeline --------------------------------------------------------
 
@@ -465,6 +474,8 @@ class SchemrEngine:
                     scored.sort(
                         key=lambda r: (-r.score, -r.coarse_score, r.name))
                     page = scored[offset:offset + top_n]
+                    if self._materialise is not None:
+                        self._materialise(page, matched)
                     phase.items_out = len(page)
                 matched_count = len(scored)
                 deadline_expired = deadline.expired()
@@ -669,12 +680,32 @@ class InProcessExecutor:
         return matched
 
     def score(self, matched: list) -> list[SearchResult]:
+        """Ranking fields only: ``element_matches`` stays empty until
+        :meth:`materialise` (the engine calls it for the page)."""
         return [
-            self._score_candidate(hit.score, candidate, ensemble_result,
-                                  element_scores, profile)
-            for (hit, candidate, ensemble_result, element_scores,
+            self._score_candidate(hit.score, candidate, element_scores,
+                                  profile)
+            for (hit, candidate, _ensemble_result, element_scores,
                  profile) in matched
         ]
+
+    def materialise(self, results: list[SearchResult],
+                    matched: list) -> None:
+        """Fill in ``element_matches`` of ``results`` (a subset of what
+        :meth:`score` returned for ``matched``) from their combined
+        matrices."""
+        if not results:
+            return
+        combined = {candidate.schema_id: ensemble_result.combined
+                    for _hit, candidate, ensemble_result, _scores, _profile
+                    in matched}
+        floor = self._config.penalties.match_floor
+        for result in results:
+            result.element_matches = [
+                ElementMatch(query_label=row, element_path=col, score=value)
+                for row, col, value in
+                combined[result.schema_id].nonzero_pairs(threshold=floor)
+            ]
 
     def _match_candidates(self, query: QueryGraph, hits: list[IndexHit],
                           deadline: Deadline, cheap_only: bool = False):
@@ -762,7 +793,7 @@ class InProcessExecutor:
         return (hit, candidate, result, element_scores, profile)
 
     def _score_candidate(self, coarse_score: float, candidate: Schema,
-                         ensemble_result, element_scores: dict[str, float],
+                         element_scores: dict[str, float],
                          profile: SchemaMatchProfile | None = None
                          ) -> SearchResult:
         floor = self._config.penalties.match_floor
@@ -785,11 +816,6 @@ class InProcessExecutor:
             else:
                 final_score = 0.0
             best_anchor = None
-        element_matches = [
-            ElementMatch(query_label=row, element_path=col, score=value)
-            for row, col, value in
-            ensemble_result.combined.nonzero_pairs(threshold=floor)
-        ]
         assert candidate.schema_id is not None
         return SearchResult(
             schema_id=candidate.schema_id,
@@ -802,5 +828,4 @@ class InProcessExecutor:
             coarse_score=coarse_score,
             best_anchor=best_anchor,
             element_scores=matched_scores,
-            element_matches=element_matches,
         )

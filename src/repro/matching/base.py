@@ -7,7 +7,7 @@ which describes the match quality — a value between 0 and 1."
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -130,6 +130,45 @@ class SimilarityMatrix:
         for matrix, weight in zip(matrices, weights):
             combined += (weight / total) * matrix.values
         return SimilarityMatrix(first.row_labels, first.col_labels, combined)
+
+
+#: Column-memo marker for "not scored yet" (``None`` already means
+#: "scored, all zero").
+_UNSCORED = object()
+
+
+def fill_columns(matrix: SimilarityMatrix,
+                 rows: list[tuple[str, Hashable]], keys: Iterable[Hashable],
+                 memo: dict, similarity: Callable[[Hashable, Hashable],
+                                                  float],
+                 threshold: float) -> None:
+    """Fill ``matrix`` column by column from a per-query column memo.
+
+    ``rows`` holds each query row's (label, analysed form); ``keys``
+    gives, per candidate column, everything its scores depend on (for
+    the name matcher the element's words, for the context matcher its
+    term set).  The first column with a given key scores it against
+    every non-empty row — ``similarity``, the ``>= threshold`` cut-off
+    and the ``min(score, 1.0)`` clamp of the reference cell loops, so
+    the same float lands in the same cell; every later column with that
+    key is a memo probe plus a copy.  An all-zero column is memoized as
+    ``None`` and left untouched.
+    """
+    values = matrix.values
+    for j, key in enumerate(keys):
+        column = memo.get(key, _UNSCORED)
+        if column is _UNSCORED:
+            column = np.zeros(len(rows))
+            for i, (_label, row) in enumerate(rows):
+                if row:
+                    score = similarity(row, key)
+                    if score >= threshold:
+                        column[i] = min(score, 1.0)
+            if not column.any():
+                column = None
+            memo[key] = column
+        if column is not None:
+            values[:, j] = column
 
 
 class Matcher(abc.ABC):

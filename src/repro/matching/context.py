@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.matching.base import Matcher, SimilarityMatrix
+from repro.matching.base import Matcher, SimilarityMatrix, fill_columns
 from repro.matching.normalize import normalize_words
 from repro.model.elements import ElementRef
 from repro.model.graph import entity_adjacency
@@ -73,35 +73,32 @@ class ContextMatcher(Matcher):
         matrix = self.empty_matrix(query, candidate,
                                    profile=profile, scratch=scratch)
         query_contexts = self._memoized_query_contexts(query, scratch)
-        if profile is not None:
-            # Fast path: neighborhood term sets were derived once at
-            # ingest time; no adjacency rebuild, no re-normalization.
-            contexts_of = profile.context_terms
-            candidate_contexts = [(path, contexts_of[path])
-                                  for path in profile.element_paths]
-        else:
+        if profile is None:
+            # Reference path: adjacency rebuilt, every cell scored on
+            # its own — the golden the fast path is held to.
             adjacency = entity_adjacency(candidate)
             candidate_contexts = [
                 (ref.path, element_context(candidate, ref, adjacency))
                 for ref in candidate.elements()
             ]
-        jaccard_cache = (scratch.jaccard_cache
-                         if scratch is not None and profile is not None
-                         else None)
-        for row_label, query_context in query_contexts:
-            if not query_context:
-                continue
-            for col_label, cand_context in candidate_contexts:
-                if jaccard_cache is not None:
-                    key = (query_context, cand_context)
-                    score = jaccard_cache.get(key)
-                    if score is None:
-                        score = _jaccard(query_context, cand_context)
-                        jaccard_cache[key] = score
-                else:
+            for row_label, query_context in query_contexts:
+                if not query_context:
+                    continue
+                for col_label, cand_context in candidate_contexts:
                     score = _jaccard(query_context, cand_context)
-                if score >= self._threshold:
-                    matrix.set(row_label, col_label, score)
+                    if score >= self._threshold:
+                        matrix.set(row_label, col_label, score)
+            return matrix
+        # Fast path: neighborhood term sets were derived once at ingest
+        # time, and a column depends only on its (frozen) term set, so
+        # each distinct set is scored against the query rows once per
+        # search and every later column with that set is a copy.
+        columns = (scratch.context_columns.setdefault(self, {})
+                   if scratch is not None else {})
+        fill_columns(matrix, query_contexts,
+                     map(profile.context_terms.__getitem__,
+                         profile.element_paths),
+                     columns, _jaccard, self._threshold)
         return matrix
 
     def _memoized_query_contexts(self, query: QueryGraph,
@@ -126,8 +123,8 @@ class ContextMatcher(Matcher):
         keyword_terms: set[str] = set()
         for name in query.element_names():
             keyword_terms.update(normalize_words(name))
-        # Frozen so the (query context, candidate context) pair is a
-        # usable memo key in the profiled fast path.
+        # Frozen: query contexts live in the per-search scratch, shared
+        # across candidates and worker threads.
         keyword_context = frozenset(keyword_terms)
         label_iter = iter(labels)
         for item in query.items:

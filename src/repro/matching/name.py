@@ -24,9 +24,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from repro.matching.base import Matcher, SimilarityMatrix
+from repro.matching.base import Matcher, SimilarityMatrix, fill_columns
 from repro.matching.ngram import weighted_ngram_similarity
-from repro.matching.normalize import normalize_words
+from repro.matching.normalize import analysed_words
 from repro.model.query import QueryGraph
 from repro.model.schema import Schema
 
@@ -77,33 +77,34 @@ class NameMatcher(Matcher):
         matrix = self.empty_matrix(query, candidate,
                                    profile=profile, scratch=scratch)
         query_pairs = self._query_pairs(query, scratch)
-        if profile is not None:
-            words_of = (profile.words_expanded if self._expand
-                        else profile.words_plain)
-            candidate_pairs = [(path, words_of[path])
-                               for path in profile.element_paths]
-        else:
+        if profile is None:
+            # Reference path: every (query row, candidate column) cell
+            # scored on its own — the golden the fast path is held to.
             candidate_pairs = [
-                (path, tuple(normalize_words(name, expand=self._expand)))
+                (path, analysed_words(name, self._expand))
                 for path, name, _kind in self.candidate_elements(candidate)
             ]
-        sim_cache = scratch.name_sim_cache if scratch is not None else None
-        for row_label, query_words in query_pairs:
-            if not query_words:
-                continue
-            for col_label, cand_words in candidate_pairs:
-                if not cand_words:
+            for row_label, query_words in query_pairs:
+                if not query_words:
                     continue
-                if sim_cache is not None:
-                    key = (query_words, cand_words)
-                    score = sim_cache.get(key)
-                    if score is None:
-                        score = name_similarity(query_words, cand_words)
-                        sim_cache[key] = score
-                else:
+                for col_label, cand_words in candidate_pairs:
+                    if not cand_words:
+                        continue
                     score = name_similarity(query_words, cand_words)
-                if score >= self._threshold:
-                    matrix.set(row_label, col_label, min(score, 1.0))
+                    if score >= self._threshold:
+                        matrix.set(row_label, col_label, min(score, 1.0))
+            return matrix
+        # Fast path: a column depends only on the candidate element's
+        # words, and element names repeat across the candidate pool, so
+        # each distinct word tuple is scored against the query rows once
+        # per search and every later column with those words is a copy.
+        words_of = (profile.words_expanded if self._expand
+                    else profile.words_plain)
+        columns = (scratch.name_columns.setdefault(self, {})
+                   if scratch is not None else {})
+        fill_columns(matrix, query_pairs,
+                     map(words_of.__getitem__, profile.element_paths),
+                     columns, name_similarity, self._threshold)
         return matrix
 
     def _query_pairs(self, query: QueryGraph,
@@ -111,14 +112,15 @@ class NameMatcher(Matcher):
                      ) -> list[tuple[str, tuple[str, ...]]]:
         """(label, normalized words) per query element, memoized per
         search so the normalization runs once, not once per candidate."""
+        key = (self.name, self._expand)
         if scratch is not None:
-            cached = scratch.matcher_memo.get(self.name)
+            cached = scratch.matcher_memo.get(key)
             if cached is not None:
                 return cached  # type: ignore[return-value]
         pairs = [
-            (label, tuple(normalize_words(name, expand=self._expand)))
+            (label, analysed_words(name, self._expand))
             for label, name in self.query_elements(query)
         ]
         if scratch is not None:
-            scratch.matcher_memo[self.name] = pairs
+            scratch.matcher_memo[key] = pairs
         return pairs

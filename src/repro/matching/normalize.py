@@ -11,6 +11,9 @@ catches prefix abbreviations like ``pat`` vs ``patient`` on its own).
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Iterable
+
 from repro.text.splitter import split_words_lower
 
 #: Unambiguous schema-name abbreviations -> expansions.
@@ -66,7 +69,7 @@ ABBREVIATIONS: dict[str, str] = {
 }
 
 
-def expand_abbreviations(words: list[str]) -> list[str]:
+def expand_abbreviations(words: Iterable[str]) -> list[str]:
     """Replace each known abbreviation with its expansion words."""
     out: list[str] = []
     for word in words:
@@ -76,6 +79,22 @@ def expand_abbreviations(words: list[str]) -> list[str]:
         else:
             out.extend(expansion.split())
     return out
+
+
+@lru_cache(maxsize=1 << 15)
+def analysed_words(name: str, expand: bool = True) -> tuple[str, ...]:
+    """Split, lowercased and optionally expanded words of ``name``.
+
+    A process-wide memo of a pure function: schema corpora repeat
+    element names constantly, so a profile rebuild or a cold match
+    pays the four splitter regexes once per distinct name, not once
+    per occurrence.  The expanded view is derived from the (memoized)
+    plain split, so a name is split at most once either way.  Returns
+    a shared tuple; :func:`normalize_words` hands out mutable copies.
+    """
+    if expand:
+        return tuple(expand_abbreviations(analysed_words(name, False)))
+    return tuple(split_words_lower(name))
 
 
 def normalize_name(name: str, expand: bool = True) -> str:
@@ -91,15 +110,13 @@ def normalize_name(name: str, expand: bool = True) -> str:
     >>> normalize_name("pat_ht")  # 'pat' is not in the table; 'ht' is
     'patheight'
     """
-    words = split_words_lower(name)
-    if expand:
-        words = expand_abbreviations(words)
-    return "".join(words)
+    return "".join(analysed_words(name, expand))
 
 
 def normalize_words(name: str, expand: bool = True) -> list[str]:
-    """Word-list form of :func:`normalize_name` (for set matchers)."""
-    words = split_words_lower(name)
-    if expand:
-        words = expand_abbreviations(words)
-    return words
+    """Word-list form of :func:`normalize_name` (for set matchers).
+
+    A fresh list per call: callers may mutate it without touching the
+    memo behind :func:`analysed_words`.
+    """
+    return list(analysed_words(name, expand))

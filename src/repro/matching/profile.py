@@ -26,9 +26,10 @@ and the changelog-driven :class:`~repro.repository.indexer.RepositoryIndexer`
 rebuilds them on refresh.
 
 :class:`MatchScratch` is the per-query companion: memoization shared
-across the candidates (and worker threads) of one search, for the pure
-pair functions (name similarity, Jaccard) and the query-side artifacts
-every matcher would otherwise recompute per candidate.
+across the candidates (and worker threads) of one search — whole score
+columns of the name and context matchers, keyed by the candidate
+element's words or context set, and the query-side artifacts every
+matcher would otherwise recompute per candidate.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import TYPE_CHECKING, Protocol
 from repro.errors import RepositoryError, SchemaError
 from repro.matching.datatype import type_family
 from repro.matching.ngram import warm_gram_cache, weighted_gram_profile
-from repro.matching.normalize import normalize_words
+from repro.matching.normalize import analysed_words
 from repro.model.graph import entity_adjacency
 from repro.model.schema import Schema
 from repro.scoring.neighborhood import NeighborhoodIndex, entity_components
@@ -100,9 +101,11 @@ class SchemaMatchProfile:
             path = ref.path
             element_paths.append(path)
             entity_of[path] = ref.entity
+            # One (memoized) split per name; the expanded view is
+            # derived from it, not re-split.
             name = ref.local_name
-            words_expanded[path] = tuple(normalize_words(name, expand=True))
-            words_plain[path] = tuple(normalize_words(name, expand=False))
+            words_plain[path] = analysed_words(name, False)
+            words_expanded[path] = analysed_words(name, True)
 
         adjacency = entity_adjacency(schema)
         component_of: dict[str, int] = {}
@@ -120,19 +123,18 @@ class SchemaMatchProfile:
                 path = f"{entity.name}.{attr.name}"
                 attr_words.update(words_expanded[path])
                 type_families[path] = type_family(attr.data_type)
-            entity_attr_words[entity.name] = frozenset(attr_words)
+            frozen_attr_words = frozenset(attr_words)
+            entity_attr_words[entity.name] = frozen_attr_words
             # Every attribute of an entity shares one context set: the
             # entity's name words plus all sibling attribute words.
-            shared = frozenset(
-                set(words_expanded[entity.name]) | attr_words)
+            shared = frozen_attr_words.union(words_expanded[entity.name])
             for attr in entity.attributes:
                 context_terms[f"{entity.name}.{attr.name}"] = shared
             # The entity element additionally sees FK-adjacent entity
             # name words.
-            entity_terms = set(shared)
-            for neighbor in adjacency.get(entity.name, ()):
-                entity_terms.update(words_expanded[neighbor])
-            context_terms[entity.name] = frozenset(entity_terms)
+            context_terms[entity.name] = shared.union(
+                *(words_expanded[neighbor]
+                  for neighbor in adjacency.get(entity.name, ())))
 
         word_grams: dict[str, tuple[frozenset[str], float]] = {}
         for table in (words_expanded, words_plain):
@@ -241,22 +243,28 @@ class SchemaMatchProfile:
 class MatchScratch:
     """Per-query memoization shared across candidates and workers.
 
-    The caches hold results of *pure* functions of their keys, so
-    sharing one scratch across the worker threads of a parallel match
-    phase is safe: a racing recomputation produces the identical value
-    (CPython dict reads/writes are atomic under the GIL).
+    ``name_columns`` / ``context_columns`` map a matcher instance to its
+    score-column memo: candidate element words (name) or frozen context
+    term set (context) -> the thresholded scores of every query row
+    against that element (``None`` when all zero).  An instance owns
+    its dict because a column bakes in the matcher's own settings
+    (``expand``, ``threshold``).  Everything here is a *pure* function
+    of its key and the query, so sharing one scratch across the
+    ``match_workers`` threads of a parallel match phase is safe: two
+    threads racing on the same key each store an equal array (CPython
+    dict reads/writes are atomic under the GIL), and a matrix copies
+    the column into its own storage, so no matrix aliases a memo entry.
     """
 
-    __slots__ = ("name_sim_cache", "jaccard_cache", "matcher_memo",
+    __slots__ = ("name_columns", "context_columns", "matcher_memo",
                  "_row_labels")
 
     def __init__(self) -> None:
-        #: (query words, candidate words) -> name similarity.
-        self.name_sim_cache: dict[tuple, float] = {}
-        #: (query context, candidate context) -> Jaccard similarity.
-        self.jaccard_cache: dict[tuple, float] = {}
-        #: matcher name -> its prepared query-side artifact.
-        self.matcher_memo: dict[str, object] = {}
+        self.name_columns: dict[object, dict] = {}
+        self.context_columns: dict[object, dict] = {}
+        #: matcher name (plus any setting the artifact depends on) ->
+        #: its prepared query-side artifact.
+        self.matcher_memo: dict[object, object] = {}
         self._row_labels: list[str] | None = None
 
     def row_labels(self, query: "QueryGraph") -> list[str]:

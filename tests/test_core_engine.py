@@ -12,6 +12,7 @@ from repro.index.inverted import InvertedIndex
 from repro.index.searcher import IndexHit
 from repro.matching.ensemble import MatcherEnsemble
 from repro.model.query import QueryGraph
+from repro.resilience.deadline import Deadline
 from repro.scoring.tightness import PenaltyPolicy
 
 from tests.conftest import (
@@ -89,6 +90,29 @@ class TestSearch:
         pairs = {(m.query_label, m.element_path)
                  for m in result.element_matches}
         assert ("kw:height", "patient.height") in pairs
+
+    def test_element_matches_built_for_the_page_only(self, engine):
+        query = "name gender salary species"
+        full = engine.search(keywords=query)
+        assert len(full) > 1 and all(r.element_matches for r in full)
+        for offset, expected in enumerate(full):
+            (page,) = engine.search(keywords=query, top_n=1, offset=offset)
+            assert page.element_matches == expected.element_matches
+        # Ranking never reads the drill-in: score() leaves it to the page.
+        graph = QueryGraph.build(keywords=query.split())
+        executor = engine._executor
+        pool = engine.searcher.search(graph.flatten(), top_n=10)
+        matched = executor.match(graph, pool, Deadline.unlimited(), False)
+        assert all(not r.element_matches for r in executor.score(matched))
+
+    def test_match_and_score_ships_every_drill_in(self, engine):
+        query = QueryGraph.build(keywords=["name", "gender", "species"])
+        pool = engine.searcher.search(query.flatten(), top_n=10)
+        results = engine.match_and_score(query, pool)
+        page = {r.schema_id: r.element_matches
+                for r in engine.search_graph(query)}
+        assert [r.schema_id for r in results] == [h.doc_id for h in pool]
+        assert {r.schema_id: r.element_matches for r in results} == page
 
     def test_top_matches_sorted(self, engine, paper_keywords):
         result = engine.search(keywords=paper_keywords)[0]

@@ -20,14 +20,20 @@ from repro.index.inverted import InvertedIndex
 from repro.matching.context import element_context
 from repro.matching.datatype import type_family
 from repro.matching.ensemble import MatcherEnsemble
-from repro.matching.normalize import normalize_words
+from repro.matching.ngram import weighted_gram_profile
+from repro.matching.normalize import (
+    analysed_words,
+    expand_abbreviations,
+    normalize_words,
+)
 from repro.matching.profile import (
     MatchScratch,
     ProfileStore,
     SchemaMatchProfile,
 )
 from repro.model.graph import entity_adjacency
-from repro.scoring.neighborhood import NeighborhoodIndex
+from repro.scoring.neighborhood import NeighborhoodIndex, entity_components
+from repro.text.splitter import split_words_lower
 
 from tests.conftest import (
     PAPER_KEYWORDS,
@@ -117,6 +123,74 @@ class TestSchemaMatchProfile:
     def test_from_dict_missing_key_rejected(self):
         with pytest.raises(SchemaError, match="missing key"):
             SchemaMatchProfile.from_dict({"schema_id": 1})
+
+
+def _reference_profile(schema) -> SchemaMatchProfile:
+    """Every profile field derived from first principles — the splitter
+    called directly, no identifier memo, contexts from the cold
+    matcher's ``element_context``."""
+    refs = list(schema.elements())
+
+    def words(name, expand):
+        split = split_words_lower(name)
+        return tuple(expand_abbreviations(split) if expand else split)
+
+    words_expanded = {ref.path: words(ref.local_name, True) for ref in refs}
+    words_plain = {ref.path: words(ref.local_name, False) for ref in refs}
+    adjacency = entity_adjacency(schema)
+    word_grams = {}
+    for table in (words_expanded, words_plain):
+        for analysed in table.values():
+            if analysed:
+                for text in (*analysed, "".join(analysed)):
+                    word_grams[text] = weighted_gram_profile(text)
+    return SchemaMatchProfile(
+        schema_id=schema.schema_id,
+        element_paths=[ref.path for ref in refs],
+        entity_of={ref.path: ref.entity for ref in refs},
+        words_expanded=words_expanded,
+        words_plain=words_plain,
+        context_terms={
+            ref.path: frozenset(element_context(schema, ref, adjacency))
+            for ref in refs},
+        adjacency={name: frozenset(neighbors)
+                   for name, neighbors in adjacency.items()},
+        component_of={
+            entity: component_id
+            for component_id, component in enumerate(
+                entity_components(schema, adjacency=adjacency))
+            for entity in component},
+        type_families={f"{entity.name}.{attr.name}": type_family(
+                           attr.data_type)
+                       for entity in schema.entities.values()
+                       for attr in entity.attributes},
+        entity_attr_words={
+            entity.name: frozenset(
+                word for attr in entity.attributes
+                for word in words(attr.name, True))
+            for entity in schema.entities.values()},
+        word_grams=word_grams,
+    )
+
+
+class TestProfileOverCorpus:
+    """``build`` analyses each name once through the process memo; the
+    result must equal the from-scratch derivation for every schema of a
+    generated corpus, whether the memo starts cold or warm."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        from repro.workload.catalog import regenerate_corpus
+        return [generated.schema
+                for generated in regenerate_corpus(7, 200)]
+
+    def test_profiles_equal_reference_cold_and_warm_memo(self, corpus):
+        assert len(corpus) > 100
+        analysed_words.cache_clear()
+        for schema in corpus:
+            expected = _reference_profile(schema)
+            assert SchemaMatchProfile.build(schema) == expected
+            assert SchemaMatchProfile.build(schema) == expected
 
 
 class _CountingSource(DictSchemaSource):
