@@ -335,6 +335,7 @@ def instrument_project(sanitizer: LockOrderSanitizer) -> list[type]:
     the ``lock-order`` rule sees edges through is wrapped, so a test
     run under the sanitizer exercises the same graph dynamically.
     """
+    from repro.index.cache import QueryCache
     from repro.index.inverted import InvertedIndex
     from repro.index.segments.segmented import SegmentedIndex
     from repro.index.segments.sharded import ShardedSegmentIndex
@@ -345,6 +346,7 @@ def instrument_project(sanitizer: LockOrderSanitizer) -> list[type]:
     from repro.telemetry.metrics import MetricsRegistry
 
     classes: list[type] = [
+        QueryCache,
         InvertedIndex,
         SegmentedIndex,
         ShardedSegmentIndex,

@@ -31,12 +31,15 @@ class SchemrConfig:
     thread pool, and the per-chunk results are concatenated in chunk
     order, so the ranking is identical to the sequential one.
 
-    ``query_cache_size`` caps the phase-1
-    :class:`~repro.index.cache.QueryCache`: how many (analyzed terms,
-    top_n, index generation) rankings the searcher memoizes.  Repeated
-    and paged queries skip retrieval entirely; entries self-invalidate
-    when the indexer refreshes because the index generation is part of
-    the key.  0 disables the cache.
+    ``query_cache_size`` caps both generation-keyed caches, each at
+    that many entries: the phase-1
+    :class:`~repro.index.cache.QueryCache` of (analyzed terms, top_n,
+    index generation) rankings, so repeated and paged queries skip
+    retrieval, and the engine's finished-page result cache, so an exact
+    repeat skips all three phases (see
+    :meth:`~repro.core.engine.SchemrEngine.search`).  Entries
+    self-invalidate when the indexer refreshes because the index
+    generation is part of both keys.  0 disables both caches.
 
     ``telemetry_enabled`` turns on the :mod:`repro.telemetry`
     subsystem: per-phase metrics and spans, query profiles, the

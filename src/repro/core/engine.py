@@ -3,7 +3,8 @@
 :class:`SchemrEngine` owns everything about a query that does not
 depend on *where* the phases run — validation, the deadline, the
 degradation ladder, the final sort and page, the phase-1 fallback,
-the :class:`~repro.telemetry.QueryProfile` and telemetry.  The three
+the finished-page result cache, the
+:class:`~repro.telemetry.QueryProfile` and telemetry.  The three
 phases of Figure 3 execute behind :class:`SearchExecutor`:
 :class:`InProcessExecutor` here, the scatter-gather pool of
 :mod:`repro.sharding` for ``--shards N``.
@@ -17,7 +18,7 @@ import time
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 from repro.core.config import SchemrConfig
 from repro.core.pipeline import (
@@ -29,6 +30,7 @@ from repro.core.pipeline import (
 )
 from repro.core.results import ElementMatch, SearchResult
 from repro.errors import QueryError
+from repro.index.cache import QueryCache
 from repro.index.inverted import InvertedIndex
 from repro.index.searcher import IndexHit, IndexSearcher, SearchStats
 from repro.matching.ensemble import MatcherEnsemble
@@ -40,6 +42,7 @@ from repro.parsers.query_parser import parse_query
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import (
     DEGRADE_NAME_ONLY,
+    DEGRADE_NONE,
     DEGRADE_PHASE1_ONLY,
     DEGRADE_REDUCED_POOL,
     Deadline,
@@ -66,7 +69,9 @@ class SchemaSource(Protocol):
     """Where the engine fetches full schemas for candidate ids.
 
     The repository implements this; tests can use
-    :class:`DictSchemaSource`.
+    :class:`DictSchemaSource`.  A source whose contents can change in
+    process also exposes a ``version`` counter that every write bumps;
+    the engine's result cache is stamped with it.
     """
 
     def get_schema(self, schema_id: int) -> Schema:  # pragma: no cover
@@ -87,6 +92,17 @@ class DictSchemaSource:
             raise QueryError(f"unknown schema id {schema_id}") from None
 
 
+def breaker_trouble(breakers: Iterable[CircuitBreaker]) -> int:
+    """Failures plus refusals ever recorded by ``breakers``.
+
+    Both counters only grow, so a run during which the total did not
+    move had no matcher or schema fetch fail — how the in-process
+    executor and each shard worker tell a full-fidelity page.
+    """
+    return sum(breaker.failure_count + breaker.rejected_count
+               for breaker in breakers)
+
+
 @dataclass(slots=True)
 class Phase1Stats:
     """How phase 1 was answered, as the profile reports it."""
@@ -100,6 +116,10 @@ class Phase1Stats:
     #: Shards that answered; an executor may keep lowering this through
     #: :meth:`SearchExecutor.match` — the engine reads it at the end.
     shards_used: int = 0
+    #: No matcher or schema fetch failed (or was refused) during the
+    #: run; lowered by :meth:`SearchExecutor.match` like
+    #: ``shards_used``.  Only clean pages enter the result cache.
+    clean: bool = True
 
     def adopt(self, stats: SearchStats) -> None:
         """Take over what a local :class:`IndexSearcher` run reported."""
@@ -109,12 +129,39 @@ class Phase1Stats:
         self.docs_scored = stats.docs_scored
 
 
+@dataclass(frozen=True, slots=True)
+class _CachedPage:
+    """One finished page plus the profile fields a hit replays."""
+
+    results: tuple[SearchResult, ...]
+    query_terms: tuple[str, ...]
+    candidate_count: int
+    matched_count: int
+    shards: int
+
+
+def _raw_query(keywords: object, fragment: object) -> tuple | None:
+    """The search input as given, hashable; None when a part is not
+    plain text (a :class:`Schema` fragment), which is never cached."""
+    raw: list[object] = []
+    for part in (keywords, fragment):
+        if part is None or isinstance(part, str):
+            raw.append(part)
+        elif (isinstance(part, (list, tuple))
+              and all(isinstance(item, str) for item in part)):
+            raw.append(tuple(part))
+        else:
+            return None
+    return tuple(raw)
+
+
 class SearchExecutor(Protocol):
     """Where the three phases execute; the engine owns the rest.
 
     Executors that serve an index also expose ``searcher``,
-    ``breakers`` and ``close()``; the lifecycle itself needs only the
-    three methods below.  An executor whose :meth:`score` defers the
+    ``breakers``, ``source`` (whose ``version`` stamps the result
+    cache) and ``close()``; the lifecycle itself needs only the three
+    methods below.  An executor whose :meth:`score` defers the
     per-element drill-in (``SearchResult.element_matches``) also
     exposes ``materialise(results, matched)``, which the engine calls
     for the page only.
@@ -132,7 +179,8 @@ class SearchExecutor(Protocol):
 
         Raises :class:`DeadlineExceeded` when the budget dies mid-pool
         and :class:`CircuitOpenError` when the schema source failed for
-        every candidate (or its breaker is open)."""
+        every candidate (or its breaker is open).  Lowers the calling
+        thread's :attr:`Phase1Stats.clean` when anything failed."""
         ...
 
     def score(self, matched: list) -> list[SearchResult]:  # pragma: no cover
@@ -149,7 +197,6 @@ def build_searcher(index: InvertedIndex,
         fuzzy = TrigramIndex.from_terms(index.vocabulary())
     query_cache = None
     if config.query_cache_size > 0:
-        from repro.index.cache import QueryCache
         query_cache = QueryCache(config.query_cache_size)
     return IndexSearcher(index, use_coordination=config.use_coordination,
                          fuzzy=fuzzy, query_cache=query_cache)
@@ -202,6 +249,12 @@ class SchemrEngine:
             index, source, ensemble, self._config, self._clock,
             self._telemetry.metrics)
         self._materialise = getattr(self._executor, "materialise", None)
+        # The finished-page cache needs an index generation to stamp
+        # its entries with, so an executor without a searcher gets none.
+        size = self._config.query_cache_size
+        self._pages = (QueryCache(size) if size > 0 and hasattr(
+            self._executor, "searcher") else None)
+        self._pages_stamp: tuple | None = None
         self._ladder = DegradationLadder(
             reduced_pool_fraction=self._config.degrade_reduced_pool_fraction,
             name_only_fraction=self._config.degrade_name_only_fraction,
@@ -258,6 +311,14 @@ class SchemrEngine:
         self._m_deadline_expired = m.counter(
             "schemr_deadline_expired_total",
             "Searches whose wall-clock budget ran out mid-pipeline")
+        pages = self._pages
+        if m.enabled and pages is not None:
+            m.counter("schemr_result_cache_hits_total",
+                      "Result-cache hits", callback=lambda: pages.hits)
+            m.counter("schemr_result_cache_misses_total",
+                      "Result-cache misses", callback=lambda: pages.misses)
+            m.gauge("schemr_result_cache_entries",
+                    "Result-cache live pages", callback=lambda: len(pages))
         searcher = getattr(self._executor, "searcher", None)
         if not m.enabled or searcher is None:
             return
@@ -309,8 +370,11 @@ class SchemrEngine:
                       breaker=name)
 
     @property
-    def ensemble(self) -> MatcherEnsemble:
-        return self._executor.ensemble
+    def ensemble(self) -> MatcherEnsemble | None:
+        """The matcher ensemble phases 2-3 run with, in process only:
+        None for a :class:`~repro.sharding.ShardedEngine`, whose
+        workers each own theirs."""
+        return getattr(self._executor, "ensemble", None)
 
     @property
     def config(self) -> SchemrConfig:
@@ -320,6 +384,11 @@ class SchemrEngine:
     def searcher(self) -> IndexSearcher:
         """The executor's searcher over the whole corpus (suggest)."""
         return self._executor.searcher
+
+    @property
+    def result_cache(self) -> QueryCache | None:
+        """The finished-page cache (None when ``query_cache_size`` is 0)."""
+        return self._pages
 
     @property
     def telemetry(self) -> Telemetry:
@@ -375,17 +444,35 @@ class SchemrEngine:
         of either (the query graph is a forest).  ``offset`` pages
         through the ranking: the user "can ... ask for the next n
         schemas" (offset=top_n gets page two).
+
+        A repeat is answered from the finished-page result cache,
+        ahead of parsing, while nothing the page was built from has
+        changed: the key is the input as given, ``(top_n, offset)`` and
+        the stamp of :meth:`_page_stamp`.  A page is admitted only at
+        full fidelity (no degradation, no deadline expiry, every shard
+        answered, no matcher or schema fetch failed) and on second
+        sight — when its phase-1 ranking was itself a query-cache hit —
+        so never-repeated traffic leaves the cache empty.  Searches
+        with a :class:`Schema` fragment, and :meth:`search_graph`, are
+        never cached.
         """
+        started = time.perf_counter()
         profile = QueryProfile()
         deadline = Deadline(self._config.search_budget_seconds,
                             clock=self._clock)
         tracer = self._telemetry.tracer
         with tracer.span("search"):
+            key = self._page_key(keywords, fragment, top_n, offset)
+            if key is not None:
+                cached = self._pages.get(key)
+                if cached is not None:
+                    return self._serve_cached(cached, profile, started,
+                                              top_n, offset, deadline)
             with profile.timed_phase(PHASE_PARSE) as phase, \
                     tracer.span(PHASE_PARSE):
                 query = parse_query(keywords=keywords, fragment=fragment)
                 phase.items_out = len(query)
-            return self._run(query, top_n, offset, profile, deadline)
+            return self._run(query, top_n, offset, profile, deadline, key)
 
     def search_graph(self, query: QueryGraph, top_n: int = 10,
                      offset: int = 0) -> list[SearchResult]:
@@ -423,11 +510,61 @@ class SchemrEngine:
             self._materialise(results, matched)
         return results
 
+    # -- result cache ----------------------------------------------------
+
+    def _page_key(self, keywords: object, fragment: object, top_n: int,
+                  offset: int) -> tuple | None:
+        """The result-cache key of a search; None when it is not cached."""
+        if self._pages is None:
+            return None
+        raw = _raw_query(keywords, fragment)
+        if raw is None:
+            return None
+        stamp = self._page_stamp()
+        if stamp != self._pages_stamp:
+            # The phase-1 cache's sweep: dead stamps never hit again.
+            self._pages.evict_stale(stamp)
+            self._pages_stamp = stamp
+        return (raw, (top_n, offset), stamp)
+
+    def _page_stamp(self) -> tuple:
+        """Everything phases 2-3 read that can change under a page.
+
+        The index generation (flushes and merges keep it), the schema
+        source's write ``version`` and, in process, the ensemble
+        weights.  Read *before* the pipeline runs, so a page is never
+        filed under a stamp newer than the data it was built from.
+        """
+        executor = self._executor
+        stamp: tuple = (executor.searcher.index.generation,
+                        getattr(executor.source, "version", 0))
+        ensemble = self.ensemble
+        if ensemble is not None:
+            stamp += (tuple(ensemble.weights.items()),)
+        return stamp
+
+    def _serve_cached(self, cached: _CachedPage, profile: QueryProfile,
+                      started: float, top_n: int, offset: int,
+                      deadline: Deadline) -> list[SearchResult]:
+        """A result-cache hit: copies of the stored page, then the same
+        bookkeeping a miss gets — minus the phase-1 counters, because
+        phase 1 did not run."""
+        page = [result.copy() for result in cached.results]
+        profile.result_cache_hit = True
+        profile.total_seconds = time.perf_counter() - started
+        stats = Phase1Stats(shards_total=cached.shards,
+                            shards_used=cached.shards)
+        self._finish_search(profile, cached.query_terms, stats,
+                            cached.candidate_count, cached.matched_count,
+                            page, top_n, offset, DEGRADE_NONE, deadline,
+                            False)
+        return page
+
     # -- pipeline --------------------------------------------------------
 
     def _run(self, query: QueryGraph, top_n: int, offset: int,
-             profile: QueryProfile, deadline: Deadline
-             ) -> list[SearchResult]:
+             profile: QueryProfile, deadline: Deadline,
+             page_key: tuple | None = None) -> list[SearchResult]:
         if top_n <= 0:
             raise QueryError(f"top_n must be positive, got {top_n}")
         if offset < 0:
@@ -491,6 +628,15 @@ class SchemrEngine:
         if page is None:
             page = self._phase1_page(hits, top_n, offset)
             matched_count = len(hits)
+        if (page_key is not None and level == DEGRADE_NONE
+                and not deadline_expired and stats.clean
+                and stats.shards_used == stats.shards_total
+                and stats.cache_hit):
+            # Full fidelity, on second sight: phase 1 hitting its own
+            # cache shows these terms were searched before.
+            self._pages.put(page_key, _CachedPage(
+                tuple(result.copy() for result in page), tuple(flattened),
+                len(hits), matched_count, stats.shards_total))
         self._finish_search(profile, flattened, stats, len(hits),
                             matched_count, page, top_n, offset, level,
                             deadline, deadline_expired)
@@ -519,7 +665,7 @@ class SchemrEngine:
             for hit in hits[offset:offset + top_n]
         ]
 
-    def _finish_search(self, profile: QueryProfile, flattened: list[str],
+    def _finish_search(self, profile: QueryProfile, flattened: Iterable[str],
                        stats: Phase1Stats, candidate_count: int,
                        matched_count: int, results: list[SearchResult],
                        top_n: int, offset: int, level: int,
@@ -528,7 +674,9 @@ class SchemrEngine:
 
         The profile itself is always filled in (it is how callers learn
         an empty page's reason); metric updates, the slow-query log, and
-        the history sink only run with telemetry enabled.
+        the history sink only run with telemetry enabled.  A result-cache
+        hit arrives with ``total_seconds`` already set (the lookup's wall
+        time) and skips the phase-1 counters.
         """
         if not results:
             if not candidate_count:
@@ -538,7 +686,8 @@ class SchemrEngine:
             else:
                 profile.empty_reason = EMPTY_OFFSET_BEYOND
         profile.query_terms = tuple(flattened)
-        profile.total_seconds = sum(profile.phase_seconds.values())
+        if not profile.result_cache_hit:
+            profile.total_seconds = sum(profile.phase_seconds.values())
         profile.started_at = (self._telemetry.wall_clock()
                               - profile.total_seconds)
         profile.candidate_count = candidate_count
@@ -573,15 +722,16 @@ class SchemrEngine:
             hist = self._m_phase.get(name)
             if hist is not None:
                 hist.observe(seconds)
-        self._m_candidates.observe(profile.candidate_count)
         self._m_results.inc(profile.result_count)
-        self._m_docs_scored.inc(profile.docs_scored)
-        if profile.pruned_early:
-            self._m_pruned_early.inc()
-        telemetry.metrics.counter(
-            "schemr_phase1_queries_total", "Phase-1 retrievals by path",
-            strategy=profile.strategy or "unknown",
-            cache="hit" if profile.cache_hit else "miss").inc()
+        if not profile.result_cache_hit:
+            self._m_candidates.observe(profile.candidate_count)
+            self._m_docs_scored.inc(profile.docs_scored)
+            if profile.pruned_early:
+                self._m_pruned_early.inc()
+            telemetry.metrics.counter(
+                "schemr_phase1_queries_total", "Phase-1 retrievals by path",
+                strategy=profile.strategy or "unknown",
+                cache="hit" if profile.cache_hit else "miss").inc()
         if profile.empty_reason is not None:
             telemetry.metrics.counter(
                 "schemr_empty_results_total", "Empty result pages by reason",
@@ -625,6 +775,9 @@ class InProcessExecutor:
             clock=clock)
         self._tightness = TightnessScorer(config.penalties)
         self._threads: ThreadPoolExecutor | None = None
+        # The calling thread's in-flight stats: candidates() opens
+        # them, match() lowers ``clean`` when a breaker saw trouble.
+        self._query = threading.local()
         self._m_source_failures = metrics.counter(
             "schemr_source_failures_total",
             "Candidate fetches the schema source failed")
@@ -640,6 +793,11 @@ class InProcessExecutor:
             metrics.counter("schemr_profile_cache_evictions_total",
                             "Profile-cache LRU evictions",
                             callback=lambda: source.evictions)
+
+    @property
+    def source(self) -> SchemaSource:
+        """The schema source phases 2-3 read."""
+        return self._source
 
     @property
     def breakers(self) -> dict[str, CircuitBreaker]:
@@ -663,10 +821,13 @@ class InProcessExecutor:
         hits = searcher.search(flattened, top_n=pool_n)
         stats = Phase1Stats()
         stats.adopt(searcher.last_stats)
+        self._query.stats = stats
         return hits, stats
 
     def match(self, query: QueryGraph, pool: list[IndexHit],
               deadline: Deadline, cheap_only: bool) -> list:
+        breakers = self.breakers.values()
+        trouble_before = breaker_trouble(breakers)
         source_failures_before = self.store_breaker.failure_count
         matched = self._match_candidates(query, pool, deadline, cheap_only)
         if (not matched and pool and self.store_breaker.failure_count
@@ -677,6 +838,14 @@ class InProcessExecutor:
             raise CircuitOpenError(
                 "schema source failed for every candidate",
                 breaker=self.store_breaker.name)
+        if breaker_trouble(breakers) != trouble_before:
+            # A matcher or fetch failed (or was refused) somewhere in
+            # this pool: the page may be incomplete.  Breakers are
+            # shared, so a concurrent search's trouble counts too —
+            # conservative, never wrong.
+            stats = getattr(self._query, "stats", None)
+            if stats is not None:
+                stats.clean = False
         return matched
 
     def score(self, matched: list) -> list[SearchResult]:

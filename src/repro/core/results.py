@@ -7,7 +7,7 @@ attributes, and description."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,6 +34,12 @@ class SearchResult:
     best_anchor: str | None = None
     element_scores: dict[str, float] = field(default_factory=dict)
     element_matches: list[ElementMatch] = field(default_factory=list)
+
+    def copy(self) -> "SearchResult":
+        """A copy whose score dict and match list are its own (the
+        matches themselves are frozen)."""
+        return replace(self, element_scores=dict(self.element_scores),
+                       element_matches=list(self.element_matches))
 
     def top_matches(self, limit: int = 5) -> list[ElementMatch]:
         """Best element matches for display, highest score first."""

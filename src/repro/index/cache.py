@@ -12,10 +12,15 @@ computed at, so a key built after the indexer refreshes simply cannot
 hit an entry computed before it.  Stale entries need no eager purge for
 correctness — they are unreachable — but :meth:`evict_stale` drops them
 in one sweep so a churning index does not waste capacity on dead keys.
+The engine's finished-page result cache is a second instance whose keys
+end in a wider stamp (generation, schema-source version, ensemble
+weights) in the same position.
 
-Values are lists of frozen :class:`~repro.index.searcher.IndexHit`
-objects; :meth:`get` hands back a fresh list each time so a caller that
-mutates its result list cannot corrupt the cached one.
+Phase-1 values are lists of frozen
+:class:`~repro.index.searcher.IndexHit` objects; :meth:`get` hands back
+a fresh list each time so a caller that mutates its result list cannot
+corrupt the cached one.  Any other value (the result cache's frozen
+page records) is stored and returned as is.
 
 The cache is shared between concurrent searches (the HTTP service runs
 one engine) and the background indexer's ``evict_stale`` sweeps, so
@@ -42,7 +47,7 @@ class QueryCache:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._capacity = capacity
         self._lock = threading.Lock()
-        self._entries: OrderedDict[Hashable, list] = OrderedDict()
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -85,8 +90,9 @@ class QueryCache:
         with self._lock:
             return self._stale_evictions
 
-    def get(self, key: Hashable) -> list | None:
-        """The cached ranking for ``key`` (a fresh list), or None."""
+    def get(self, key: Hashable):
+        """The cached value for ``key`` (a list comes back as a fresh
+        list), or None."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -94,11 +100,13 @@ class QueryCache:
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            return list(entry)
+        return list(entry) if isinstance(entry, list) else entry
 
-    def put(self, key: Hashable, hits: Sequence) -> None:
-        """Store a ranking, evicting the least recently used overflow."""
-        value = list(hits)
+    def put(self, key: Hashable, value) -> None:
+        """Store a value (a sequence is copied into a list), evicting the
+        least recently used overflow."""
+        if isinstance(value, (list, tuple)):
+            value = list(value)
         with self._lock:
             entries = self._entries
             entries[key] = value
@@ -107,8 +115,9 @@ class QueryCache:
                 entries.popitem(last=False)
                 self._evictions += 1
 
-    def evict_stale(self, generation: int) -> int:
-        """Drop entries keyed to any generation but ``generation``.
+    def evict_stale(self, generation: Hashable) -> int:
+        """Drop entries keyed to any generation (or stamp) but
+        ``generation``.
 
         Returns the number of entries removed.  Purely a capacity
         optimization — stale keys can never be looked up again.

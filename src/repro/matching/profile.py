@@ -310,6 +310,7 @@ class ProfileStore:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        self._version = 0
 
     # -- SchemaSource protocol -----------------------------------------
 
@@ -338,16 +339,31 @@ class ProfileStore:
         if schema.schema_id is None:
             raise RepositoryError(
                 "cannot profile a schema without an id; store it first")
-        return self._admit(schema)[1]
+        profile = self._admit(schema)[1]
+        with self._lock:
+            self._version += 1
+        return profile
 
     def invalidate(self, schema_id: int) -> bool:
         """Drop one entry; returns whether it was cached."""
         with self._lock:
+            self._version += 1
             return self._entries.pop(schema_id, None) is not None
 
     def clear(self) -> None:
         with self._lock:
+            self._version += 1
             self._entries.clear()
+
+    @property
+    def version(self) -> int:
+        """Moves on every :meth:`put`, :meth:`invalidate` and
+        :meth:`clear` — and with the wrapped source's own ``version``,
+        when it has one — but never on a read-through fill.  The
+        engine's result cache is stamped with it."""
+        with self._lock:
+            own = self._version
+        return own + getattr(self._source, "version", 0)
 
     def __len__(self) -> int:
         with self._lock:

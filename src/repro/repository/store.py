@@ -116,6 +116,7 @@ class SchemaRepository:
         #: holding the lock past it).
         self._retry_policy = retry_policy or RetryPolicy()
         self._retry_count = 0
+        self._version = 0
         self._indexer: "RepositoryIndexer | None" = None
         self._profile_store: ProfileStore | None = None
         self._with_retry(self._init_tables)
@@ -145,6 +146,13 @@ class SchemaRepository:
     def retry_count(self) -> int:
         """Transient-lock retries performed (telemetry feed)."""
         return self._retry_count
+
+    @property
+    def version(self) -> int:  # lint: unlocked (GIL-atomic int read; a search must not queue behind a writer's transaction)
+        """Bumped after every committed in-process schema write (add,
+        update, delete).  Writes through another handle or process
+        reach searches through the indexer's refresh instead."""
+        return self._version
 
     @classmethod
     def in_memory(cls) -> "SchemaRepository":
@@ -185,6 +193,7 @@ class SchemaRepository:
                     (json.dumps(schema.to_dict()), schema_id))
                 self._log_change(schema_id, "add", now)
                 self._conn.commit()
+                self._version += 1
                 return schema_id
 
         return self._with_retry(insert)
@@ -209,6 +218,7 @@ class SchemaRepository:
                         "repository")
                 self._log_change(schema.schema_id, "update", now)
                 self._conn.commit()
+                self._version += 1
 
         self._with_retry(update)
         if self._profile_store is not None:
@@ -224,6 +234,7 @@ class SchemaRepository:
                         f"schema {schema_id} is not in the repository")
                 self._log_change(schema_id, "delete", time.time())
                 self._conn.commit()
+                self._version += 1
 
         self._with_retry(delete)
         if self._profile_store is not None:

@@ -225,6 +225,12 @@ class ShardExecutor:
         return {}
 
     @property
+    def source(self):
+        """The front's repository: in-process writes go through it, so
+        its ``version`` stamps the engine's result cache."""
+        return self._repository
+
+    @property
     def reopening(self) -> bool:  # lint: unlocked (GIL-atomic bool read for readiness reporting)
         """Whether a reopen broadcast is mid-flight (readiness input)."""
         return self._reopening
@@ -533,8 +539,11 @@ class ShardExecutor:
                 # in-process executor: candidates are skipped, and only
                 # a globally empty match raises.
                 source_outage = True
+                state.clean = False
             else:
                 results.extend(payload["results"])
+                if not payload["clean"]:
+                    state.clean = False
         if repair:
             self._m_degraded_merges.inc()
             fallback = self._fallback()

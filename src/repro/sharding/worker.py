@@ -30,7 +30,7 @@ import signal
 from dataclasses import dataclass
 
 from repro.core.config import SchemrConfig
-from repro.core.engine import SchemrEngine
+from repro.core.engine import SchemrEngine, breaker_trouble
 from repro.errors import CircuitOpenError, DeadlineExceeded
 from repro.index.segments import SegmentedIndex
 from repro.resilience.deadline import Deadline
@@ -88,20 +88,25 @@ def _handle_phase2(engine: SchemrEngine, payload: dict) -> dict:
     budget = payload["budget"]
     if budget is not None and budget <= 0:
         return {"results": [], "deadline_expired": True,
-                "all_failed": False}
+                "all_failed": False, "clean": False}
     deadline = Deadline(budget)
+    # ``clean``: no matcher or schema fetch failed in this bucket (the
+    # front admits only clean pages to its result cache).
+    breakers = engine.breakers.values()
+    trouble = breaker_trouble(breakers)
     try:
         results = engine.match_and_score(
             payload["query"], payload["hits"], deadline,
             cheap_only=payload["cheap_only"])
     except DeadlineExceeded:
         return {"results": [], "deadline_expired": True,
-                "all_failed": False}
+                "all_failed": False, "clean": False}
     except CircuitOpenError:
         return {"results": [], "deadline_expired": False,
-                "all_failed": True}
+                "all_failed": True, "clean": False}
     return {"results": results, "deadline_expired": False,
-            "all_failed": False}
+            "all_failed": False,
+            "clean": breaker_trouble(breakers) == trouble}
 
 
 def worker_main(spec: WorkerSpec, conn) -> None:

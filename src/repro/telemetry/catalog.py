@@ -66,6 +66,12 @@ METRICS: dict[str, tuple[str, str]] = {
         "counter", "Query-cache stale-generation sweeps"),
     "schemr_query_cache_entries": (
         "gauge", "Query-cache live entries"),
+    "schemr_result_cache_hits_total": (
+        "counter", "Result-cache hits"),
+    "schemr_result_cache_misses_total": (
+        "counter", "Result-cache misses"),
+    "schemr_result_cache_entries": (
+        "gauge", "Result-cache live pages"),
     "schemr_profile_cache_hits_total": (
         "counter", "Profile-cache hits"),
     "schemr_profile_cache_misses_total": (

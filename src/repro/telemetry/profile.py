@@ -79,6 +79,9 @@ class QueryProfile:
     #: Shards that answered this search; below ``shards_total`` means
     #: the page was served degraded from the survivors.
     shards_used: int = 0
+    #: Whether the engine's result cache served the finished page: no
+    #: phase ran, and ``total_seconds`` is the lookup's wall time.
+    result_cache_hit: bool = False
 
     def timed_phase(self, name: str) -> "_PhaseTimer":
         """Record a phase: ``with profile.timed_phase(name) as ph:``.
@@ -90,14 +93,19 @@ class QueryProfile:
         return _PhaseTimer(self, name)
 
     def summary(self) -> str:
-        """Human-readable data-flow table (the Figure 3 rendition)."""
-        lines = [f"{'phase':<22} {'in':>8} {'out':>8} {'seconds':>10}"]
+        """Human-readable data-flow table (the Figure 3 rendition), led
+        by the result-cache outcome; a hit ran no phase, so its total
+        is the lookup's wall time."""
+        outcome = "hit" if self.result_cache_hit else "miss"
+        lines = [f"{'phase':<22} {'in':>8} {'out':>8} {'seconds':>10}",
+                 f"{'result_cache':<22} {outcome:>8}"]
         for name, seconds in self.phase_seconds.items():
             items_in, items_out = self.phase_items[name]
             lines.append(f"{name:<22} {items_in:>8} {items_out:>8} "
                          f"{seconds:>10.5f}")
-        lines.append(f"{'total':<22} {'':>8} {'':>8} "
-                     f"{sum(self.phase_seconds.values()):>10.5f}")
+        total = (self.total_seconds if self.result_cache_hit
+                 else sum(self.phase_seconds.values()))
+        lines.append(f"{'total':<22} {'':>8} {'':>8} {total:>10.5f}")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -123,6 +131,7 @@ class QueryProfile:
             "budget_seconds": self.budget_seconds,
             "shards_total": self.shards_total,
             "shards_used": self.shards_used,
+            "result_cache_hit": self.result_cache_hit,
         }
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.config import SchemrConfig
 from repro.core.results import SearchResult
 from repro.errors import AdmissionRejected, SchemrError
 from repro.repository.store import SchemaRepository
@@ -287,12 +288,19 @@ class TestReplayClosedLoop:
 class TestReplayOpenLoop:
     SPEC = WorkloadSpec(seed=7, sessions=20, duration_seconds=3600.0)
 
-    def test_sheds_under_admission_pressure(self, engine, catalog):
+    def test_sheds_under_admission_pressure(self, repository, catalog):
+        # Pressure needs searches that take real time: with the result
+        # cache on, the module's earlier replays of these same sessions
+        # would answer every query in microseconds.
+        engine = repository.engine(config=SchemrConfig(query_cache_size=0))
         admission = AdmissionController(max_concurrent=1, queue_size=0,
                                         queue_timeout_seconds=0.0)
         driver = ReplayDriver(EngineTarget(engine, admission=admission),
                               catalog, self.SPEC)
-        report = driver.run_open_loop(target_qps=400.0, max_workers=8)
+        try:
+            report = driver.run_open_loop(target_qps=400.0, max_workers=8)
+        finally:
+            engine.close()
         assert report.mode == "open"
         assert report.shed > 0
         assert report.queries == report.completed + report.shed
