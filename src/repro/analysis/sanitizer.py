@@ -186,6 +186,12 @@ class LockOrderSanitizer:
 
     def _after_acquire(self, proxy) -> None:
         entries = self._held.entries
+        if proxy.reentrant and any(entry is proxy for entry in entries):
+            # Re-entering a lock this thread already holds cannot
+            # block, so it orders nothing against the locks taken
+            # since the first acquisition.
+            entries.append(proxy)
+            return
         inversion = None
         witness = _witness()
         with self._meta:

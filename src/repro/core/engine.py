@@ -37,7 +37,7 @@ from repro.matching.ensemble import MatcherEnsemble
 from repro.matching.profile import MatchScratch, SchemaMatchProfile
 from repro.model.query import QueryGraph
 from repro.model.schema import Schema
-from repro.errors import CircuitOpenError, DeadlineExceeded
+from repro.errors import CircuitOpenError, DeadlineExceeded, SchemaNotFound
 from repro.parsers.query_parser import parse_query
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import (
@@ -936,7 +936,9 @@ class InProcessExecutor:
         fetch failures skip the candidate and count against the
         breaker; an open breaker aborts the whole match phase with
         :class:`CircuitOpenError` so the caller can fall back to the
-        phase-1 ranking instead of paying a timeout per candidate.
+        phase-1 ranking instead of paying a timeout per candidate.  A
+        candidate the repository no longer holds is skipped without
+        counting against the breaker.
         """
         FAULTS.hit("engine.match_one")
         breaker = self.store_breaker
@@ -949,6 +951,12 @@ class InProcessExecutor:
             if self._get_profile is not None:
                 profile = self._get_profile(hit.doc_id)
             candidate = self._source.get_schema(hit.doc_id)
+        except SchemaNotFound:
+            # Deleted after phase 1 read the index, before the refresh
+            # published the delete: the source answered, so the
+            # candidate is skipped without counting a failure.
+            breaker.record_success()
+            return None
         except Exception as exc:
             breaker.record_failure()
             self._m_source_failures.inc()

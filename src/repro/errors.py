@@ -76,6 +76,15 @@ class RepositoryError(SchemrError):
     duplicate import, closed connection, ...)."""
 
 
+class SchemaNotFound(RepositoryError):
+    """The repository holds no schema under the requested id.
+
+    An answer, not a failure: a search whose candidate was deleted
+    after phase 1 read the index skips it without charging the schema
+    source's circuit breaker.
+    """
+
+
 class ServiceError(SchemrError):
     """The HTTP service layer failed to satisfy a request.
 

@@ -102,6 +102,22 @@ class MergedPostings:
         return f"MergedPostings(term={self.term!r}, df={len(self._doc_ids)})"
 
 
+def kill_set(postings, dead: set[int]) -> set[int]:
+    """The tombstoned ids of ``dead`` that occur in ``postings``.
+
+    The smaller side drives: a doc-id column no longer than the
+    tombstone set is intersected with it, otherwise each tombstone is
+    probed (binary search).  The set is the same either way; this is
+    what keeps a term's memo refill and a merge from paying
+    O(|dead| · log df) on every short postings list.
+    """
+    if not dead:
+        return set()
+    if len(postings) <= len(dead):
+        return dead.intersection(postings.doc_ids_array())
+    return {doc_id for doc_id in dead if postings.frequency(doc_id)}
+
+
 def merge_postings(term: str, sources: list[tuple[object, set[int]]]):
     """Combine one term's postings across ``(postings, kill_set)`` pairs.
 
@@ -171,9 +187,7 @@ class CompactionView:
             postings = segment.postings(term)
             if postings is None:
                 continue
-            kill = ({doc_id for doc_id in dead if postings.frequency(doc_id)}
-                    if dead else set())
-            sources.append((postings, kill))
+            sources.append((postings, kill_set(postings, dead)))
         return merge_postings(term, sources)
 
     def documents(self) -> Iterator[Document]:

@@ -23,10 +23,14 @@ stay *warm* across swaps.  Readers that memoized postings views against
 the pre-swap layout keep serving identical values; the swapped-out
 objects stay alive exactly as long as someone references them.
 
-Single-writer discipline matches the rest of the codebase: the
-repository indexer is the only mutator/swapper, searches serialize
-against it through ``lock``, and every compound operation (flush,
-merge, clear) runs under that lock.
+Locking: ``lock`` guards every read and every change to the in-memory
+state, and is held only for short steps.  The compound writers —
+:meth:`flush`, :meth:`maybe_merge`, :meth:`clear`,
+:meth:`reopen_from_disk` — are serialised by a second, private commit
+lock, always taken *before* ``lock`` and never by readers.  A merge
+holds ``lock`` only to pick its inputs and to swap the result in; the
+merged file is written with it released, so searches and mutations
+proceed meanwhile (see :meth:`maybe_merge`).
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from repro.index.documents import Document
 from repro.index.inverted import IndexSnapshot, InvertedIndex
 from repro.index.segments.directory import SegmentDirectory
 from repro.index.segments.format import MmapSegment, file_crc32, write_segment
-from repro.index.segments.merge import CompactionView, merge_postings
+from repro.index.segments.merge import (CompactionView, kill_set,
+                                        merge_postings)
 from repro.resilience.faults import FAULTS
 
 #: Bound on the per-generation decoded-document memo (cleared
@@ -75,6 +80,10 @@ class SegmentedIndex:
         self._live_seg_docs = 0
         self._generation = 0
         self._lock = threading.RLock()
+        # Serialises the compound writers (flush, merge, clear, reopen);
+        # ordered before _lock.  Re-entrant so a caller holding it (the
+        # indexer's rebuild) may call clear().
+        self._commit_lock = threading.RLock()
         self._snapshot: IndexSnapshot | None = None
         self._postings_memo: dict[str, object] = {}
         self._doc_memo: dict[int, Document] = {}
@@ -137,6 +146,16 @@ class SegmentedIndex:
         return self._lock
 
     @property
+    def commit_lock(self) -> threading.RLock:
+        """The writers' lock: flush, merge, clear and reopen hold it.
+
+        Ordered before :attr:`lock`; a caller that needs both (a
+        rebuild that clears and refills under ``lock``) takes this one
+        first.  Readers never take it.
+        """
+        return self._commit_lock
+
+    @property
     def directory(self) -> SegmentDirectory | None:  # lint: unlocked (set once in the constructor)
         """The backing directory, or None for a standalone segment
         file (mutable in memory, but unable to :meth:`flush`)."""
@@ -182,7 +201,7 @@ class SegmentedIndex:
             self.add(document)
 
     def clear(self) -> None:
-        with self._lock:
+        with self._commit_lock, self._lock:
             for segment in self._segments:
                 segment.close()
             self._segments = []
@@ -269,10 +288,7 @@ class SegmentedIndex:
                 postings = segment.postings(term)
                 if postings is None:
                     continue
-                kill = ({doc_id for doc_id in dead
-                         if postings.frequency(doc_id)}
-                        if dead else set())
-                sources.append((postings, kill))
+                sources.append((postings, kill_set(postings, dead)))
             delta_postings = self._delta.postings(term)
             if delta_postings is not None:
                 sources.append((delta_postings, set()))
@@ -390,7 +406,7 @@ class SegmentedIndex:
         durable.  **The generation does not move**: the post-swap index
         answers every query identically, so warm caches stay valid.
         """
-        with self._lock:
+        with self._commit_lock, self._lock:
             if self._directory is None:
                 raise IndexError_(
                     "index has no segment directory; cannot flush")
@@ -423,25 +439,34 @@ class SegmentedIndex:
         the old files are closed and swept.  Like :meth:`flush`, the
         generation is untouched — a merge is a physical rewrite with an
         identical logical index on both sides.
+
+        Three steps, only the first and last under ``lock``: pick the
+        segments and snapshot their tombstones; write, open and
+        checksum the merged file; swap it in and commit.  A document
+        removed from a chosen segment during the write is in the merged
+        file, so its tombstone carries over to the merged segment.
         """
-        with self._lock:
-            if self._directory is None:
-                return 0
-            live = [segment.document_count - len(dead)
-                    for segment, dead in zip(self._segments, self._deleted)]
-            dead_counts = [len(dead) for dead in self._deleted]
-            picks = policy.select(live, dead_counts)
-            if not picks:
-                return 0
-            chosen = [self._segments[i] for i in picks]
-            dead = [set(self._deleted[i]) for i in picks]
-            view = CompactionView(chosen, dead)
+        with self._commit_lock:
+            with self._lock:
+                if self._directory is None:
+                    return 0
+                live = [segment.document_count - len(dead)
+                        for segment, dead in zip(self._segments,
+                                                 self._deleted)]
+                dead_counts = [len(dead) for dead in self._deleted]
+                picks = policy.select(live, dead_counts)
+                if not picks:
+                    return 0
+                chosen = [self._segments[i] for i in picks]
+                dead = [set(self._deleted[i]) for i in picks]
+                view = CompactionView(chosen, dead)
+                seg_path = None
+                if view.document_count:
+                    seg_path = self._directory.segment_path(self._next_id)
+                    self._next_id += 1
             merged_segment = None
             merged_meta = None
-            if view.document_count:
-                segment_id = self._next_id
-                self._next_id += 1
-                seg_path = self._directory.segment_path(segment_id)
+            if seg_path is not None:
                 write_segment(seg_path, view)
                 merged_segment = MmapSegment(seg_path)
                 try:
@@ -449,30 +474,38 @@ class SegmentedIndex:
                 except BaseException:
                     merged_segment.close()
                     raise
-            picked = set(picks)
-            segments: list[MmapSegment] = []
-            deleted: list[set[int]] = []
-            metas: list[dict | None] = []
-            for i, (segment, tombs) in enumerate(
-                    zip(self._segments, self._deleted)):
-                if i not in picked:
-                    segments.append(segment)
-                    deleted.append(tombs)
-                    metas.append(self._seg_meta[i])
-            if merged_segment is not None:
-                segments.append(merged_segment)
-                deleted.append(set())
-                metas.append(merged_meta)
-            self._segments = segments
-            self._deleted = deleted
-            self._seg_meta = metas
-            self._live_seg_docs = sum(
-                segment.document_count - len(tombs)
-                for segment, tombs in zip(segments, deleted))
-            # Crash-injection site: the merged segment is durable, its
-            # inputs still referenced by the committed manifest.
-            FAULTS.hit("segments.merge.pre_commit")
-            self._commit()
+            with self._lock:
+                # The commit lock kept every chosen segment in the list;
+                # find them by identity, not position.
+                now_dead = {id(segment): tombs for segment, tombs
+                            in zip(self._segments, self._deleted)}
+                late: set[int] = set()
+                for segment, snapshot in zip(chosen, dead):
+                    late |= now_dead[id(segment)] - snapshot
+                picked = {id(segment) for segment in chosen}
+                segments: list[MmapSegment] = []
+                deleted: list[set[int]] = []
+                metas: list[dict | None] = []
+                for segment, tombs, meta in zip(
+                        self._segments, self._deleted, self._seg_meta):
+                    if id(segment) not in picked:
+                        segments.append(segment)
+                        deleted.append(tombs)
+                        metas.append(meta)
+                if merged_segment is not None:
+                    segments.append(merged_segment)
+                    deleted.append(late)
+                    metas.append(merged_meta)
+                self._segments = segments
+                self._deleted = deleted
+                self._seg_meta = metas
+                self._live_seg_docs = sum(
+                    segment.document_count - len(tombs)
+                    for segment, tombs in zip(segments, deleted))
+                # Crash-injection site: the merged segment is durable,
+                # its inputs still referenced by the committed manifest.
+                FAULTS.hit("segments.merge.pre_commit")
+                self._commit()
             for segment in chosen:
                 segment.close()
             return len(chosen)
@@ -515,7 +548,7 @@ class SegmentedIndex:
         swap — the primary merged, rankings are identical by
         construction, and warm caches survive per the PR 6 contract.
         """
-        with self._lock:
+        with self._commit_lock, self._lock:
             if self._directory is None:
                 raise IndexError_(
                     "index has no segment directory; cannot reopen")

@@ -28,7 +28,10 @@ golden-equivalence suite asserts.
 Generation semantics are inherited by summation: the union generation
 is the sum of the shard generations, so any mutation moves it and
 flushes/merges (which leave shard generations alone) do not — the same
-cache contract as :class:`SegmentedIndex`.
+cache contract as :class:`SegmentedIndex`.  So is the locking rule: a
+union commit lock, ordered before the union lock and every shard lock,
+serialises the compound writers, and flushes and merges never hold the
+union lock that every union read takes.
 
 The same layout is what :mod:`repro.sharding` workers open one shard
 of, each in its own process, for scatter-gather serving.
@@ -158,6 +161,9 @@ class ShardedSegmentIndex:
         self._root = root
         self._shards = shards
         self._lock = threading.RLock()
+        # Serialises the compound writers, like SegmentedIndex's: a
+        # request-path epoch sync may flush while the indexer merges.
+        self._commit_lock = threading.RLock()
         self._memo_generation = -1
         self._postings_memo: dict[str, object] = {}
         self._snapshot: IndexSnapshot | None = None
@@ -239,6 +245,13 @@ class ShardedSegmentIndex:
         return self._lock
 
     @property
+    def commit_lock(self) -> threading.RLock:
+        """The union's writers' lock (flush, merge, clear, reopen);
+        ordered before :attr:`lock` and every shard lock, never taken
+        by readers."""
+        return self._commit_lock
+
+    @property
     def directory(self) -> ShardRoot:  # lint: unlocked (set once in the constructor)
         """The sharded layout root (never None: sharded layouts are
         always directory-backed)."""
@@ -269,7 +282,7 @@ class ShardedSegmentIndex:
             self.shard_for(document.doc_id).replace(document)
 
     def clear(self) -> None:
-        with self._lock:
+        with self._commit_lock, self._lock:
             for shard in self._shards:
                 shard.clear()
 
@@ -415,9 +428,10 @@ class ShardedSegmentIndex:
 
         All shards commit the same change-log cursor, so on a clean
         flush :attr:`last_change_id` advances atomically from the
-        reader's point of view.
+        reader's point of view.  Holds the union's commit lock, not its
+        read lock: each shard swaps under its own.
         """
-        with self._lock:
+        with self._commit_lock:
             wrote = False
             for shard in self._shards:
                 if shard.flush(last_change_id=last_change_id):
@@ -426,8 +440,10 @@ class ShardedSegmentIndex:
 
     def maybe_merge(self, policy) -> int:
         """Offer each shard one policy-selected merge; returns total
-        segments merged across shards."""
-        with self._lock:
+        segments merged across shards.  Like :meth:`flush`, never holds
+        the union's read lock, so union searches run during the
+        rewrites."""
+        with self._commit_lock:
             return sum(shard.maybe_merge(policy)
                        for shard in self._shards)
 
@@ -440,7 +456,7 @@ class ShardedSegmentIndex:
         logical content moved, because the union generation is the sum
         of shard generations.  Returns True when any shard changed.
         """
-        with self._lock:
+        with self._commit_lock, self._lock:
             changed = False
             for shard in self._shards:
                 if shard.reopen_from_disk():

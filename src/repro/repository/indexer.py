@@ -15,12 +15,12 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-from repro.errors import IndexError_
-from repro.index.documents import document_from_schema
+from repro.errors import IndexError_, SchemaNotFound
+from repro.index.documents import Document, document_from_schema
 from repro.index.inverted import InvertedIndex
 from repro.index.segments import (
     SegmentedIndex,
@@ -76,6 +76,11 @@ class RepositoryIndexer:
                     "pass segment_dir alongside shards")
             self._index = InvertedIndex()
             self._last_change_id = 0
+        # One refresh or rebuild at a time: batches are built off the
+        # index lock, and a batch built from older repository state
+        # must never publish after a newer one.  Ordered before every
+        # index lock; readers never take it.
+        self._refresh_lock = threading.Lock()
         self._stop_event = threading.Event()
         self._refreshing = False
         self._consecutive_failures = 0
@@ -86,10 +91,13 @@ class RepositoryIndexer:
 
     @property
     def refreshing(self) -> bool:
-        """Whether a refresh/rebuild batch is being applied right now.
+        """Whether a refresh batch is being published (or a rebuild
+        applied) right now.
 
         The ``/readyz`` probe reports 503 while this is set — a
-        mid-rebuild index serves stale or partial rankings.
+        mid-rebuild index serves stale or partial rankings.  Building a
+        refresh batch does not set it: the index is untouched until the
+        publish.
         """
         return self._refreshing
 
@@ -113,6 +121,10 @@ class RepositoryIndexer:
         final state, so a schema added and deleted between refreshes
         costs nothing.
         """
+        with self._refresh_lock:
+            return self._refresh()
+
+    def _refresh(self) -> int:
         FAULTS.hit("indexer.refresh")
         changes = self._repository.changes_since(self._last_change_id)
         if not changes:
@@ -122,39 +134,23 @@ class RepositoryIndexer:
         for change_id, schema_id, op in changes:
             final_op[schema_id] = op
             head_change_id = max(head_change_id, change_id)
-        applied = 0
         started = time.perf_counter()
         generation_before = self._index.generation
         logger.debug("indexer refresh: %d pending change(s)",
                      len(changes))
-        # The whole batch applies under the index's mutation lock so a
+        # Build off the index lock: repository fetches, flattening and
+        # profile builds are nearly all of a batch's cost, and searches
+        # keep reading the previous generation meanwhile.  A build that
+        # raises publishes nothing.
+        edits = self._build(final_op)
+        # Publish under the lock: only the prepared index edits, so a
         # concurrent searcher (run_scheduled in a background thread is
-        # the intended deployment) never reads a half-applied refresh:
-        # searches serialize against the batch, not individual postings
-        # writes, and read a consistent generation-stamped snapshot.
+        # the intended deployment) sees the whole batch or none of it,
+        # and waits at most for this loop, never for the build.
+        published = time.perf_counter()
         with self._index.lock, self._refreshing_guard():
-            for schema_id, op in final_op.items():
-                if op == "delete":
-                    if self._profile_store is not None:
-                        self._profile_store.invalidate(schema_id)
-                    if self._index.has_document(schema_id):
-                        self._index.remove(schema_id)
-                        applied += 1
-                    continue
-                # add/update collapse to replace-with-current-state; the
-                # schema may have been deleted after the logged change.
-                if not self._repository.has_schema(schema_id):
-                    if self._profile_store is not None:
-                        self._profile_store.invalidate(schema_id)
-                    if self._index.has_document(schema_id):
-                        self._index.remove(schema_id)
-                        applied += 1
-                    continue
-                schema = self._repository.get_schema(schema_id)
-                self._index.replace(document_from_schema(schema))
-                if self._profile_store is not None:
-                    self._profile_store.put(schema)
-                applied += 1
+            applied = self._publish(edits)
+        publish_seconds = time.perf_counter() - published
         # The cursor moves only after the whole batch applied: a batch
         # that raised replays from the same position next refresh.
         self._last_change_id = head_change_id
@@ -162,7 +158,51 @@ class RepositoryIndexer:
                     "%d document(s)", applied, self._index.document_count)
         self._commit_segments()
         self._record_refresh(applied, time.perf_counter() - started,
-                             generation_before)
+                             publish_seconds, generation_before)
+        return applied
+
+    def _build(self, final_op: dict[int, str]
+               ) -> list[tuple[int, Document | None]]:
+        """Resolve a collapsed batch into index edits, off the lock.
+
+        One ``(schema_id, document)`` per schema: the document to
+        (re)index, or None to remove it.  Rebuilding the profile here is
+        safe: repository CRUD already invalidated the entry, and a
+        read-through fill would serve the same newest copy.
+        """
+        edits: list[tuple[int, Document | None]] = []
+        for schema_id, op in final_op.items():
+            schema = None
+            if op != "delete":
+                # add/update collapse to replace-with-current-state;
+                # the schema may have been deleted after the logged
+                # change.
+                try:
+                    schema = self._repository.get_schema(schema_id)
+                except SchemaNotFound:
+                    pass
+            if schema is None:
+                edits.append((schema_id, None))
+                continue
+            edits.append((schema_id, document_from_schema(schema)))
+            if self._profile_store is not None:
+                self._profile_store.put(schema)
+        return edits
+
+    def _publish(self, edits: list[tuple[int, Document | None]]) -> int:
+        """Apply built edits; returns operations applied.  The caller
+        holds the index lock."""
+        applied = 0
+        for schema_id, document in edits:
+            if document is not None:
+                self._index.replace(document)
+                applied += 1
+                continue
+            if self._profile_store is not None:
+                self._profile_store.invalidate(schema_id)
+            if self._index.has_document(schema_id):
+                self._index.remove(schema_id)
+                applied += 1
         return applied
 
     def _commit_segments(self) -> None:
@@ -204,6 +244,7 @@ class RepositoryIndexer:
                     "Segment merge duration").observe(seconds)
 
     def _record_refresh(self, applied: int, seconds: float,
+                        publish_seconds: float,
                         generation_before: int) -> None:
         telemetry = self.telemetry
         if telemetry is None or not telemetry.enabled:
@@ -215,6 +256,9 @@ class RepositoryIndexer:
                   "Index operations applied by refreshes").inc(applied)
         m.histogram("schemr_indexer_refresh_seconds",
                     "Refresh batch duration").observe(seconds)
+        m.histogram("schemr_indexer_publish_seconds",
+                    "Refresh time spent holding the index lock"
+                    ).observe(publish_seconds)
         m.histogram("schemr_indexer_batch_size",
                     "Operations per refresh batch",
                     buckets=DEFAULT_COUNT_BUCKETS).observe(applied)
@@ -309,8 +353,17 @@ class RepositoryIndexer:
         logged by the repository) rather than aborting the rebuild: one
         corrupt schema must not take the other 30k offline.
         """
+        with self._refresh_lock:
+            return self._rebuild()
+
+    def _rebuild(self) -> int:
         count = 0
-        with self._index.lock, self._refreshing_guard():
+        # A segment index orders its commit lock before its read lock
+        # (flush and merge take them in that order, and clear() below
+        # takes both), so take it first.
+        commit_lock = getattr(self._index, "commit_lock", None)
+        with commit_lock or nullcontext(), self._index.lock, \
+                self._refreshing_guard():
             self._index.clear()
             if self._profile_store is not None:
                 self._profile_store.clear()

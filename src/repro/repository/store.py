@@ -20,7 +20,8 @@ from typing import Callable, Iterator, TypeVar
 
 from repro.core.config import SchemrConfig
 from repro.core.engine import SchemrEngine
-from repro.errors import RepositoryError, SchemaError, ServiceError
+from repro.errors import (RepositoryError, SchemaError, SchemaNotFound,
+                          ServiceError)
 from repro.matching.ensemble import MatcherEnsemble
 from repro.matching.profile import ProfileStore
 from repro.model.schema import Schema
@@ -249,7 +250,7 @@ class SchemaRepository:
 
         row = self._with_retry(fetch)
         if row is None:
-            raise RepositoryError(
+            raise SchemaNotFound(
                 f"schema {schema_id} is not in the repository")
         try:
             return Schema.from_dict(json.loads(row["payload"]))

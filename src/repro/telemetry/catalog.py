@@ -100,6 +100,8 @@ METRICS: dict[str, tuple[str, str]] = {
         "counter", "Index operations applied by refreshes"),
     "schemr_indexer_refresh_seconds": (
         "histogram", "Refresh batch duration"),
+    "schemr_indexer_publish_seconds": (
+        "histogram", "Refresh time spent holding the index lock"),
     "schemr_indexer_batch_size": (
         "histogram", "Operations per refresh batch"),
     "schemr_indexer_generation_bumps_total": (

@@ -96,6 +96,21 @@ def test_rlock_reentry_is_legal():
     assert sanitizer.edges() == {}
 
 
+def test_rlock_reentry_under_a_later_lock_orders_nothing():
+    # A commit lock held across a read lock, then re-entered by a
+    # callee: the re-entry cannot block, so it is no inner -> outer
+    # edge and no inversion against the outer -> inner order.
+    sanitizer = LockOrderSanitizer()
+    outer = sanitizer.wrap(threading.RLock(), "Fixture.outer")
+    inner = sanitizer.wrap(threading.RLock(), "Fixture.inner")
+    with outer:
+        with inner:
+            with outer:
+                pass
+    assert sanitizer.inversions == []
+    assert set(sanitizer.edges()) == {("Fixture.outer", "Fixture.inner")}
+
+
 def test_condition_wait_releases_held_tracking():
     sanitizer = LockOrderSanitizer()
     cond = sanitizer.wrap(threading.Condition(), "Fixture.cond")

@@ -22,9 +22,11 @@ from repro.index.segments import (
     SegmentDirectory,
     SegmentedIndex,
     TieredMergePolicy,
+    file_crc32,
     make_merge_policy,
     write_segment,
 )
+from repro.index.segments.merge import kill_set
 
 
 def small_index(count: int = 20, seed: int = 11) -> InvertedIndex:
@@ -283,6 +285,59 @@ class TestSegmentedIndexLifecycle:
         index.add(Document(2, "b", terms=["salary"]))
         titles = sorted(d.title for d in index.documents())
         assert titles == ["a2", "b"]
+
+    def test_segment_bytes_pinned_for_fixed_operation_sequence(
+            self, tmp_path):
+        """Flushes, tombstones and merges write exactly the bytes the
+        locked single-step merge wrote (CRCs recorded from it), so the
+        off-lock merge and the kill-set intersection change nothing on
+        disk."""
+        root = tmp_path / "d"
+        index = SegmentedIndex.open(root, create=True)
+        rng = random.Random(5)
+        words = ["patient", "height", "salary", "orbit", "kelp", "ledger",
+                 "status", "code", "quasar", "fjord"]
+        policy = TieredMergePolicy(max_per_tier=2, floor_docs=16)
+        merges = []
+        crcs: dict[str, str] = {}
+        for batch in range(6):
+            for i in range(batch * 25, batch * 25 + 25):
+                # Common words take the probing branch of the kill set,
+                # one-document ``rare`` terms the intersecting one.
+                terms = [rng.choice(words)
+                         for _ in range(rng.randint(2, 9))]
+                terms.append(f"rare{i}")
+                index.add(Document(i, f"d{i}", summary=f"s{i}",
+                                   terms=terms))
+            for doc_id in rng.sample(range(batch * 25 + 25), 6):
+                if index.has_document(doc_id):
+                    index.remove(doc_id)
+            index.flush(last_change_id=batch)
+            while merged := index.maybe_merge(policy):
+                merges.append(merged)
+            for path in root.glob("seg_*.seg"):
+                crcs.setdefault(path.name, f"{file_crc32(path):08x}")
+        assert merges == [3, 1, 3]
+        assert dict(sorted(crcs.items())) == {
+            "seg_00000001.seg": "6f5aca12",
+            "seg_00000002.seg": "b22bf6c6",
+            "seg_00000003.seg": "1edd04f8",
+            "seg_00000005.seg": "1ae95499",
+            "seg_00000006.seg": "dd682e9e",
+            "seg_00000008.seg": "5b175de1",
+            "seg_00000009.seg": "46831d17",
+        }
+
+    def test_kill_set_equals_probing_on_both_sides(self, tmp_path):
+        path = tmp_path / "a.seg"
+        write_segment(path, small_index(count=40))
+        segment = MmapSegment(path)
+        for dead in (set(), {3}, {1, 2, 3, 99}, set(range(0, 80, 3))):
+            for term in segment.vocabulary():
+                postings = segment.postings(term)
+                assert kill_set(postings, dead) == {
+                    doc_id for doc_id in dead
+                    if postings.frequency(doc_id)}
 
     def test_snapshot_cached_per_generation(self, tmp_path):
         index = SegmentedIndex.open(tmp_path / "d", create=True)

@@ -163,6 +163,19 @@ class TestRebuild:
             assert count == 2
             assert indexer.refresh() == 0  # cursor advanced by rebuild
 
+    def test_rebuild_segment_index_keeps_writer_lock_order(self, tmp_path):
+        """Rebuild takes the commit lock before the read lock, like
+        flush and merge (the sanitizer suite checks the order)."""
+        with SchemaRepository.in_memory() as repo:
+            repo.add_schema(build_clinic_schema())
+            indexer = RepositoryIndexer(repo, segment_dir=tmp_path / "seg")
+            indexer.refresh()
+            repo.add_schema(build_hr_schema())
+            assert indexer.rebuild() == 2
+            assert indexer.index.document_count == 2
+            assert indexer.index.delta_document_count == 0  # flushed
+            assert indexer.refresh() == 0
+
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
@@ -208,9 +221,10 @@ class TestScheduledRuns:
         """Background refreshes must not corrupt concurrent reads.
 
         The scheduled indexer mutates the live index while a searcher
-        iterates postings; batches apply under the index mutation lock
-        and searches serialize against whole batches, so every query
-        sees a consistent generation — never a half-applied refresh.
+        iterates postings; each batch is built off the index lock and
+        published under it in one step, and searches serialize against
+        that step, so every query sees a consistent generation — never
+        a half-applied refresh.
         """
         from repro.index.searcher import IndexSearcher
 

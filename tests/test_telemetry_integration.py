@@ -20,6 +20,7 @@ from repro.telemetry import (
     SearchHistorySink,
     Telemetry,
 )
+from repro.telemetry.metrics import Histogram
 
 from tests.conftest import build_clinic_schema, build_hr_schema
 
@@ -224,6 +225,40 @@ class TestCacheCounters:
             assert snap.value("schemr_indexer_ops_applied_total") >= 2
             assert snap.find("schemr_indexer_refresh_seconds").count >= 2
             assert snap.value("schemr_indexer_generation_bumps_total") >= 2
+        finally:
+            engine.close()
+            repo.close()
+
+    def test_publish_seconds_never_exceed_refresh_seconds(self, tmp_path,
+                                                          monkeypatch):
+        """The locked publish is a part of its refresh, observation by
+        observation — what lets an operator rule the writer out when a
+        read is slow."""
+        observed: list[tuple[object, float]] = []
+        real_observe = Histogram.observe
+
+        def spy(histogram, value):
+            observed.append((histogram, value))
+            real_observe(histogram, value)
+
+        monkeypatch.setattr(Histogram, "observe", spy)
+        repo = SchemaRepository.in_memory()
+        repo.add_schema(build_clinic_schema())
+        engine = repo.engine(config=SchemrConfig(
+            telemetry_enabled=True, segment_dir=str(tmp_path / "seg")))
+        try:
+            for i in range(4):
+                schema_id = repo.add_schema(build_hr_schema(f"hr_{i}"))
+                if i % 2:
+                    repo.delete_schema(schema_id)
+                repo.reindex()
+            metrics = engine.telemetry.metrics
+            refresh = metrics.histogram("schemr_indexer_refresh_seconds")
+            publish = metrics.histogram("schemr_indexer_publish_seconds")
+            refreshes = [v for h, v in observed if h is refresh]
+            publishes = [v for h, v in observed if h is publish]
+            assert len(publishes) == len(refreshes) >= 4
+            assert all(p <= r for p, r in zip(publishes, refreshes))
         finally:
             engine.close()
             repo.close()
