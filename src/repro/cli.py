@@ -47,7 +47,6 @@ SERVE_FLAG_FIELDS = {
     "--max-concurrent": "max_concurrent_searches",
     "--request-timeout": "request_timeout_seconds",
     "--candidate-pool": "candidate_pool",
-    "--match-workers": "match_workers",
     "--query-cache-size": "query_cache_size",
     "--slow-query": "slow_query_seconds",
     "--history-path": "history_path",
@@ -685,9 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N",
                    help="phase-1 candidate pool size handed to the "
                         "matcher (default: config default)")
-    p.add_argument("--match-workers", type=int, default=None,
-                   metavar="N",
-                   help="worker threads for phase-2 match scoring")
     p.add_argument("--query-cache-size", type=int, default=None,
                    metavar="N",
                    help="entries kept in the phase-1 query cache")

@@ -25,12 +25,6 @@ class SchemrConfig:
     default because the paper's phase one does not do this; the E3
     ablation measures its effect on noisy queries.
 
-    ``match_workers`` sets how many threads score candidates in phase
-    two.  1 (the default) keeps the phase sequential; above 1 the
-    candidate pool is split into contiguous chunks dispatched to a
-    thread pool, and the per-chunk results are concatenated in chunk
-    order, so the ranking is identical to the sequential one.
-
     ``query_cache_size`` caps both generation-keyed caches, each at
     that many entries: the phase-1
     :class:`~repro.index.cache.QueryCache` of (analyzed terms, top_n,
@@ -107,7 +101,6 @@ class SchemrConfig:
     use_coordination: bool = True  # lint: internal (E3/E4 ablation knob)
     use_tightness: bool = True  # lint: internal (E3/E4 ablation knob)
     use_fuzzy_expansion: bool = False  # lint: internal (E3 ablation knob)
-    match_workers: int = 1
     query_cache_size: int = 256
     telemetry_enabled: bool = False  # lint: internal (serve always enables)
     slow_query_seconds: float = 0.25
@@ -140,9 +133,6 @@ class SchemrConfig:
         if self.candidate_pool <= 0:
             raise QueryError(
                 f"candidate_pool must be positive, got {self.candidate_pool}")
-        if self.match_workers < 1:
-            raise QueryError(
-                f"match_workers must be >= 1, got {self.match_workers}")
         if self.query_cache_size < 0:
             raise QueryError(
                 f"query_cache_size must be >= 0, got {self.query_cache_size}")

@@ -16,7 +16,6 @@ import logging
 import threading
 import time
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol
 
@@ -774,7 +773,6 @@ class InProcessExecutor:
             reset_seconds=config.breaker_reset_seconds,
             clock=clock)
         self._tightness = TightnessScorer(config.penalties)
-        self._threads: ThreadPoolExecutor | None = None
         # The calling thread's in-flight stats: candidates() opens
         # them, match() lowers ``clean`` when a breaker saw trouble.
         self._query = threading.local()
@@ -806,12 +804,6 @@ class InProcessExecutor:
             (breaker.name, breaker)
             for breaker in self._guard.breakers.values())
         return all_breakers
-
-    def close(self) -> None:
-        """Release the match-phase thread pool (idempotent)."""
-        if self._threads is not None:
-            self._threads.shutdown(wait=True)
-            self._threads = None
 
     def candidates(self, flattened: list[str], pool_n: int,
                    deadline: Deadline
@@ -878,14 +870,10 @@ class InProcessExecutor:
 
     def _match_candidates(self, query: QueryGraph, hits: list[IndexHit],
                           deadline: Deadline, cheap_only: bool = False):
-        """Run the ensemble over every candidate, optionally in parallel.
+        """Run the ensemble over every candidate, in phase-1 order.
 
-        One :class:`MatchScratch` is shared by the whole pool — the
-        caches memoize pure functions, so cross-thread sharing is safe
-        and profitable.  With ``match_workers > 1`` the hits are split
-        into contiguous chunks and the per-chunk results concatenated in
-        chunk order, keeping the output order (and therefore the final
-        ranking) byte-identical to the sequential path.
+        One :class:`MatchScratch` is shared by the whole pool — its
+        caches memoize pure functions of the query.
 
         The deadline is consulted before every candidate; an exhausted
         budget raises :class:`DeadlineExceeded`, which the caller turns
@@ -894,34 +882,8 @@ class InProcessExecutor:
         whole search.
         """
         scratch = MatchScratch()
-        workers = self._config.match_workers
-        if workers <= 1 or len(hits) <= 1:
-            return self._match_chunk(query, hits, scratch, deadline,
-                                     cheap_only)
-        size = -(-len(hits) // workers)  # ceil division
-        executor = self._threads
-        if executor is None:
-            executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="schemr-match")
-            self._threads = executor
-        futures = [
-            executor.submit(self._match_chunk, query, hits[i:i + size],
-                            scratch, deadline, cheap_only)
-            for i in range(size, len(hits), size)
-        ]
-        # The main thread scores the first chunk itself while the pool
-        # drains the rest — one fewer task round-trip per query.
-        matched = self._match_chunk(query, hits[:size], scratch, deadline,
-                                    cheap_only)
-        for future in futures:
-            matched.extend(future.result())
-        return matched
-
-    def _match_chunk(self, query: QueryGraph, chunk: list[IndexHit],
-                     scratch: MatchScratch, deadline: Deadline,
-                     cheap_only: bool = False):
         matched = []
-        for hit in chunk:
+        for hit in hits:
             deadline.check("phase-2 candidate loop")
             entry = self._match_one(query, hit, scratch, cheap_only)
             if entry is not None:

@@ -241,7 +241,7 @@ class SchemaMatchProfile:
 
 
 class MatchScratch:
-    """Per-query memoization shared across candidates and workers.
+    """Per-query memoization shared across candidates.
 
     ``name_columns`` / ``context_columns`` map a matcher instance to its
     score-column memo: candidate element words (name) or frozen context
@@ -249,11 +249,8 @@ class MatchScratch:
     against that element (``None`` when all zero).  An instance owns
     its dict because a column bakes in the matcher's own settings
     (``expand``, ``threshold``).  Everything here is a *pure* function
-    of its key and the query, so sharing one scratch across the
-    ``match_workers`` threads of a parallel match phase is safe: two
-    threads racing on the same key each store an equal array (CPython
-    dict reads/writes are atomic under the GIL), and a matrix copies
-    the column into its own storage, so no matrix aliases a memo entry.
+    of its key and the query, and a matrix copies the column into its
+    own storage, so no matrix aliases a memo entry.
     """
 
     __slots__ = ("name_columns", "context_columns", "matcher_memo",
@@ -293,8 +290,8 @@ class ProfileStore:
     apart.  Mutation paths call :meth:`invalidate` (repository CRUD) or
     :meth:`put` (indexer refresh) to keep the cache honest.
 
-    Thread-safe: the engine's parallel match phase reads from worker
-    threads while the scheduled indexer refreshes from another.
+    Thread-safe: concurrent searches read from serving threads while
+    the scheduled indexer refreshes from another.
     """
 
     def __init__(self, source: SchemaSourceLike,

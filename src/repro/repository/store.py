@@ -351,6 +351,21 @@ class SchemaRepository:
             self._profile_store = ProfileStore(self, capacity=capacity)
         return self._profile_store
 
+    def invalidate_profiles_since(self, change_id: int) -> None:
+        """Drop the cached profile of every schema changed after
+        ``change_id``.
+
+        For a process that adopts an index generation written elsewhere
+        (a shard worker's reopen, a replica's hot-swap): the writes went
+        through another handle, so this handle's CRUD invalidation never
+        saw them.  Pass the cursor of the generation being replaced.
+        """
+        if self._profile_store is None:
+            return
+        for schema_id in {schema_id for _change, schema_id, _op
+                          in self.changes_since(change_id)}:
+            self._profile_store.invalidate(schema_id)
+
     def indexer(self, segment_dir: str | None = None,
                 merge_policy: str = "tiered",
                 shards: int | None = None) -> "RepositoryIndexer":

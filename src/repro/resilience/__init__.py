@@ -19,7 +19,7 @@ in human time when parts of it misbehave:
   instead of queueing into oblivion.
 * :mod:`repro.resilience.faults` — the deterministic
   :class:`FaultInjector` (module-global :data:`FAULTS`) powering the
-  chaos suite and ``benchmarks/bench_resilience.py``.
+  chaos suite (``tests/test_resilience_chaos.py``) and the crash sweep.
 * :mod:`repro.resilience.guards` — :class:`GuardedEnsemble`, the
   breaker-aware ensemble wrapper the engine matches through.
 """

@@ -698,7 +698,7 @@ def _build_replica_engine(repository: SchemaRepository,
         logger.warning("initial replica sync from %s failed; serving "
                        "the existing local state: %s", target, exc)
     index = open_segment_index(config.segment_dir, sweep=True)
-    syncer.attach_index(index)
+    syncer.attach_index(index, repository)
     engine = SchemrEngine(index=index, source=repository.profile_store(),
                           config=config, telemetry=telemetry,
                           owns_telemetry=True)

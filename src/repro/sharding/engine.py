@@ -133,7 +133,7 @@ class ShardExecutor:
         # and of course sharding itself.
         self._worker_config = dataclasses.replace(
             config, telemetry_enabled=False, history_path=None,
-            use_fuzzy_expansion=False, match_workers=1, shards=1,
+            use_fuzzy_expansion=False, shards=1,
             segment_dir=None, search_budget_seconds=None)
         specs = [
             WorkerSpec(shard_id=i, shard_count=index.shard_count,

@@ -146,7 +146,11 @@ def worker_main(spec: WorkerSpec, conn) -> None:
                     out = _handle_phase2(engine, payload)
                 elif kind == TAG_REOPEN:
                     # The front flushed new segments; swap in a fresh
-                    # view of the shard directory (O(segment count)).
+                    # view of the shard directory (O(segment count)),
+                    # dropping the profiles of schemas changed since
+                    # the generation being replaced.
+                    repository.invalidate_profiles_since(
+                        engine.searcher.index.last_change_id)
                     engine.close()
                     engine = _build_engine(spec, repository)
                     out = {

@@ -211,16 +211,16 @@ class TestConfiguration:
 
 
 class TestPaging:
-    """Offset/top_n edge cases, sequential and parallel.
+    """Offset/top_n edge cases at the pool boundary.
 
-    Parallel dispatch must not disturb the ranking, so every case runs
-    with ``match_workers`` of 1 and 4 and expects identical pages.
+    Every case runs with a candidate pool of 1 (the degenerate pool)
+    and of 4 (smaller than the six-schema corpus below).
     """
 
-    POOL = 4  # candidate_pool smaller than the corpus below
+    POOL = 4
 
     @staticmethod
-    def _engine(match_workers: int) -> SchemrEngine:
+    def _engine(pool: int = POOL) -> SchemrEngine:
         schemas = {}
         index = InvertedIndex()
         builders = [build_clinic_schema, build_hr_schema,
@@ -230,65 +230,52 @@ class TestPaging:
             schema.schema_id = i
             schemas[i] = schema
             index.add(document_from_schema(schema))
-        config = SchemrConfig(candidate_pool=TestPaging.POOL,
-                              match_workers=match_workers)
+        config = SchemrConfig(candidate_pool=pool)
         return SchemrEngine(index=index, source=DictSchemaSource(schemas),
                             config=config)
 
     QUERY = "name gender salary species height"
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_offset_at_pool_returns_empty(self, workers):
-        with self._engine(workers) as engine:
-            assert engine.search(keywords=self.QUERY,
-                                 offset=self.POOL) == []
+    @pytest.mark.parametrize("pool", [1, 4])
+    def test_offset_at_pool_returns_empty(self, pool):
+        with self._engine(pool) as engine:
+            assert engine.search(keywords=self.QUERY, offset=pool) == []
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_offset_beyond_pool_returns_empty(self, workers):
-        with self._engine(workers) as engine:
+    @pytest.mark.parametrize("pool", [1, 4])
+    def test_offset_beyond_pool_returns_empty(self, pool):
+        with self._engine(pool) as engine:
             assert engine.search(keywords=self.QUERY,
-                                 offset=self.POOL + 10) == []
+                                 offset=pool + 10) == []
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_page_straddling_pool_boundary_returns_tail(self, workers):
-        with self._engine(workers) as engine:
-            full = engine.search(keywords=self.QUERY, top_n=self.POOL)
-            assert len(full) == self.POOL
+    @pytest.mark.parametrize("pool", [1, 4])
+    def test_page_straddling_pool_boundary_returns_tail(self, pool):
+        with self._engine(pool) as engine:
+            full = engine.search(keywords=self.QUERY, top_n=pool)
+            assert len(full) == pool
             # offset + top_n overshoots the pool: just the tail comes back.
             tail = engine.search(keywords=self.QUERY,
-                                 top_n=3, offset=self.POOL - 1)
+                                 top_n=3, offset=pool - 1)
             assert [r.schema_id for r in tail] == [full[-1].schema_id]
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_pages_tile_the_ranking(self, workers):
-        with self._engine(workers) as engine:
-            full = engine.search(keywords=self.QUERY, top_n=self.POOL)
+    @pytest.mark.parametrize("pool", [1, 4])
+    def test_pages_tile_the_ranking(self, pool):
+        with self._engine(pool) as engine:
+            full = engine.search(keywords=self.QUERY, top_n=pool)
             paged = []
-            for offset in range(0, self.POOL, 2):
+            for offset in range(0, pool, 2):
                 paged.extend(engine.search(keywords=self.QUERY,
                                            top_n=2, offset=offset))
             assert [r.schema_id for r in paged] == \
                 [r.schema_id for r in full]
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_negative_offset_rejected(self, workers):
-        with self._engine(workers) as engine:
+    @pytest.mark.parametrize("pool", [1, 4])
+    def test_negative_offset_rejected(self, pool):
+        with self._engine(pool) as engine:
             with pytest.raises(QueryError):
                 engine.search(keywords=self.QUERY, offset=-1)
 
-    def test_parallel_ranking_matches_sequential(self):
-        with self._engine(1) as seq, self._engine(4) as par:
-            seq_results = seq.search(keywords=self.QUERY, top_n=self.POOL)
-            par_results = par.search(keywords=self.QUERY, top_n=self.POOL)
-            assert [(r.schema_id, r.score) for r in seq_results] == \
-                [(r.schema_id, r.score) for r in par_results]
-
-    def test_invalid_match_workers_rejected(self):
-        with pytest.raises(QueryError):
-            SchemrConfig(match_workers=0)
-
     def test_close_is_idempotent(self):
-        engine = self._engine(4)
+        engine = self._engine()
         engine.search(keywords=self.QUERY)
         engine.close()
         engine.close()

@@ -13,6 +13,7 @@ import random
 
 from repro.core.config import SchemrConfig
 from repro.core.engine import DictSchemaSource, SchemrEngine
+from repro.corpus.generator import CorpusGenerator
 from repro.index.cache import QueryCache
 from repro.index.documents import Document, document_from_schema
 from repro.index.fuzzy import TrigramIndex
@@ -399,6 +400,46 @@ class TestQueryCacheIntegration:
         searcher.search(["patient"], top_n=5)
         # Both old-generation entries were swept; one fresh entry lives.
         assert len(cache) == 1
+
+
+class TestWorkCounts:
+    """The acceleration layer's gains, as counts rather than times: the
+    pruned searcher scores fewer documents than the naive loop for the
+    same page, and a warm cache repeat scores none."""
+
+    QUERY = ["patient", "name", "address"]
+
+    @staticmethod
+    def generated_index() -> InvertedIndex:
+        # 600 schemas, because pruning only reaches its AND mode once
+        # the common terms' lists outgrow the top-50 threshold (at 260
+        # it never does).
+        index = InvertedIndex()
+        for doc_id, generated in enumerate(
+                CorpusGenerator(seed=7).stream(600, include_junk=True),
+                start=1):
+            generated.schema.schema_id = doc_id
+            index.add(document_from_schema(generated.schema))
+        return index
+
+    def test_pruning_scores_fewer_documents_than_naive(self):
+        index = self.generated_index()
+        naive = IndexSearcher(index, strategy="naive")
+        pruned = IndexSearcher(index, strategy="pruned")
+        page = pruned.search(self.QUERY, top_n=50)
+        assert page == naive.search(self.QUERY, top_n=50)
+        assert pruned.last_stats.pruned_early
+        assert pruned.last_stats.docs_scored < naive.last_stats.docs_scored
+
+    def test_warm_cache_repeat_scores_nothing(self):
+        searcher = IndexSearcher(self.generated_index(),
+                                 query_cache=QueryCache(16))
+        first = searcher.search(self.QUERY, top_n=50)
+        assert not searcher.last_stats.cache_hit
+        assert searcher.last_stats.docs_scored > 0
+        assert searcher.search(self.QUERY, top_n=50) == first
+        assert searcher.last_stats.cache_hit
+        assert searcher.last_stats.docs_scored == 0
 
 
 def _engine_pair(schemas, config_kwargs=None):

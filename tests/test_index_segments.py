@@ -15,6 +15,7 @@ import pytest
 from repro.errors import IndexError_
 from repro.index.documents import Document
 from repro.index.inverted import InvertedIndex
+from repro.index.searcher import IndexSearcher
 from repro.index.segments import (
     MAGIC,
     MmapSegment,
@@ -195,6 +196,33 @@ class TestSegmentedIndexLifecycle:
         assert reopened.document_count == 10
         assert reopened.last_change_id == 42
         assert reopened.segment_count == 1
+
+    def test_cold_open_decodes_no_postings(self, tmp_path, monkeypatch):
+        """Opening maps the segments and reads the manifest, whatever
+        the corpus size; postings and documents decode only when a
+        search asks for them."""
+        index = SegmentedIndex.open(tmp_path / "d", create=True)
+        for i, document in enumerate(small_index(count=200).documents()):
+            index.add(document)
+            if (i + 1) % 50 == 0:
+                index.flush()
+        decoded: list[str] = []
+
+        def counting(name: str):
+            original = getattr(MmapSegment, name)
+
+            def wrapper(self, *args):
+                decoded.append(name)
+                return original(self, *args)
+            return wrapper
+
+        for name in ("_postings_at", "_decode_document"):
+            monkeypatch.setattr(MmapSegment, name, counting(name))
+        reopened = SegmentedIndex.open(tmp_path / "d")
+        assert reopened.segment_count == 4
+        assert decoded == []
+        assert IndexSearcher(reopened).search(["patient"], top_n=5)
+        assert "_postings_at" in decoded
 
     def test_unflushed_delta_is_not_persisted(self, tmp_path):
         index = SegmentedIndex.open(tmp_path / "d", create=True)

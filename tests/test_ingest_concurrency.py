@@ -17,6 +17,7 @@ import threading
 import repro.index.segments.segmented as segmented_module
 import repro.repository.indexer as indexer_module
 from repro.core.config import SchemrConfig
+from repro.corpus.generator import CorpusGenerator
 from repro.index.documents import Document
 from repro.index.searcher import IndexSearcher
 from repro.index.segments import (
@@ -29,6 +30,7 @@ from repro.index.segments import (
 )
 from repro.repository.indexer import RepositoryIndexer
 from repro.repository.store import SchemaRepository
+from repro.sharding import ShardedEngine
 
 from tests.conftest import (build_clinic_schema, build_conservation_schema,
                             build_hr_schema)
@@ -284,6 +286,62 @@ class TestMergeWritesOffLock:
         assert index.segment_count == 2
         assert ranked(searcher) == expected
         assert verify_directory(tmp_path / "s").ok
+
+    def test_sharded_merge_under_traffic_matches_single_engine(
+            self, tmp_path, monkeypatch):
+        """Searches through the worker pool keep returning the single
+        engine's pages while a merge rewrites the shards beneath the
+        front, and after the next refresh reopens the workers onto the
+        merged segments."""
+        queries = [["patient", "name", "address"], ["order", "price"],
+                   ["teacher", "course"]]
+        generator = CorpusGenerator(seed=13)
+        writer = SchemaRepository(str(tmp_path / "repo.db"))
+        repo_flat = SchemaRepository(str(tmp_path / "repo.db"))
+        repo_sharded = SchemaRepository(str(tmp_path / "repo.db"))
+        flat = sharded = None
+
+        def add_batch(refresh: bool = True) -> None:
+            for generated in generator.stream(20):
+                writer.add_schema(generated.schema)
+            if refresh:
+                repo_flat.indexer().refresh()
+                repo_sharded.indexer().refresh()
+
+        def pages(engine) -> list:
+            return [engine.search(keywords=q) for q in queries]
+
+        try:
+            add_batch(refresh=False)  # the engines index it on open
+            flat = repo_flat.engine(config=SchemrConfig(
+                segment_dir=str(tmp_path / "flat"), candidate_pool=40))
+            sharded = ShardedEngine(repo_sharded, config=SchemrConfig(
+                segment_dir=str(tmp_path / "sharded"), shards=2,
+                merge_policy="none", candidate_pool=40))
+            add_batch()
+            add_batch()  # three segments per shard, none merged
+            assert sharded.index.segment_count == 6
+            expected = pages(flat)
+            assert pages(sharded) == expected
+            gate = park_merge_writes(monkeypatch)
+            merger, merged = start(sharded.index.maybe_merge, MERGE_ALL)
+            try:
+                assert gate.entered.wait(WAIT_S)
+                assert read_within_bound(lambda: pages(sharded)) == expected
+            finally:
+                gate.open()
+                merger.join(WAIT_S)
+            assert merged == {"value": 6}
+            assert sharded.index.segment_count == 2
+            assert pages(sharded) == expected
+            add_batch()  # workers reopen onto the merged segments
+            assert pages(sharded) == pages(flat)
+        finally:
+            for engine in (sharded, flat):
+                if engine is not None:
+                    engine.close()
+            for repo in (repo_sharded, repo_flat, writer):
+                repo.close()
 
 
 class TestDeletedBeforePublish:

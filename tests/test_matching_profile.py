@@ -12,7 +12,6 @@ import pytest
 import repro.matching.context as context_mod
 import repro.matching.profile as profile_mod
 import repro.scoring.neighborhood as neighborhood_mod
-from repro.core.config import SchemrConfig
 from repro.core.engine import DictSchemaSource, SchemrEngine
 from repro.errors import MatchError, RepositoryError, SchemaError
 from repro.index.documents import document_from_schema
@@ -274,7 +273,7 @@ class TestProfileStore:
             ProfileStore(DictSchemaSource({}), capacity=0)
 
 
-def _build_engine(config=None, profiled=False):
+def _build_engine(profiled=False):
     schemas = _schemas_by_id()
     index = InvertedIndex()
     for schema in schemas.values():
@@ -282,7 +281,7 @@ def _build_engine(config=None, profiled=False):
     source = DictSchemaSource(schemas)
     if profiled:
         source = ProfileStore(source)
-    return SchemrEngine(index=index, source=source, config=config)
+    return SchemrEngine(index=index, source=source)
 
 
 def _result_fingerprint(results):
@@ -310,24 +309,6 @@ class TestGoldenEquivalence:
         for query in self.QUERIES:
             assert _result_fingerprint(fast.search(**query)) == \
                 _result_fingerprint(cold.search(**query))
-
-    def test_parallel_path_matches_cold_path(self):
-        cold = _build_engine()
-        parallel = _build_engine(profiled=True,
-                                 config=SchemrConfig(match_workers=4))
-        try:
-            for query in self.QUERIES:
-                assert _result_fingerprint(parallel.search(**query)) == \
-                    _result_fingerprint(cold.search(**query))
-        finally:
-            parallel.close()
-
-    def test_parallel_without_profiles_matches_cold_path(self):
-        cold = _build_engine()
-        with _build_engine(config=SchemrConfig(match_workers=3)) as parallel:
-            for query in self.QUERIES:
-                assert _result_fingerprint(parallel.search(**query)) == \
-                    _result_fingerprint(cold.search(**query))
 
     def test_full_ensemble_equivalence(self):
         from repro.matching.datatype import DataTypeMatcher

@@ -671,3 +671,57 @@ class TestReplicatedServing:
         results = client.search("patient height")
         assert results  # zero empty responses across the failover
         assert client.last_endpoint == replica.base_url
+
+
+class TestReplicaFollowsChangeLog:
+    def test_updated_schema_is_not_served_from_a_stale_profile(
+            self, tmp_path):
+        """A replica shares the primary's database but keeps its own
+        profile store: adopting a pulled generation must drop the
+        profiles of every schema changed since the last one."""
+        import time
+
+        from repro.core.config import SchemrConfig
+        from repro.corpus.domains import domain_by_name
+        from repro.corpus.generator import CorpusGenerator
+        from repro.repository.store import SchemaRepository
+        from repro.service.server import SchemrServer
+
+        db = str(tmp_path / "repo.db")
+        generator = CorpusGenerator(seed=13)
+        writer = SchemaRepository(db)
+        for generated in generator.stream(120, include_junk=True):
+            writer.add_schema(generated.schema)
+        primary_repo = SchemaRepository(db)
+        primary = primary_repo.engine(config=SchemrConfig(
+            segment_dir=str(tmp_path / "psegs"), candidate_pool=40))
+        replica_repo = SchemaRepository(db)
+        replica = SchemrServer(replica_repo, config=SchemrConfig(
+            segment_dir=str(tmp_path / "rsegs"), candidate_pool=40,
+            replicate_from=str(tmp_path / "psegs"),
+            replica_poll_seconds=0.05))
+        keywords = ["patient", "name", "address"]
+        try:
+            with replica.running():
+                page = primary.search(keywords=keywords)
+                assert replica.engine.search(keywords=keywords) == page
+                replacement = generator.generate_from_domain(
+                    domain_by_name("healthcare"), ("patient",)).schema
+                replacement.schema_id = page[0].schema_id
+                writer.update_schema(replacement)
+                primary_repo.indexer().refresh()
+                cursor = primary_repo.indexer().last_change_id
+                deadline = time.monotonic() + 10.0
+                while (replica.replica_syncer.generation < cursor
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                assert replica.replica_syncer.generation == cursor
+                page = primary.search(keywords=keywords)
+                # Still a candidate, so a stale profile would score it.
+                assert replacement.schema_id in {r.schema_id for r in page}
+                assert replica.engine.search(keywords=keywords) == page
+        finally:
+            primary.close()
+            replica_repo.close()
+            primary_repo.close()
+            writer.close()

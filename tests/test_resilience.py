@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sqlite3
+import threading
 
 import pytest
 
@@ -364,6 +365,45 @@ class TestAdmissionController:
     def test_release_without_acquire_raises(self):
         with pytest.raises(RuntimeError):
             AdmissionController().release()
+
+    def test_burst_is_accounted_and_drains(self):
+        """32 threads against 4 slots and no queue: every request is
+        admitted or shed (none lost, none hung), and once the admitted
+        ones finish every slot is back."""
+        burst, slots = 32, 4
+        admission = AdmissionController(max_concurrent=slots, queue_size=0)
+        decided = threading.Semaphore(0)
+        finish = threading.Event()
+        outcomes: list[str] = []
+
+        def request() -> None:
+            try:
+                with admission.admitted():
+                    outcomes.append("admitted")
+                    decided.release()
+                    finish.wait(10.0)
+            except AdmissionRejected:
+                outcomes.append("shed")
+                decided.release()
+
+        threads = [threading.Thread(target=request) for _ in range(burst)]
+        for thread in threads:
+            thread.start()
+        try:
+            for _ in range(burst):
+                assert decided.acquire(timeout=10.0), "a request hung"
+            assert outcomes.count("admitted") == slots
+            assert outcomes.count("shed") == burst - slots
+            assert admission.active == slots
+        finally:
+            finish.set()
+            for thread in threads:
+                thread.join(10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert admission.active == 0
+        assert admission.waiting == 0
+        assert admission.admitted_total == slots
+        assert admission.rejected_total == burst - slots
 
     def test_validation(self):
         with pytest.raises(ValueError):

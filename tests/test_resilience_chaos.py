@@ -147,6 +147,44 @@ class TestEngineDegradation:
         assert all(r.entity_count == 0 for r in results)
         repo.close()
 
+    @pytest.mark.parametrize("burn", [
+        pytest.param(0.1, id="none"),
+        pytest.param(0.6, id="reduced_pool"),
+        pytest.param(0.8, id="name_only"),
+    ])
+    def test_budget_dying_mid_match_loop_is_never_empty(self, burn):
+        """Whatever rung phase 2 starts on, a budget that runs out
+        between candidates falls back to a non-empty phase-1 page, at
+        most one candidate's cost past the budget."""
+        clock = FakeClock()
+        repo = make_repo()
+        engine = make_engine(repo, clock, search_budget_seconds=BUDGET)
+        # Two candidates fit in what phase 1 leaves; the third does not
+        # ("name" pulls all three fixture schemas into the pool).
+        per_candidate = 0.6 * (1.0 - burn) * BUDGET
+        matched: list[float] = []
+
+        def match_one() -> None:
+            matched.append(clock.now)
+            clock.advance(per_candidate)
+
+        FAULTS.inject("engine.phase1",
+                      hook=lambda: clock.advance(burn * BUDGET), times=1)
+        FAULTS.inject("engine.match_one", hook=match_one)
+        started = clock.now
+        try:
+            results = engine.search(keywords="name")
+            profile = engine.last_profile
+            assert profile.candidate_count == 3
+            assert results, "phase 1 had hits: the page is never empty"
+            assert profile.degradation == "phase1_only"
+            assert profile.deadline_expired is True
+            assert len(matched) == 2
+            assert clock.now - started <= BUDGET + per_candidate
+        finally:
+            engine.close()
+            repo.close()
+
     def test_degraded_metrics_are_counted(self):
         clock = FakeClock()
         repo = make_repo()

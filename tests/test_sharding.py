@@ -20,6 +20,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from repro.core.config import SchemrConfig
+from repro.corpus.domains import domain_by_name
 from repro.corpus.generator import CorpusGenerator
 from repro.errors import IndexError_, QueryError, ServiceError
 from repro.index.segments import SegmentedIndex
@@ -224,6 +225,20 @@ class TestShardedEquivalence:
             writer.delete_schema(writer.list_schema_ids()[3])
             repo_flat.indexer().refresh()
             repo_sharded.indexer().refresh()
+            for keywords in QUERIES:
+                assert sharded.search(keywords=keywords) == \
+                    flat.search(keywords=keywords)
+            # Replace the top hit in place: the worker that scores it
+            # must drop the match profile it cached for the old schema.
+            top = flat.search(keywords=QUERIES[0])[0].schema_id
+            replacement = generator.generate_from_domain(
+                domain_by_name("healthcare"), ("patient",)).schema
+            replacement.schema_id = top
+            writer.update_schema(replacement)
+            repo_flat.indexer().refresh()
+            repo_sharded.indexer().refresh()
+            assert top in {r.schema_id
+                           for r in flat.search(keywords=QUERIES[0])}
             for keywords in QUERIES:
                 assert sharded.search(keywords=keywords) == \
                     flat.search(keywords=keywords)

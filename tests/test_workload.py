@@ -483,37 +483,3 @@ class TestWorkloadCli:
         assert main(["init", db]) == 0
         assert main(["train-weights", db, str(history)]) == 1
         assert "no history records" in capsys.readouterr().err
-
-
-class TestBenchmarkSummarize:
-    def test_merges_bench_files_into_table(self, tmp_path):
-        import sys
-        sys.path.insert(0, str((__import__("pathlib").Path(__file__)
-                                .resolve().parent.parent / "benchmarks")))
-        try:
-            from summarize import summarize
-        finally:
-            sys.path.pop(0)
-        (tmp_path / "BENCH_workload.json").write_text(json.dumps({
-            "harvest_deterministic": True,
-            "closed_loop": {"achieved_qps": 95.2, "p99_ms": 140.0},
-            "open_loop": {"shed_fraction": 0.4, "p99_ms": 80.0},
-            "ab": {"precision_at_k": {"delta": 0.01, "p_value": 0.3}},
-            "trained_no_worse_than_uniform": True,
-        }), encoding="utf-8")
-        (tmp_path / "BENCH_unknown.json").write_text(
-            json.dumps({"speed": 3.5, "ok": True}), encoding="utf-8")
-        table = summarize(tmp_path)
-        assert "| workload replay | harvest deterministic | yes |" in table
-        assert "closed-loop qps | 95.2" in table
-        assert "unknown" in table and "3.5" in table
-
-    def test_empty_directory_degrades(self, tmp_path):
-        import sys
-        sys.path.insert(0, str((__import__("pathlib").Path(__file__)
-                                .resolve().parent.parent / "benchmarks")))
-        try:
-            from summarize import summarize
-        finally:
-            sys.path.pop(0)
-        assert "no BENCH_*.json" in summarize(tmp_path)
