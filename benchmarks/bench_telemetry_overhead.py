@@ -41,7 +41,6 @@ from repro.telemetry.metrics import (
     NULL_GAUGE,
     NULL_HISTOGRAM,
 )
-from repro.telemetry.trace import NULL_SPAN
 
 from benchmarks.helpers import PAPER_KEYWORDS, corpus_repository, sampler_for
 
@@ -49,9 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = ROOT / "BENCH_telemetry.json"
 
 #: Instrument touches a single search makes on the disabled path: the
-#: span enters/exits (1 root + 4 phases), the resolved counter/histogram
-#: updates in ``_finish_search``, and the lazy registry resolutions.
-#: Generously rounded up.
+#: resolved counter/histogram updates in ``_finish_search`` and the lazy
+#: registry resolutions.  Generously rounded up.
 NOOP_SITES_PER_QUERY = 32
 
 
@@ -87,19 +85,17 @@ def measure_mode(engine: SchemrEngine, queries: list[list[str]],
 def noop_bundle_seconds(iterations: int) -> float:
     """Wall seconds for ``iterations`` bundles of 8 null-instrument
     touches (so one bundle ~= a quarter of NOOP_SITES_PER_QUERY)."""
-    counter, gauge, histogram, span = (NULL_COUNTER, NULL_GAUGE,
-                                       NULL_HISTOGRAM, NULL_SPAN)
+    counter, gauge, histogram = NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
     start = time.perf_counter()
     for _ in range(iterations):
         counter.inc()
         counter.inc(3)
+        counter.inc()
+        counter.inc(2)
+        counter.inc()
         gauge.set(1.0)
         histogram.observe(0.5)
         histogram.observe(0.1)
-        with span:
-            pass
-        with span:
-            pass
     return time.perf_counter() - start
 
 

@@ -6,19 +6,23 @@ results are iteratively used to augment a schema", while recorded search
 histories train the matcher weighting scheme.
 
 This example simulates that loop: a designer grows a retail 'order'
-schema over three iterations, clicking the results that helped; the
-recorded history then trains the logistic-regression meta-learner and
-the learned weights replace the uniform scheme.
+schema over three iterations, clicking the results that helped.  Each
+search lands in a JSONL search history with its clicks marked; that
+history then trains the logistic-regression meta-learner and the
+learned weights replace the uniform scheme.
 
 Run:  python examples/schema_design_assistant.py
 """
 
+import tempfile
+from pathlib import Path
+
 from repro import MatcherEnsemble, SchemaRepository
 from repro.corpus.filters import paper_filter
 from repro.corpus.generator import CorpusGenerator
-from repro.matching.learner import WeightLearner
-from repro.model.query import QueryGraph
-from repro.repository.history import build_training_set, record_search
+from repro.errors import MatchError
+from repro.telemetry.history import SearchHistorySink
+from repro.workload.train import train_weights
 
 CORPUS_SIZE = 1500
 
@@ -57,50 +61,46 @@ def main() -> None:
     engine = repo.engine()
     print(f"repository: {repo.schema_count} schemas\n")
 
-    # --- the design loop, recording history as the designer clicks ----
-    for round_number, (draft, keywords) in enumerate(ITERATIONS, start=1):
-        print(f"iteration {round_number}: draft has "
-              f"{draft.count(',') + 1} columns; searching "
-              f"{keywords!r} + draft")
-        results = engine.search(keywords=keywords, fragment=draft,
-                                top_n=5)
-        graph = QueryGraph.build(keywords=keywords.split())
-        for rank, result in enumerate(results, start=1):
-            schema = repo.get_schema(result.schema_id)
-            per_matcher = engine.ensemble.match(graph, schema).per_matcher
-            features = {name: float(matrix.values.max())
-                        for name, matrix in per_matcher.items()}
-            # The designer clicks helpful results near the top; deep
-            # results she scrolled past count as implicit negatives.
-            clicked = rank <= 2 and "retail" in result.name
-            record_search(repo, keywords, result.schema_id, clicked,
-                          features)
-            marker = "*" if clicked else " "
-            print(f"   {marker} {result.name:<40} "
-                  f"score={result.score:.4f}")
-        print()
+    with tempfile.TemporaryDirectory() as scratch:
+        history_path = Path(scratch) / "history.jsonl"
 
-    # --- train the meta-learner on what was recorded ------------------
-    examples = build_training_set(repo)
-    positives = sum(example.relevant for example in examples)
-    print(f"recorded history: {len(examples)} examples "
-          f"({positives} clicks)")
-    if positives == 0 or positives == len(examples):
-        print("history has a single class; keeping uniform weights")
-        repo.close()
-        return
+        # --- the design loop, recording history as the designer clicks
+        with SearchHistorySink(history_path) as history:
+            for round_number, (draft, keywords) in enumerate(ITERATIONS,
+                                                             start=1):
+                print(f"iteration {round_number}: draft has "
+                      f"{draft.count(',') + 1} columns; searching "
+                      f"{keywords!r} + draft")
+                results = engine.search(keywords=keywords, fragment=draft,
+                                        top_n=5)
+                # The designer clicks helpful results near the top;
+                # deeper results they scrolled past count as implicit
+                # negatives.
+                clicked = {result.schema_id
+                           for rank, result in enumerate(results, start=1)
+                           if rank <= 2 and "retail" in result.name}
+                history.record(keywords.split(), results,
+                               clicked_ids=clicked)
+                for result in results:
+                    marker = "*" if result.schema_id in clicked else " "
+                    print(f"   {marker} {result.name:<40} "
+                          f"score={result.score:.4f}")
+                print()
 
-    learner = WeightLearner(engine.ensemble.matcher_names)
-    learner.fit(examples)
-    weights = learner.weights()
-    print("learned weights: "
-          + ", ".join(f"{name}={value:.3f}"
-                      for name, value in weights.items()))
-    print(f"training accuracy: {learner.accuracy(examples):.3f}\n")
+        # --- train the meta-learner on what was recorded ----------------
+        try:
+            _, report = train_weights(SearchHistorySink.load(history_path),
+                                      repo, engine.ensemble)
+        except MatchError as exc:
+            print(f"history cannot train the learner ({exc}); "
+                  f"keeping uniform weights")
+            repo.close()
+            return
+    print(f"recorded history: {report.summary()}\n")
 
     # --- the next session starts with the learned scheme --------------
     tuned = MatcherEnsemble.default()
-    tuned.set_weights(weights)
+    tuned.set_weights(report.weights)
     tuned_engine = repo.engine(ensemble=tuned)
     final_draft, final_keywords = ITERATIONS[-1]
     print("re-running the last query with learned weights:")

@@ -10,7 +10,11 @@ rule reconciles three sources of truth:
   ``add_argument`` — no phantom flags;
 * every ``SchemrConfig`` field must either appear as a mapping value
   (reachable from the CLI) or carry a ``# lint: internal (reason)``
-  pragma on its declaration line (documented internal knob).
+  pragma on its declaration line (documented internal knob);
+* every ``SchemrConfig`` field must be read as an attribute by some
+  ``repro`` module other than ``repro.core.config`` (matched by name,
+  not type): a knob nothing reads is dead.  Only the rule id, not the
+  ``internal`` pragma, silences this finding.
 
 Like the metric rule it is a project rule, inert unless both anchor
 modules (``repro.core.config`` and ``repro.cli``) are in the scan.
@@ -71,6 +75,18 @@ def _flag_mapping(source: SourceFile
     return None
 
 
+def _attribute_reads(sources: Sequence[SourceFile],
+                     config: SourceFile) -> set[str]:
+    """Attribute names the program's other modules load."""
+    package = config.module.split(".")[0] + "."
+    return {node.attr
+            for source in sources
+            if source is not config and source.module.startswith(package)
+            for node in ast.walk(source.tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def _declared_flags(source: SourceFile) -> set[str]:
     """Every string flag passed to an ``add_argument`` call."""
     flags: set[str] = set()
@@ -91,9 +107,15 @@ def _declared_flags(source: SourceFile) -> set[str]:
 class ConfigCliDriftRule(Rule):
     id = "config-cli-drift"
     pragma = "internal"
-    description = ("every SchemrConfig field is CLI-reachable via "
-                   "SERVE_FLAG_FIELDS or marked `# lint: internal`; "
-                   "the mapping names only real fields and flags")
+    description = ("every SchemrConfig field is read outside config.py "
+                   "and is CLI-reachable via SERVE_FLAG_FIELDS or "
+                   "marked `# lint: internal`; the mapping names only "
+                   "real fields and flags")
+
+    def suppressed(self, source: SourceFile, line: int) -> bool:
+        # The ``internal`` token is honoured only by the reachability
+        # check below; a dead knob yields to the rule id alone.
+        return source.has_pragma(line, self.id)
 
     def check_project(self,
                       sources: Sequence[SourceFile]) -> Iterable[Finding]:
@@ -130,11 +152,18 @@ class ConfigCliDriftRule(Rule):
                     f"declares it"))
 
         mapped_fields = {field for field, _line in mapping.values()}
+        reads = _attribute_reads(sources, config)
         for field_name, line in sorted(fields.items(),
                                        key=lambda kv: kv[1]):
+            if field_name not in reads:
+                findings.append(self.finding(
+                    config, line,
+                    f"{CONFIG_CLASS}.{field_name} is never read outside "
+                    f"{CONFIG_MODULE}; delete the dead knob or wire it "
+                    f"up"))
             if field_name in mapped_fields:
                 continue
-            if config.has_pragma(line, self.id, self.pragma):
+            if config.has_pragma(line, self.pragma):
                 continue
             findings.append(self.finding(
                 config, line,

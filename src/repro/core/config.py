@@ -36,13 +36,11 @@ class SchemrConfig:
     generation is part of both keys.  0 disables both caches.
 
     ``telemetry_enabled`` turns on the :mod:`repro.telemetry`
-    subsystem: per-phase metrics and spans, query profiles, the
-    slow-query log, and (when ``history_path`` is set) the JSONL
+    subsystem: per-phase metrics, the ring of recent query profiles,
+    the slow-query log, and (when ``history_path`` is set) the JSONL
     search-history sink.  Off by default — the disabled path is a
     handful of no-op calls per query.  ``slow_query_seconds`` is the
-    latency above which a search lands in the slow-query log;
-    ``trace_buffer_size`` / ``profile_buffer_size`` bound the in-memory
-    rings of recent span trees and query profiles.
+    latency above which a search lands in the slow-query log.
     ``history_max_bytes`` bounds the history sink's live JSONL file:
     past it the file rotates to ``<history_path>.1`` (see
     :class:`~repro.telemetry.history.SearchHistorySink`), so a
@@ -50,16 +48,14 @@ class SchemrConfig:
 
     ``search_budget_seconds`` arms the :mod:`repro.resilience` layer:
     each search gets a wall-clock :class:`~repro.resilience.Deadline`
-    and, under pressure, degrades along the ladder set by the
-    ``degrade_*_fraction`` thresholds (remaining-budget fractions at
-    which the engine shrinks the phase-2 pool, drops to the name
-    matcher, or returns the phase-1 ranking outright).  ``None`` (the
-    default) disables budgets entirely.
+    and, under pressure, degrades along the
+    :class:`~repro.resilience.deadline.DegradationLadder` (the
+    remaining-budget fractions at which the engine shrinks the phase-2
+    pool, drops to the name matcher, or returns the phase-1 ranking
+    outright).  ``None`` (the default) disables budgets entirely.
 
     ``breaker_failure_threshold`` / ``breaker_reset_seconds`` shape the
-    circuit breakers around each matcher and the schema source;
-    ``retry_attempts`` / ``retry_base_seconds`` shape the
-    backoff-with-jitter retries on transient sqlite lock errors.
+    circuit breakers around each matcher and the schema source.
 
     ``max_concurrent_searches`` / ``admission_queue_size`` /
     ``admission_timeout_seconds`` bound the HTTP server's admission
@@ -104,18 +100,11 @@ class SchemrConfig:
     query_cache_size: int = 256
     telemetry_enabled: bool = False  # lint: internal (serve always enables)
     slow_query_seconds: float = 0.25
-    trace_buffer_size: int = 64  # lint: internal (memory bound, not a tuning knob)
-    profile_buffer_size: int = 256  # lint: internal (memory bound, not a tuning knob)
     history_path: str | None = None
     history_max_bytes: int | None = None
     search_budget_seconds: float | None = None
-    degrade_reduced_pool_fraction: float = 0.5  # lint: internal (ladder shape; budget is the knob)
-    degrade_name_only_fraction: float = 0.25  # lint: internal (ladder shape; budget is the knob)
-    degrade_phase1_fraction: float = 0.10  # lint: internal (ladder shape; budget is the knob)
     breaker_failure_threshold: int = 5  # lint: internal (resilience default; chaos suite tunes it)
     breaker_reset_seconds: float = 30.0  # lint: internal (resilience default; chaos suite tunes it)
-    retry_attempts: int = 4  # lint: internal (sqlite-lock backoff; not operator-facing)
-    retry_base_seconds: float = 0.01  # lint: internal (sqlite-lock backoff; not operator-facing)
     max_concurrent_searches: int = 32
     admission_queue_size: int = 64
     admission_timeout_seconds: float = 0.5
@@ -140,14 +129,6 @@ class SchemrConfig:
             raise QueryError(
                 "slow_query_seconds must be positive, got "
                 f"{self.slow_query_seconds}")
-        if self.trace_buffer_size < 1:
-            raise QueryError(
-                "trace_buffer_size must be >= 1, got "
-                f"{self.trace_buffer_size}")
-        if self.profile_buffer_size < 1:
-            raise QueryError(
-                "profile_buffer_size must be >= 1, got "
-                f"{self.profile_buffer_size}")
         if self.history_max_bytes is not None and self.history_max_bytes < 1:
             raise QueryError(
                 "history_max_bytes must be >= 1 or None, got "
@@ -157,15 +138,6 @@ class SchemrConfig:
             raise QueryError(
                 "search_budget_seconds must be positive or None, got "
                 f"{self.search_budget_seconds}")
-        if not (0.0 < self.degrade_phase1_fraction
-                <= self.degrade_name_only_fraction
-                <= self.degrade_reduced_pool_fraction < 1.0):
-            raise QueryError(
-                "degradation fractions must satisfy 0 < phase1 <= "
-                "name_only <= reduced_pool < 1, got "
-                f"{self.degrade_phase1_fraction}/"
-                f"{self.degrade_name_only_fraction}/"
-                f"{self.degrade_reduced_pool_fraction}")
         if self.breaker_failure_threshold < 1:
             raise QueryError(
                 "breaker_failure_threshold must be >= 1, got "
@@ -174,13 +146,6 @@ class SchemrConfig:
             raise QueryError(
                 "breaker_reset_seconds must be positive, got "
                 f"{self.breaker_reset_seconds}")
-        if self.retry_attempts < 1:
-            raise QueryError(
-                f"retry_attempts must be >= 1, got {self.retry_attempts}")
-        if self.retry_base_seconds <= 0:
-            raise QueryError(
-                "retry_base_seconds must be positive, got "
-                f"{self.retry_base_seconds}")
         if self.max_concurrent_searches < 1:
             raise QueryError(
                 "max_concurrent_searches must be >= 1, got "

@@ -254,10 +254,7 @@ class SchemrEngine:
         self._pages = (QueryCache(size) if size > 0 and hasattr(
             self._executor, "searcher") else None)
         self._pages_stamp: tuple | None = None
-        self._ladder = DegradationLadder(
-            reduced_pool_fraction=self._config.degrade_reduced_pool_fraction,
-            name_only_fraction=self._config.degrade_name_only_fraction,
-            phase1_fraction=self._config.degrade_phase1_fraction)
+        self._ladder = DegradationLadder()
         #: The :class:`QueryProfile` of the most recent search —
         #: populated whether or not telemetry is enabled, so callers can
         #: always see *why* a query came back empty.
@@ -459,19 +456,16 @@ class SchemrEngine:
         profile = QueryProfile()
         deadline = Deadline(self._config.search_budget_seconds,
                             clock=self._clock)
-        tracer = self._telemetry.tracer
-        with tracer.span("search"):
-            key = self._page_key(keywords, fragment, top_n, offset)
-            if key is not None:
-                cached = self._pages.get(key)
-                if cached is not None:
-                    return self._serve_cached(cached, profile, started,
-                                              top_n, offset, deadline)
-            with profile.timed_phase(PHASE_PARSE) as phase, \
-                    tracer.span(PHASE_PARSE):
-                query = parse_query(keywords=keywords, fragment=fragment)
-                phase.items_out = len(query)
-            return self._run(query, top_n, offset, profile, deadline, key)
+        key = self._page_key(keywords, fragment, top_n, offset)
+        if key is not None:
+            cached = self._pages.get(key)
+            if cached is not None:
+                return self._serve_cached(cached, profile, started,
+                                          top_n, offset, deadline)
+        with profile.timed_phase(PHASE_PARSE) as phase:
+            query = parse_query(keywords=keywords, fragment=fragment)
+            phase.items_out = len(query)
+        return self._run(query, top_n, offset, profile, deadline, key)
 
     def search_graph(self, query: QueryGraph, top_n: int = 10,
                      offset: int = 0) -> list[SearchResult]:
@@ -480,8 +474,7 @@ class SchemrEngine:
             raise QueryError("query graph is empty")
         deadline = Deadline(self._config.search_budget_seconds,
                             clock=self._clock)
-        with self._telemetry.tracer.span("search"):
-            return self._run(query, top_n, offset, QueryProfile(), deadline)
+        return self._run(query, top_n, offset, QueryProfile(), deadline)
 
     def match_and_score(self, query: QueryGraph, pool: list[IndexHit],
                         deadline: Deadline | None = None,
@@ -568,12 +561,10 @@ class SchemrEngine:
             raise QueryError(f"top_n must be positive, got {top_n}")
         if offset < 0:
             raise QueryError(f"offset must be >= 0, got {offset}")
-        tracer = self._telemetry.tracer
         executor = self._executor
 
         # Phase 1: candidate extraction over the document index.
-        with profile.timed_phase(PHASE_CANDIDATES) as phase, \
-                tracer.span(PHASE_CANDIDATES):
+        with profile.timed_phase(PHASE_CANDIDATES) as phase:
             flattened = query.flatten()
             phase.items_in = len(flattened)
             FAULTS.hit("engine.phase1")
@@ -596,15 +587,13 @@ class SchemrEngine:
             # ranking instead of failing the search.
             try:
                 # Phase 2: fine-grained matching of each candidate.
-                with profile.timed_phase(PHASE_MATCHING) as phase, \
-                        tracer.span(PHASE_MATCHING):
+                with profile.timed_phase(PHASE_MATCHING) as phase:
                     phase.items_in = len(pool)
                     matched = executor.match(
                         query, pool, deadline, level >= DEGRADE_NAME_ONLY)
                     phase.items_out = len(matched)
                 # Phase 3: tightness-of-fit scoring and final ranking.
-                with profile.timed_phase(PHASE_TIGHTNESS) as phase, \
-                        tracer.span(PHASE_TIGHTNESS):
+                with profile.timed_phase(PHASE_TIGHTNESS) as phase:
                     phase.items_in = len(matched)
                     scored = executor.score(matched)
                     scored.sort(

@@ -32,6 +32,7 @@ manifest fetch).  ``/readyz`` on a replica gates on the former.
 
 from __future__ import annotations
 
+import http.client
 import logging
 import os
 import threading
@@ -160,15 +161,21 @@ class ReplicaSyncer:
         """Pull the primary's committed state; returns what changed.
 
         Raises :class:`~repro.errors.ServiceError` when the primary is
-        unreachable or keeps yanking segments faster than we can pull
-        (pathological merge churn), and propagates verification
-        failures — the poll loop counts those and tries again.
+        unreachable, drops the connection mid-response, or keeps
+        yanking segments faster than we can pull (pathological merge
+        churn), and propagates verification failures — the poll loop
+        counts those and tries again.
         """
         try:
             return self._sync_cycle()
         except SchemrError:
             self._count_sync("error")
             raise
+        except (OSError, http.client.HTTPException) as exc:
+            # A reset or truncated transfer; the partial ``.tmp`` it
+            # left is resumed next cycle.
+            self._count_sync("error")
+            raise ServiceError(f"replica sync interrupted: {exc!r}") from exc
 
     def _sync_cycle(self) -> SyncReport:
         last: SegmentVanished | None = None

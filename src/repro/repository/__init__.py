@@ -3,9 +3,10 @@
 The original system sits on Yggdrasil, OpenII's schema repository; this
 package provides the equivalent on SQLite: durable schema storage with
 a change log, an offline indexer that refreshes the text index "at
-scheduled intervals" from that change log, recorded search history (the
-meta-learner's training data), and the collaborative features the paper
-plans (ratings, comments, usage statistics).
+scheduled intervals" from that change log, and the collaborative
+features the paper plans (ratings, comments, usage statistics).  The
+meta-learner's training data, recorded search history, is the JSONL
+:class:`~repro.telemetry.history.SearchHistorySink`.
 """
 
 from repro.repository.collab import (
@@ -20,12 +21,6 @@ from repro.repository.collab import (
     record_impressions,
     usage_stats,
 )
-from repro.repository.history import (
-    HistoryEntry,
-    build_training_set,
-    load_history,
-    record_search,
-)
 from repro.repository.exporter import export_ddl, export_entity_ddl, export_xsd
 from repro.repository.indexer import RepositoryIndexer
 from repro.repository.store import SchemaRepository
@@ -35,19 +30,15 @@ __all__ = [
     "export_entity_ddl",
     "export_xsd",
     "Comment",
-    "HistoryEntry",
     "Rating",
     "RepositoryIndexer",
     "SchemaRepository",
     "UsageStats",
     "add_comment",
     "average_rating",
-    "build_training_set",
     "comments_for",
-    "load_history",
     "rate_schema",
     "record_click",
     "record_impressions",
-    "record_search",
     "usage_stats",
 ]

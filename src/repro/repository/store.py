@@ -51,14 +51,6 @@ CREATE TABLE IF NOT EXISTS changelog (
     op          TEXT NOT NULL CHECK (op IN ('add', 'update', 'delete')),
     changed_at  REAL NOT NULL
 );
-CREATE TABLE IF NOT EXISTS search_history (
-    entry_id    INTEGER PRIMARY KEY AUTOINCREMENT,
-    query_terms TEXT NOT NULL,
-    schema_id   INTEGER NOT NULL,
-    relevant    INTEGER NOT NULL,
-    features    TEXT NOT NULL DEFAULT '{}',
-    searched_at REAL NOT NULL
-);
 CREATE TABLE IF NOT EXISTS ratings (
     rating_id   INTEGER PRIMARY KEY AUTOINCREMENT,
     schema_id   INTEGER NOT NULL,
@@ -80,7 +72,6 @@ CREATE TABLE IF NOT EXISTS usage_stats (
     clicks      INTEGER NOT NULL DEFAULT 0
 );
 CREATE INDEX IF NOT EXISTS idx_changelog_change ON changelog (change_id);
-CREATE INDEX IF NOT EXISTS idx_history_schema ON search_history (schema_id);
 """
 
 

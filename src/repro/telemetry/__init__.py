@@ -1,26 +1,25 @@
 """``repro.telemetry`` — observability for the three-phase pipeline.
 
-The subsystem has four parts, all owned by one :class:`Telemetry`
+The subsystem has three parts, all owned by one :class:`Telemetry`
 facade so a single object wires the whole engine:
 
 * :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` of
   lock-protected counters, gauges, and fixed-bucket histograms with a
   Prometheus text exposition (the ``/metrics`` endpoint);
-* :mod:`repro.telemetry.trace` — a :class:`SpanTracer` producing
-  nested, monotonic-clock spans per search, retained in a bounded ring;
 * :mod:`repro.telemetry.profile` — one :class:`QueryProfile` per
   search (phase wall time, candidate counts, cache/prune outcomes,
-  empty-result reason) plus the slow-query log;
+  empty-result reason) plus the slow-query log; it is the one
+  per-search timing record;
 * :mod:`repro.telemetry.history` — a persistent JSONL
   :class:`SearchHistorySink` of query terms and ranked results, the
   raw feed for the paper's search-history meta-learner.
 
 Telemetry is **off by default** (``SchemrConfig.telemetry_enabled``).
 Disabled, every instrument is a shared no-op object: the pipeline pays
-a handful of attribute lookups and empty calls per query — measured by
-``benchmarks/bench_telemetry_overhead.py`` to be well under 2% — and
-nothing is retained.  Enabled, the engine, searcher, caches, indexer,
-and HTTP service all report into the same facade.
+a handful of attribute lookups and empty calls per query (bounded by
+``benchmarks/bench_telemetry_overhead.py``) and nothing is retained.
+Enabled, the engine, searcher, caches, indexer, and HTTP service all
+report into the same facade.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from repro.telemetry.profile import (
     QueryProfile,
     QueryProfileLog,
 )
-from repro.telemetry.trace import Span, SpanTracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import SchemrConfig
@@ -68,14 +66,12 @@ __all__ = [
     "QueryProfile",
     "QueryProfileLog",
     "SearchHistorySink",
-    "Span",
-    "SpanTracer",
     "Telemetry",
 ]
 
 
 class Telemetry:
-    """One handle over metrics, tracing, profiling, and history.
+    """One handle over metrics, profiling, and history.
 
     Construct via :meth:`from_config` (the engine does this) or
     directly in tests.  A disabled instance exposes the same API with
@@ -86,8 +82,6 @@ class Telemetry:
     """
 
     def __init__(self, enabled: bool = True, *,
-                 trace_buffer_size: int = 64,
-                 profile_buffer_size: int = 256,
                  slow_query_seconds: float = 0.25,
                  history_path: str | Path | None = None,
                  history_max_bytes: int | None = None,
@@ -95,11 +89,7 @@ class Telemetry:
         self.enabled = enabled
         self.wall_clock = wall_clock
         self.metrics = MetricsRegistry(enabled=enabled)
-        self.tracer = SpanTracer(buffer_size=trace_buffer_size,
-                                 enabled=enabled,
-                                 wall_clock=wall_clock)
         self.profiles = QueryProfileLog(
-            buffer_size=profile_buffer_size,
             slow_threshold_seconds=slow_query_seconds)
         self.history: SearchHistorySink | None = (
             SearchHistorySink(history_path, wall_clock=wall_clock,
@@ -111,8 +101,6 @@ class Telemetry:
         """The engine's constructor path: knobs from SchemrConfig."""
         return cls(
             enabled=config.telemetry_enabled,
-            trace_buffer_size=config.trace_buffer_size,
-            profile_buffer_size=config.profile_buffer_size,
             slow_query_seconds=config.slow_query_seconds,
             history_path=config.history_path,
             history_max_bytes=config.history_max_bytes,

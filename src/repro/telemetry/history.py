@@ -1,14 +1,13 @@
 """Persistent JSONL search-history sink.
 
 "As Schemr is utilized in practice, we can record search histories to
-create a training set of search-term to schema-fragment matches" — the
-SQLite ``search_history`` table (:mod:`repro.repository.history`)
-stores *judged* (query, schema, relevant) triples once a user clicks.
-This sink is the raw feed in front of that: every search's query terms
-and ranked results, appended to a JSON-Lines file as they happen, so
-the meta-learner's training-set builder (and offline replay/load
-testing) can consume the full traffic log without touching the serving
-database.
+create a training set of search-term to schema-fragment matches" — this
+sink is that record: every search's query terms and ranked results,
+appended to a JSON-Lines file as they happen, with ``clicked`` flags on
+the results a user (or a synthetic click model) selected.  The
+meta-learner's training-set builder
+(:func:`~repro.workload.train.examples_from_history`) and offline
+replay/load testing consume it without touching the serving database.
 
 One JSON object per line::
 

@@ -22,6 +22,7 @@ histogram.
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -382,6 +383,13 @@ def _escape(value: str) -> str:
 
 
 def _format(value: float) -> str:
+    """A sample value as the exposition format spells it: integral
+    values without a decimal point, non-finite ones as ``+Inf``,
+    ``-Inf`` and ``NaN``."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)

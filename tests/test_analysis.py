@@ -371,6 +371,9 @@ GOOD_CLI = """
 
     def build(parser):
         parser.add_argument("--pool", type=int)
+
+    def run(config):
+        return config.pool, config.hidden
 """
 
 
@@ -399,6 +402,50 @@ def test_config_drift_internal_pragma_documents_field(tmp_path):
         """,
         GOOD_CLI)
     assert [f for f in result.findings
+            if f.rule == "config-cli-drift"] == []
+
+
+def test_config_drift_flags_field_nothing_reads(tmp_path):
+    # Validating a knob in config.py is not a use, and the `internal`
+    # pragma documents a knob without excusing a dead one.
+    result = _drift_corpus(
+        tmp_path,
+        """
+        class SchemrConfig:
+            pool: int = 5
+            hidden: float = 1.0  # lint: internal (ablation knob)
+            dead: int = 4  # lint: internal (backoff knob)
+
+            def __post_init__(self):
+                if self.dead < 1:
+                    raise ValueError(self.dead)
+        """,
+        GOOD_CLI)
+    findings = [f for f in result.findings if f.rule == "config-cli-drift"]
+    assert [f.message for f in findings] == [
+        "SchemrConfig.dead is never read outside repro.core.config; "
+        "delete the dead knob or wire it up"]
+    assert findings[0].line == 5
+
+
+def test_config_drift_counts_reads_in_any_program_module(tmp_path):
+    result = _drift_corpus(
+        tmp_path,
+        """
+        class SchemrConfig:
+            pool: int = 5
+            hidden: float = 1.0  # lint: internal (ablation knob)
+        """,
+        GOOD_CLI.replace(", config.hidden", ""))
+    messages = [f.message for f in result.findings
+                if f.rule == "config-cli-drift"]
+    assert messages == ["SchemrConfig.hidden is never read outside "
+                        "repro.core.config; delete the dead knob or wire "
+                        "it up"]
+    engine = tmp_path / "repro" / "core" / "engine.py"
+    engine.write_text("def run(config):\n    return config.hidden\n",
+                      encoding="utf-8")
+    assert [f for f in run_lint([tmp_path]).findings
             if f.rule == "config-cli-drift"] == []
 
 

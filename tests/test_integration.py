@@ -9,12 +9,12 @@ from repro.corpus.groundtruth import QuerySampler
 from repro.core.config import SchemrConfig
 from repro.eval.runner import evaluate_engine
 from repro.matching.ensemble import MatcherEnsemble
-from repro.matching.learner import WeightLearner
 from repro.repository.collab import record_click, record_impressions, usage_stats
-from repro.repository.history import build_training_set, record_search
 from repro.repository.store import SchemaRepository
 from repro.service.client import SchemrClient
 from repro.service.server import SchemrServer
+from repro.telemetry.history import SearchHistorySink
+from repro.workload.train import train_weights
 
 
 @pytest.fixture(scope="module")
@@ -89,37 +89,27 @@ class TestSearchQuality:
 
 class TestLearnedWeights:
     def test_history_improves_or_preserves_weighting(self,
-                                                     corpus_repository):
-        """Record clicks where the name matcher was informative; learned
-        weights must favor name over context afterwards."""
+                                                     corpus_repository,
+                                                     tmp_path):
+        """Record searches with clicks on the relevant results; the
+        meta-learner trained on that history yields a normalized
+        weighting the ensemble accepts."""
         repo, corpus = corpus_repository
         engine = repo.engine()
         sampler = QuerySampler(corpus, DOMAINS, seed=11)
-        for query in sampler.sample(25):
-            results = engine.search(keywords=query.keywords, top_n=5)
-            for result in results:
-                relevant = result.schema_id in query.exact_ids
-                ensemble_result = engine.ensemble.match(
-                    _query_graph(query), repo.get_schema(result.schema_id))
-                features = {
-                    name: float(matrix.values.max())
-                    for name, matrix in ensemble_result.per_matcher.items()
-                }
-                record_search(repo, " ".join(query.keywords),
-                              result.schema_id, relevant, features)
-        examples = build_training_set(repo)
-        assert len(examples) >= 50
-        learner = WeightLearner(engine.ensemble.matcher_names)
-        learner.fit(examples)
-        weights = learner.weights()
+        path = tmp_path / "history.jsonl"
+        with SearchHistorySink(path) as sink:
+            for query in sampler.sample(25):
+                results = engine.search(keywords=query.keywords, top_n=5)
+                sink.record(query.keywords, results,
+                            clicked_ids=query.exact_ids)
+        _, report = train_weights(SearchHistorySink.load(path), repo,
+                                  engine.ensemble)
+        assert report.examples >= 50
+        assert report.positives > 0
         ensemble = MatcherEnsemble.default()
-        ensemble.set_weights(weights)  # must be accepted
-        assert sum(weights.values()) == pytest.approx(1.0)
-
-
-def _query_graph(query):
-    from repro.model.query import QueryGraph
-    return QueryGraph.build(keywords=query.keywords)
+        ensemble.set_weights(report.weights)  # must be accepted
+        assert sum(report.weights.values()) == pytest.approx(1.0)
 
 
 class TestServiceOverCorpus:

@@ -20,8 +20,10 @@ committed state is the only state that exists.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import time
 
 import pytest
 
@@ -149,6 +151,28 @@ class TestReplicationManifest:
 
 # -- the syncer --------------------------------------------------------------
 
+class DroppingSource(DirectorySource):
+    """A directory source whose first segment transfer dies after one
+    chunk, the way a primary resetting the connection mid-response
+    surfaces through :class:`~repro.replication.source.HttpSource`."""
+
+    def __init__(self, root, error: Exception) -> None:
+        super().__init__(root)
+        self._error: Exception | None = error
+
+    def segment_chunks(self, dirname, filename, offset=0):
+        chunks = super().segment_chunks(dirname, filename, offset)
+        if self._error is None:
+            yield from chunks
+            return
+        error, self._error = self._error, None
+        try:
+            yield next(chunks)
+        finally:
+            chunks.close()
+        raise error
+
+
 class TestReplicaSyncer:
     def test_flat_round_trip_byte_identical(self, tmp_path):
         primary = make_primary(tmp_path / "p")
@@ -263,6 +287,34 @@ class TestReplicaSyncer:
         assert 'schemr_replica_syncs_total{outcome="changed"} 1' in text
         assert 'schemr_replica_syncs_total{outcome="unchanged"} 1' in text
         assert "schemr_replica_pulled_segments_total 1" in text
+
+
+    @pytest.mark.parametrize("error", [
+        ConnectionResetError(104, "Connection reset by peer"),
+        http.client.IncompleteRead(b"partial", 4096),
+    ], ids=["connection_reset", "incomplete_read"])
+    def test_dropped_transfer_keeps_the_poll_loop_alive(self, tmp_path,
+                                                        error):
+        make_primary(tmp_path / "p")
+        telemetry = Telemetry(enabled=True)
+        syncer = ReplicaSyncer(DroppingSource(tmp_path / "p", error),
+                               tmp_path / "r", telemetry=telemetry,
+                               poll_seconds=0.01)
+        syncer.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while syncer.generation != 8 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            syncer.stop()
+        # The dropped transfer was one counted error; the next cycle
+        # resumed the partial pull and committed the primary's state.
+        assert syncer.generation == 8
+        text = telemetry.metrics.to_prometheus_text()
+        assert 'schemr_replica_syncs_total{outcome="error"} 1' in text
+        assert committed_state(tmp_path / "r") == \
+            committed_state(tmp_path / "p")
+
 
 
 # -- torn control files ------------------------------------------------------

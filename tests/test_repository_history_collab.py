@@ -1,9 +1,8 @@
-"""Unit tests for search history and collaboration features."""
+"""Unit tests for the repository's collaboration features."""
 
 import pytest
 
 from repro.errors import RepositoryError
-from repro.matching.learner import WeightLearner
 from repro.repository.collab import (
     add_comment,
     average_rating,
@@ -12,11 +11,6 @@ from repro.repository.collab import (
     record_click,
     record_impressions,
     usage_stats,
-)
-from repro.repository.history import (
-    build_training_set,
-    load_history,
-    record_search,
 )
 from repro.repository.store import SchemaRepository
 
@@ -29,55 +23,6 @@ def repo_with_schema():
     schema_id = repo.add_schema(build_clinic_schema())
     yield repo, schema_id
     repo.close()
-
-
-class TestHistory:
-    def test_record_and_load(self, repo_with_schema):
-        repo, schema_id = repo_with_schema
-        entry_id = record_search(repo, "patient height", schema_id,
-                                 relevant=True,
-                                 features={"name": 0.9, "context": 0.4})
-        entries = load_history(repo)
-        assert len(entries) == 1
-        assert entries[0].entry_id == entry_id
-        assert entries[0].relevant is True
-        assert entries[0].features == {"name": 0.9, "context": 0.4}
-
-    def test_empty_query_rejected(self, repo_with_schema):
-        repo, schema_id = repo_with_schema
-        with pytest.raises(RepositoryError):
-            record_search(repo, "  ", schema_id, relevant=True)
-
-    def test_unknown_schema_rejected(self, repo_with_schema):
-        repo, _ = repo_with_schema
-        with pytest.raises(RepositoryError):
-            record_search(repo, "x", 999, relevant=True)
-
-    def test_limit(self, repo_with_schema):
-        repo, schema_id = repo_with_schema
-        for i in range(5):
-            record_search(repo, f"q{i}", schema_id, relevant=bool(i % 2))
-        assert len(load_history(repo, limit=3)) == 3
-
-    def test_training_set_skips_featureless(self, repo_with_schema):
-        repo, schema_id = repo_with_schema
-        record_search(repo, "with", schema_id, relevant=True,
-                      features={"name": 0.9})
-        record_search(repo, "without", schema_id, relevant=False)
-        examples = build_training_set(repo)
-        assert len(examples) == 1
-
-    def test_history_feeds_learner(self, repo_with_schema):
-        """End-to-end: recorded history trains the weight learner."""
-        repo, schema_id = repo_with_schema
-        for i in range(40):
-            relevant = i % 2 == 0
-            record_search(repo, f"q{i}", schema_id, relevant=relevant,
-                          features={"name": 0.9 if relevant else 0.1,
-                                    "context": 0.5})
-        learner = WeightLearner(["name", "context"])
-        learner.fit(build_training_set(repo))
-        assert learner.weights()["name"] > learner.weights()["context"]
 
 
 class TestRatings:

@@ -1,8 +1,8 @@
 """Telemetry wired through the engine, caches, and indexer.
 
 These tests drive the real pipeline (repository -> indexer -> engine)
-with telemetry enabled and assert what lands in the registry, the span
-ring, the profile log, and the history sink.
+with telemetry enabled and assert what lands in the registry, the
+profile log, and the history sink.
 """
 
 import threading
@@ -46,14 +46,6 @@ class TestEngineInstrumentation:
         assert snap.value("schemr_results_total") > 0
         assert snap.value("schemr_index_documents") == 3
 
-    def test_search_produces_span_tree(self, telemetry_engine):
-        telemetry_engine.search(keywords="patient")
-        roots = telemetry_engine.telemetry.tracer.recent()
-        assert [s.name for s in roots] == ["search"]
-        assert roots[0].find(PHASE_CANDIDATES) is not None
-        assert roots[0].find(PHASE_MATCHING) is not None
-        assert roots[0].duration > 0
-
     def test_profile_records_pipeline_shape(self, telemetry_engine):
         results = telemetry_engine.search(keywords="patient height",
                                           top_n=2)
@@ -65,6 +57,8 @@ class TestEngineInstrumentation:
         assert profile.top_n == 2
         assert profile.strategy in ("naive", "packed", "pruned")
         assert profile.total_seconds > 0
+        assert profile.phase_seconds[PHASE_CANDIDATES] > 0
+        assert profile.phase_seconds[PHASE_MATCHING] > 0
         assert profile.empty_reason is None
         assert telemetry_engine.telemetry.profiles.total_count == 1
 
@@ -136,7 +130,6 @@ class TestEngineInstrumentation:
         assert telemetry.metrics.snapshot().value(
             "schemr_searches_total") == 40
         assert telemetry.profiles.total_count == 40
-        assert telemetry.tracer.completed_count == 40
 
 
 class TestDisabledTelemetry:
@@ -148,7 +141,6 @@ class TestDisabledTelemetry:
             telemetry = engine.telemetry
             assert telemetry.enabled is False
             assert telemetry.metrics.snapshot().samples == []
-            assert telemetry.tracer.recent() == []
             assert telemetry.profiles.total_count == 0
             # The empty-reason diagnosis works without telemetry.
             assert engine.last_profile.empty_reason == EMPTY_NO_INDEX_HITS
@@ -268,8 +260,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"slow_query_seconds": 0.0},
         {"slow_query_seconds": -1.0},
-        {"trace_buffer_size": 0},
-        {"profile_buffer_size": 0},
+        {"history_max_bytes": 0},
+        {"history_max_bytes": -1},
     ])
     def test_bad_telemetry_knobs_rejected(self, kwargs):
         with pytest.raises(QueryError):

@@ -208,5 +208,16 @@ class TestPrometheusText:
         text = reg.to_prometheus_text()
         assert r'q="say \"hi\"\nback\\slash"' in text
 
+    def test_non_finite_gauges_render(self):
+        # A replica that has never synced reports infinite lag.
+        reg = MetricsRegistry()
+        reg.gauge("lag", "Lag", callback=lambda: float("inf"))
+        reg.gauge("floor", "Floor", callback=lambda: float("-inf"))
+        reg.gauge("ratio", "Ratio", callback=lambda: float("nan"))
+        text = reg.to_prometheus_text()
+        assert "lag +Inf" in text
+        assert "floor -Inf" in text
+        assert "ratio NaN" in text
+
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().to_prometheus_text() == ""
