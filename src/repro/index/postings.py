@@ -20,6 +20,10 @@ read them in O(1):
 :class:`Posting` remains the per-document view object for callers that
 want positions; it is materialized on demand and shares the live
 positions list (treat it as read-only — mutate through :meth:`add`).
+Bulk consumers (the segment writer) skip it: every postings type hands
+out its term's positions as one doc-major column
+(:meth:`PostingsList.positions_array`), and :func:`position_offsets`
+locates each posting's run inside it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import bisect
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 
@@ -40,6 +45,22 @@ class Posting:
     @property
     def frequency(self) -> int:
         return len(self.positions)
+
+
+def position_offsets(freqs) -> list[int]:
+    """Where each posting's positions start in a doc-major positions
+    column, plus the column's end: the prefix sums of ``freqs``."""
+    return list(accumulate(freqs, initial=0))
+
+
+def postings_from_columns(doc_ids, freqs, positions) -> list[Posting]:
+    """Per-document views over packed columns (one pass, O(cf))."""
+    out = []
+    start = 0
+    for doc_id, freq in zip(doc_ids, freqs):
+        out.append(Posting(doc_id, list(positions[start:start + freq])))
+        start += freq
+    return out
 
 
 class PostingsList:
@@ -91,6 +112,14 @@ class PostingsList:
     def frequencies_array(self) -> array:
         """The frequency column parallel to :meth:`doc_ids_array`."""
         return self._freqs
+
+    def positions_array(self) -> array:
+        """Every posting's positions, concatenated in doc-id order."""
+        column = array("q")
+        positions = self._positions
+        for doc_id in self._doc_ids:
+            column.extend(positions[doc_id])
+        return column
 
     @property
     def postings(self) -> list[Posting]:

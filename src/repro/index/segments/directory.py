@@ -8,11 +8,13 @@ A segment directory is the durable form of a
 
 The manifest is the single commit point.  Every state change — a delta
 flush, a merge, a rebuild, a replica pull — first writes any new
-segment file, then writes ``MANIFEST.json.tmp`` and renames it over the
-manifest.  A crash at any point leaves either the old manifest
-(pointing at the old, still present segment files) or the new one;
-half-written segment files are never referenced and get swept on the
-next commit or on a sweep-enabled open (the single-writer startup
+segment file, then writes ``MANIFEST.json.tmp``, renames it over the
+manifest and fsyncs the directory, so the rename (and every segment
+rename before it) survives a power cut and a reopen finds the last
+committed generation.  A crash at any point leaves either the old
+manifest (pointing at the old, still present segment files) or the new
+one; half-written segment files are never referenced and get swept on
+the next commit or on a sweep-enabled open (the single-writer startup
 path).
 
 Manifest entries record each segment's ``bytes`` and ``crc32``
@@ -41,6 +43,16 @@ _SEGMENT_GLOB = "seg_*.seg"
 RECOVERY_HINT = ("recover by restoring this directory from a replica "
                  "(`schemr replicate`) or re-indexing from the "
                  "repository (`schemr index --segment-dir`)")
+
+
+def fsync_directory(path: Path) -> None:
+    """Flush ``path``'s entries to disk, so renames into it survive a
+    power cut (a file's own fsync does not cover its name)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class SegmentDirectory:
@@ -119,10 +131,11 @@ class SegmentDirectory:
         """Commit a new directory state atomically (tmp + rename).
 
         ``segments`` entries are ``{"file": name, "deleted": [ids],
-        "bytes": n, "crc32": n}``.  After the rename, any ``seg_*.seg``
-        file the new manifest does not reference is an orphan (from a
-        merge, a rebuild, or a crash mid-flush) and is unlinked
-        best-effort.
+        "bytes": n, "crc32": n}``.  One fsync of the directory makes
+        the rename durable, and with it the segment files renamed in
+        before this commit.  After that, any ``seg_*.seg`` file the new
+        manifest does not reference is an orphan (from a merge, a
+        rebuild, or a crash mid-flush) and is unlinked best-effort.
         """
         manifest = {
             "format": MANIFEST_FORMAT,
@@ -140,6 +153,7 @@ class SegmentDirectory:
         # tmp name; the committed state is still the old manifest.
         FAULTS.hit("segments.manifest.pre_rename")
         tmp.replace(self.manifest_path)
+        fsync_directory(self.path)
         # Crash-injection site: the commit landed but the orphan sweep
         # has not run — stale segment files linger until the next
         # commit or sweep-enabled open.

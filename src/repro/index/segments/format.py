@@ -50,7 +50,8 @@ from typing import Iterator
 
 from repro.errors import IndexError_
 from repro.index.documents import Document
-from repro.index.postings import Posting
+from repro.index.postings import (Posting, position_offsets,
+                                  postings_from_columns)
 from repro.resilience.faults import FAULTS
 
 MAGIC = b"SCHMRSEG"
@@ -93,17 +94,6 @@ def file_crc32(path: str | Path, chunk_bytes: int = 1 << 20) -> int:
             crc = zlib.crc32(block, crc)
 
 
-def _column_bytes(column) -> bytes:
-    """Raw little-endian bytes of a packed i64 column.
-
-    Accepts both the in-memory ``array('q')`` columns and the
-    zero-copy memoryviews a mapped segment hands out.
-    """
-    if isinstance(column, memoryview):
-        return bytes(column)
-    return column.tobytes()
-
-
 class _SectionWriter:
     """Sequential section writer: tracks offsets, pads to alignment."""
 
@@ -135,41 +125,38 @@ def write_segment(path: str | Path, index) -> None:
     ``index`` is anything speaking the read side of the
     :class:`~repro.index.inverted.InvertedIndex` protocol
     (``vocabulary`` / ``postings`` / ``documents`` / ``norm``) — the
-    live in-memory index, a delta, or a :class:`SegmentedIndex` being
-    compacted.  The write happens to ``<path>.tmp`` which is fsynced
-    and renamed into place.
+    live in-memory index, a delta, a :class:`SegmentedIndex`, or a
+    :class:`~repro.index.segments.merge.CompactionView` being merged.
+    The write happens to ``<path>.tmp`` which is fsynced and renamed
+    into place.
     """
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
 
     # One pass over the term dictionary gathers every postings-derived
-    # column.  Sources like a compaction view materialize a merged
-    # postings object per call, so ``index.postings`` is called exactly
-    # once per term.  Terms whose live postings are empty (every
-    # occurrence tombstoned) are dropped from the dictionary.
+    # column, each term's as whole packed columns (no per-posting
+    # objects).  Terms whose live postings are empty (every occurrence
+    # tombstoned) are dropped from the dictionary.
     terms = []
     post_off = array("Q", [0])
     pos_off = array("Q", [0])
     max_freqs = array("q")
     doc_ids_buf = bytearray()
     freqs_buf = bytearray()
-    positions_buf = array("q")
+    positions_buf = bytearray()
     total_postings = 0
-    total_positions = 0
-    for term in sorted(index.vocabulary()):
-        postings = index.postings(term)
+    for term, postings in _term_postings(index):
         if not postings:
             continue
         terms.append(term)
         total_postings += len(postings)
-        doc_ids_buf += _column_bytes(postings.doc_ids_array())
-        freqs_buf += _column_bytes(postings.frequencies_array())
+        doc_ids_buf += postings.doc_ids_array()
+        freqs_buf += postings.frequencies_array()
         max_freqs.append(postings.max_frequency)
-        for posting in postings.postings:
-            positions_buf.extend(posting.positions)
-        total_positions = len(positions_buf)
+        positions_buf += postings.positions_array()
         post_off.append(total_postings)
-        pos_off.append(total_positions)
+        pos_off.append(len(positions_buf) // 8)
+    total_positions = pos_off[-1]
     ordinals = {term: i for i, term in enumerate(terms)}
     term_blobs = [term.encode("utf-8") for term in terms]
 
@@ -200,11 +187,11 @@ def write_segment(path: str | Path, index) -> None:
         # term-major and doc-major (doc order = postings order, so
         # per-doc slices are recoverable from the freqs).
         w.begin()
-        w.write(bytes(doc_ids_buf))
+        w.write(doc_ids_buf)
         w.begin()
-        w.write(bytes(freqs_buf))
+        w.write(freqs_buf)
         w.begin()
-        w.write(positions_buf.tobytes())
+        w.write(positions_buf)
         # Crash-injection site: a failure here leaves a torn ``.tmp``
         # with real postings bytes but no norms, doc store, or header —
         # the shape a power cut mid-write produces.  The tmp is never
@@ -226,7 +213,7 @@ def write_segment(path: str | Path, index) -> None:
         for document in documents:
             title = document.title.encode("utf-8")
             summary = document.summary.encode("utf-8")
-            stream = array("i", (ordinals[t] for t in document.terms))
+            stream = array("i", map(ordinals.__getitem__, document.terms))
             record = (_DOC_REC.pack(len(title), len(summary),
                                     len(document.terms))
                       + title + summary + stream.tobytes())
@@ -255,17 +242,35 @@ def write_segment(path: str | Path, index) -> None:
     tmp.replace(path)
 
 
+def _term_postings(index) -> Iterator[tuple[str, object]]:
+    """``(term, postings)`` in term order.
+
+    A source that can walk its dictionaries in order itself (a
+    compaction view: one k-way pass over its segments' sorted term
+    lists) says so with ``term_postings``; anything else is asked term
+    by term over its sorted vocabulary.
+    """
+    walk = getattr(index, "term_postings", None)
+    if walk is not None:
+        return walk()
+    return ((term, index.postings(term))
+            for term in sorted(index.vocabulary()))
+
+
 class SegmentPostings:
     """Read-only postings of one term inside an mmapped segment.
 
     Mirrors the read API of :class:`~repro.index.postings.PostingsList`;
-    the doc-id and frequency columns are zero-copy ``memoryview`` slices
-    of the segment file.  Position streams are decoded on demand (the
-    search hot path never touches them).
+    the doc-id, frequency and positions columns are zero-copy
+    ``memoryview`` slices of the segment file.  The search hot path
+    reads only the first two; a merge copies all three whole
+    (:meth:`positions_array`).  Per-posting position offsets are
+    prefix-summed once, on the first :meth:`get`, so every lookup after
+    that is a bisect.
     """
 
     __slots__ = ("term", "_doc_ids", "_freqs", "_positions",
-                 "_max_frequency", "_collection_frequency")
+                 "_max_frequency", "_collection_frequency", "_offsets")
 
     def __init__(self, term: str, doc_ids, freqs, positions,
                  max_frequency: int, collection_frequency: int) -> None:
@@ -275,6 +280,7 @@ class SegmentPostings:
         self._positions = positions
         self._max_frequency = max_frequency
         self._collection_frequency = collection_frequency
+        self._offsets: list[int] | None = None
 
     @property
     def document_frequency(self) -> int:
@@ -295,24 +301,15 @@ class SegmentPostings:
     def frequencies_array(self):
         return self._freqs
 
-    def _position_slice(self, i: int) -> list[int]:
-        """Positions of the ``i``-th posting (prefix-sums the freqs)."""
-        start = 0
-        freqs = self._freqs
-        for j in range(i):
-            start += freqs[j]
-        return list(self._positions[start:start + freqs[i]])
+    def positions_array(self):
+        """The term's doc-major positions column (a zero-copy
+        memoryview)."""
+        return self._positions
 
     @property
     def postings(self) -> list[Posting]:
-        out = []
-        start = 0
-        for i, doc_id in enumerate(self._doc_ids):
-            freq = self._freqs[i]
-            out.append(Posting(doc_id,
-                               list(self._positions[start:start + freq])))
-            start += freq
-        return out
+        return postings_from_columns(self._doc_ids, self._freqs,
+                                     self._positions)
 
     def _find(self, doc_id: int) -> int | None:
         ids = self._doc_ids
@@ -325,7 +322,11 @@ class SegmentPostings:
         i = self._find(doc_id)
         if i is None:
             return None
-        return Posting(doc_id, self._position_slice(i))
+        offsets = self._offsets
+        if offsets is None:
+            offsets = self._offsets = position_offsets(self._freqs)
+        return Posting(doc_id,
+                       list(self._positions[offsets[i]:offsets[i + 1]]))
 
     def frequency(self, doc_id: int) -> int:
         i = self._find(doc_id)
@@ -471,7 +472,11 @@ class MmapSegment:
         return None
 
     def vocabulary(self) -> Iterator[str]:
-        return (self._term_at(i) for i in range(self.term_count))
+        """The term dictionary in ordinal (= sorted) order, decoded in
+        one pass over a single copy of the term bytes."""
+        tstr, blob = self._tstr_off, bytes(self._term_bytes)
+        return (str(blob[tstr[i]:tstr[i + 1]], "utf-8")
+                for i in range(self.term_count))
 
     # -- postings ----------------------------------------------------------
 
@@ -492,6 +497,14 @@ class MmapSegment:
             self._max_freqs[ordinal],
             c1 - c0,
         )
+
+    def ordered_postings(self, terms: list[str]
+                         ) -> Iterator[tuple[str, SegmentPostings]]:
+        """Every ``(term, postings)`` pair in dictionary order — the
+        merge's sequential walk, with no dictionary search.  ``terms``
+        is this segment's :meth:`vocabulary`, decoded by the caller."""
+        for ordinal, term in enumerate(terms):
+            yield term, self._postings_at(ordinal, term)
 
     def document_frequency(self, term: str) -> int:
         ordinal = self._term_ordinal(term)
@@ -543,7 +556,8 @@ class MmapSegment:
         self._doc_cache[i] = document
         return document
 
-    def _decode_document(self, i: int) -> Document:
+    def _record(self, i: int) -> tuple[str, str, array]:
+        """Title, summary and term-ordinal stream of document ``i``."""
         blob = self._doc_blob
         offset = self._doc_off[i]
         title_len, summary_len, n_terms = _DOC_REC.unpack_from(blob, offset)
@@ -554,12 +568,28 @@ class MmapSegment:
         offset += summary_len
         stream = array("i")
         stream.frombytes(blob[offset:offset + 4 * n_terms])
+        return title, summary, stream
+
+    def _decode_document(self, i: int) -> Document:
+        title, summary, stream = self._record(i)
         return Document(
             doc_id=self._norm_ids[i],
             title=title,
             summary=summary,
             terms=[self._term_at(ordinal) for ordinal in stream],
         )
+
+    def live_documents(self, dead: set[int],
+                       terms: list[str]) -> Iterator[Document]:
+        """Every document not in ``dead``, in doc-id order — the
+        merge's read.  Each ordinal stream maps through ``terms`` (this
+        segment's :meth:`vocabulary`, decoded by the caller); the
+        decoded-document cache is neither read nor filled."""
+        for i, doc_id in enumerate(self._norm_ids):
+            if doc_id not in dead:
+                title, summary, stream = self._record(i)
+                yield Document(doc_id, title, summary,
+                               list(map(terms.__getitem__, stream)))
 
     def documents(self) -> Iterator[Document]:
         return (self._document_at(i) for i in range(self.document_count))

@@ -48,8 +48,9 @@ from typing import Iterator
 from repro.errors import IndexError_, SegmentDirectoryError
 from repro.index.documents import Document
 from repro.index.inverted import IndexSnapshot
-from repro.index.segments.directory import MANIFEST_NAME, RECOVERY_HINT
-from repro.index.segments.merge import merge_postings
+from repro.index.segments.directory import (MANIFEST_NAME, RECOVERY_HINT,
+                                            fsync_directory)
+from repro.index.segments.merge import union_postings
 from repro.index.segments.segmented import SegmentedIndex
 
 SHARDS_NAME = "SHARDS.json"
@@ -104,6 +105,7 @@ def _write_shards_marker(marker: Path, shard_count: int) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     tmp.replace(marker)
+    fsync_directory(marker.parent)
 
 
 def open_segment_index(path: str | Path, shards: int | None = None,
@@ -316,10 +318,10 @@ class ShardedSegmentIndex:
     def postings(self, term: str):
         """Merged live postings for ``term`` across shards, or None.
 
-        Shards partition the doc-id space, so the merge is a pure
-        doc-id-ordered union of already-tombstone-filtered per-shard
-        views — kill sets stay empty and the single-source case passes
-        through zero-copy.  Memoized per generation.
+        Shards partition the doc-id space round-robin, so the merge is
+        a pure doc-id-ordered union of already-tombstone-filtered
+        per-shard views (:func:`union_postings`); the single-source case
+        passes through zero-copy.  Memoized per generation.
         """
         with self._lock:
             memo = self._memos()
@@ -327,18 +329,17 @@ class ShardedSegmentIndex:
                 return memo[term]
             except KeyError:
                 pass
-            sources = []
-            for shard in self._shards:
-                postings = shard.postings(term)
-                if postings is not None:
-                    sources.append((postings, set()))
-            merged = merge_postings(term, sources)
+            merged = union_postings(
+                term, [shard.postings(term) for shard in self._shards])
             memo[term] = merged
             return merged
 
     def document_frequency(self, term: str) -> int:
-        postings = self.postings(term)
-        return 0 if postings is None else len(postings)
+        """A sum over shards (they partition the doc ids), so no union
+        postings list is built for it."""
+        with self._lock:
+            return sum(shard.document_frequency(term)
+                       for shard in self._shards)
 
     def norm(self, doc_id: int) -> float:
         with self._lock:

@@ -8,16 +8,24 @@ directory, merge-policy selection, and the SegmentedIndex lifecycle.
 
 from __future__ import annotations
 
+import os
 import random
+import stat
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import IndexError_
 from repro.index.documents import Document
 from repro.index.inverted import InvertedIndex
+from repro.index.postings import Posting, PostingsList
 from repro.index.searcher import IndexSearcher
 from repro.index.segments import (
     MAGIC,
+    SHARDS_NAME,
     MmapSegment,
     NoMergePolicy,
     SegmentDirectory,
@@ -25,9 +33,11 @@ from repro.index.segments import (
     TieredMergePolicy,
     file_crc32,
     make_merge_policy,
+    merge_postings,
+    open_segment_index,
     write_segment,
 )
-from repro.index.segments.merge import kill_set
+from repro.index.segments.merge import kill_set, union_postings
 
 
 def small_index(count: int = 20, seed: int = 11) -> InvertedIndex:
@@ -154,6 +164,53 @@ class TestSegmentDirectory:
         manifest = directory.read_manifest()
         assert manifest["segments"][0]["file"] == path.name
         assert manifest["last_change_id"] == 5
+
+
+def commit_events(monkeypatch) -> list[tuple[str, str]]:
+    """Record every ``os.fsync`` (of a file or a directory) and every
+    ``Path.replace`` rename, in order."""
+    events: list[tuple[str, str]] = []
+    fsync, replace = os.fsync, Path.replace
+
+    def spy_fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        events.append(("fsync", kind))
+        return fsync(fd)
+
+    def spy_replace(self, target):
+        events.append(("rename", Path(target).name))
+        return replace(self, target)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(Path, "replace", spy_replace)
+    return events
+
+
+def synced_after_rename(events: list[tuple[str, str]], name: str) -> bool:
+    """Whether a directory fsync follows the last rename onto ``name``."""
+    renamed = max(i for i, event in enumerate(events)
+                  if event == ("rename", name))
+    return ("fsync", "dir") in events[renamed + 1:]
+
+
+class TestCommitDurability:
+    """A rename is durable only once its directory is fsynced: without
+    that, a power cut can bring the previous manifest back."""
+
+    def test_manifest_rename_is_followed_by_directory_fsync(
+            self, tmp_path, monkeypatch):
+        index = SegmentedIndex.open(tmp_path / "d", create=True)
+        index.add(Document(1, "a", terms=["patient"]))
+        events = commit_events(monkeypatch)
+        index.flush()
+        assert ("rename", "seg_00000001.seg") in events
+        assert synced_after_rename(events, "MANIFEST.json")
+
+    def test_shards_marker_rename_is_followed_by_directory_fsync(
+            self, tmp_path, monkeypatch):
+        events = commit_events(monkeypatch)
+        open_segment_index(tmp_path / "s", shards=2, create=True)
+        assert synced_after_rename(events, SHARDS_NAME)
 
 
 class TestMergePolicies:
@@ -376,3 +433,227 @@ class TestSegmentedIndexLifecycle:
         assert index.snapshot().norms == snap.norms
         index.add(Document(2, "b", terms=["salary"]))
         assert index.snapshot() is not snap
+
+
+class MergeAll:
+    """Merge every segment into one, and rewrite a lone segment that
+    still carries tombstones."""
+
+    def select(self, live_sizes, dead_counts):
+        if len(live_sizes) > 1 or (live_sizes and dead_counts[0]):
+            return list(range(len(live_sizes)))
+        return None
+
+
+#: Mixed ASCII and non-ASCII terms: the dictionary's byte order and the
+#: k-way term walk must agree with ``sorted`` on code points.
+VOCAB = ["patient", "height", "salary", "orbit", "kelp", "höhe", "été",
+         "code"]
+
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"),
+                  st.lists(st.sampled_from(VOCAB), min_size=1, max_size=8)),
+        st.tuples(st.just("replace"), st.integers(0, 1 << 16),
+                  st.lists(st.sampled_from(VOCAB), min_size=1, max_size=8)),
+        st.tuples(st.just("remove"), st.integers(0, 1 << 16)),
+        st.tuples(st.just("flush")),
+    ),
+    min_size=1, max_size=40)
+
+
+def apply_operations(index: SegmentedIndex, operations, after_flush=None
+                     ) -> dict[int, Document]:
+    """Replay ``operations``; returns the live documents by id.
+
+    ``replace`` and ``remove`` pick a live document by the drawn
+    integer, so replaced documents keep old ids and interleave with
+    newer ones across segments.
+    """
+    live: dict[int, Document] = {}
+    next_id = 0
+    for operation in operations:
+        kind = operation[0]
+        if kind == "add":
+            document = Document(next_id, f"d{next_id}", summary="s",
+                                terms=list(operation[1]))
+            index.add(document)
+            live[next_id] = document
+            next_id += 1
+        elif kind in ("replace", "remove") and live:
+            doc_id = sorted(live)[operation[1] % len(live)]
+            if kind == "replace":
+                document = Document(doc_id, f"r{doc_id}",
+                                    terms=list(operation[2]))
+                index.replace(document)
+                live[doc_id] = document
+            else:
+                index.remove(doc_id)
+                del live[doc_id]
+        elif kind == "flush":
+            index.flush()
+            if after_flush is not None:
+                after_flush(live)
+    return live
+
+
+def fresh_index(live: dict[int, Document]) -> InvertedIndex:
+    index = InvertedIndex()
+    for document in live.values():
+        index.add(document)
+    return index
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestMergeStreamsColumns:
+    def test_merge_builds_no_postings_and_searches_no_dictionary(
+            self, tmp_path, monkeypatch):
+        """Compaction streams columns: no ``Posting`` per (term, doc)
+        and no binary search of a segment's term dictionary."""
+        index = SegmentedIndex.open(tmp_path / "d", create=True)
+        for batch in range(5):
+            for i in range(batch * 10, batch * 10 + 10):
+                index.add(Document(i, f"d{i}", terms=[
+                    VOCAB[i % len(VOCAB)], VOCAB[(i * 3) % len(VOCAB)],
+                    "patient", f"rare{i}"]))
+            index.flush()
+        for i in range(0, 50, 7):
+            index.remove(i)
+        index.replace(Document(3, "r3", terms=["salary", "orbit"]))
+        index.flush()
+        assert index.segment_count == 6 and index.deleted_count == 9
+        counts = {"_term_ordinal": 0, "Posting": 0}
+        term_ordinal, posting_init = MmapSegment._term_ordinal, \
+            Posting.__init__
+
+        def counting_ordinal(self, term):
+            counts["_term_ordinal"] += 1
+            return term_ordinal(self, term)
+
+        def counting_init(self, *args, **kwargs):
+            counts["Posting"] += 1
+            posting_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MmapSegment, "_term_ordinal", counting_ordinal)
+        monkeypatch.setattr(Posting, "__init__", counting_init)
+        assert index.maybe_merge(TieredMergePolicy(
+            max_per_tier=1, floor_docs=64)) == 6
+        assert counts == {"_term_ordinal": 0, "Posting": 0}
+        assert index.segment_count == 1 and index.deleted_count == 0
+        # The spies are not blind: a term lookup and a per-document
+        # positions read trip both.
+        assert index.postings("patient").get(1).positions == [2]
+        assert counts["_term_ordinal"] > 0 and counts["Posting"] > 0
+
+    @PROPERTY_SETTINGS
+    @given(operations=OPERATIONS)
+    def test_merged_segment_bytes_equal_a_fresh_write(self, operations):
+        """Merging down to one segment writes exactly the file a fresh
+        in-memory index over the same live documents writes."""
+        with tempfile.TemporaryDirectory() as root:
+            index = SegmentedIndex.open(Path(root) / "d", create=True)
+            live = apply_operations(index, operations)
+            index.flush()
+            while index.maybe_merge(MergeAll()):
+                pass
+            if not live:
+                assert index.segment_count == 0
+                return
+            assert index.segment_count == 1 and index.deleted_count == 0
+            merged = sorted((Path(root) / "d").glob("seg_*.seg"))
+            assert len(merged) == 1
+            fresh = Path(root) / "fresh.seg"
+            write_segment(fresh, fresh_index(live))
+            assert merged[0].read_bytes() == fresh.read_bytes()
+
+    @PROPERTY_SETTINGS
+    @given(operations=OPERATIONS)
+    def test_partial_tiered_merges_keep_pages_identical(self, operations):
+        """After every flush and the tiered merges it triggers, search
+        pages equal the in-memory index's over the live documents."""
+        queries = [["patient"], ["höhe", "été"], ["salary", "code", "kelp"],
+                   VOCAB]
+        policy = TieredMergePolicy(max_per_tier=2, floor_docs=4)
+
+        with tempfile.TemporaryDirectory() as root:
+            index = SegmentedIndex.open(Path(root) / "d", create=True)
+
+            def merge_and_compare(live):
+                while index.maybe_merge(policy):
+                    pass
+                want = IndexSearcher(fresh_index(live))
+                got = IndexSearcher(index)
+                for query in queries:
+                    for top_n in (3, 50):
+                        assert got.search(query, top_n=top_n) == \
+                            want.search(query, top_n=top_n)
+
+            live = apply_operations(index, operations, merge_and_compare)
+            index.flush()
+            merge_and_compare(live)
+
+
+class TestMergePostings:
+    def test_runs_match_a_sorted_reference_with_positions(self):
+        """Interleaved sources with tombstones merge to the sorted union
+        of their live postings, positions included, and merged views
+        merge again, by runs or by the shard union's sort."""
+        rng = random.Random(3)
+        sources = []
+        expected = {}
+        for s in range(4):
+            plist = PostingsList("t")
+            ids = sorted(rng.sample(range(200), 30))
+            for doc_id in ids:
+                for _ in range(rng.randint(1, 3)):
+                    plist.add(doc_id, rng.randint(0, 99))
+            sources.append(plist)
+        seen: set[int] = set()
+        pairs = []
+        for plist in sources:
+            kill = {doc_id for doc_id in plist.doc_ids()
+                    if doc_id in seen or rng.random() < 0.2}
+            seen.update(plist.doc_ids())
+            pairs.append((plist, kill))
+            for doc_id in plist.doc_ids():
+                if doc_id not in kill:
+                    expected[doc_id] = plist.get(doc_id).positions
+        half = len(pairs) // 2
+        left = merge_postings("t", pairs[:half])
+        right = merge_postings("t", pairs[half:])
+        for merged in (merge_postings("t", pairs),
+                       merge_postings("t", [(left, set()),
+                                            (right, set())]),
+                       union_postings("t", [left, None, right])):
+            assert merged.doc_ids() == sorted(expected)
+            assert list(merged.frequencies_array()) == [
+                len(expected[d]) for d in sorted(expected)]
+            assert list(merged.positions_array()) == [
+                p for d in sorted(expected) for p in expected[d]]
+            assert [(p.doc_id, p.positions) for p in merged] == [
+                (d, expected[d]) for d in sorted(expected)]
+            for doc_id in sorted(expected)[::5]:
+                assert merged.get(doc_id).positions == expected[doc_id]
+            assert merged.get(1000) is None
+
+    def test_union_of_round_robin_shards(self):
+        """Doc ids alternating across shards (one run per posting) union
+        to the sorted postings; a lone source passes through as is."""
+        shards = [PostingsList("t") for _ in range(3)]
+        for doc_id in range(40):
+            for position in range(doc_id % 4 + 1):
+                shards[doc_id % 3].add(doc_id, position)
+        union = union_postings("t", shards)
+        assert union.doc_ids() == list(range(40))
+        assert list(union.frequencies_array()) == [
+            d % 4 + 1 for d in range(40)]
+        assert list(union.positions_array()) == [
+            p for d in range(40) for p in range(d % 4 + 1)]
+        assert union.get(17).positions == [0, 1]
+        assert union_postings("t", [None, shards[1], PostingsList("t")]) \
+            is shards[1]
+        assert union_postings("t", [None, PostingsList("t")]) is None
