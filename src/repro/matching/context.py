@@ -89,8 +89,8 @@ class ContextMatcher(Matcher):
                     if score >= self._threshold:
                         matrix.set(row_label, col_label, score)
             return matrix
-        # Fast path: neighborhood term sets were derived once at ingest
-        # time, and a column depends only on its (frozen) term set, so
+        # Fast path: neighborhood term sets were derived once per
+        # profile, and a column depends only on its (frozen) term set, so
         # each distinct set is scored against the query rows once per
         # search and every later column with that set is a copy.
         columns = (scratch.context_columns.setdefault(self, {})

@@ -5,8 +5,9 @@ candidate per query: re-parse the stored JSON payload, re-split and
 re-normalize every element name, rebuild the entity adjacency map twice
 (context matcher and tightness scorer), and re-run the foreign-key
 transitive closure.  A :class:`SchemaMatchProfile` computes all of those
-artifacts exactly once — at index/ingest time — so a query's match phase
-collapses to dict lookups plus arithmetic:
+artifacts exactly once per schema version — on the first search that
+needs them, then cached by :class:`ProfileStore` — so a query's match
+phase collapses to dict lookups plus arithmetic:
 
 * analyzed element words (abbreviation-expanded and plain) per element;
 * weighted n-gram profiles for every distinct word and squashed name
@@ -84,7 +85,7 @@ class SchemaMatchProfile:
     #: entity -> union of its attributes' words (structure matcher).
     entity_attr_words: dict[str, frozenset[str]]
     #: distinct word / squashed name -> (gram set, total weight); the
-    #: ingest-time half of the weighted n-gram similarity.
+    #: precomputed half of the weighted n-gram similarity.
     word_grams: dict[str, tuple[frozenset[str], float]]
     #: Lazily rehydrated NeighborhoodIndex (not serialized).
     _neighborhoods: NeighborhoodIndex | None = field(
@@ -287,8 +288,15 @@ class ProfileStore:
     protocol from cache, falling through to the underlying source on a
     miss; :meth:`get_profile` serves the precomputed artifacts.  The
     schema and its profile live in one entry, so they can never drift
-    apart.  Mutation paths call :meth:`invalidate` (repository CRUD) or
-    :meth:`put` (indexer refresh) to keep the cache honest.
+    apart.  Mutation paths (repository CRUD, the indexer's refresh)
+    call :meth:`invalidate` to keep the cache honest; read-through fills
+    whatever searches ask for next.
+
+    A fill fetches outside the lock, so a write can land while it is in
+    flight.  Each miss registers a token under the lock, and
+    :meth:`put`, :meth:`invalidate` and :meth:`clear` drop it: a fill
+    whose token is gone returns what it fetched to its caller but never
+    caches it, so an older copy cannot overwrite or outlive a newer one.
 
     Thread-safe: concurrent searches read from serving threads while
     the scheduled indexer refreshes from another.
@@ -304,6 +312,8 @@ class ProfileStore:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[int, tuple[Schema, SchemaMatchProfile]]" \
             = OrderedDict()
+        #: schema id -> token of the read-through fill in flight for it.
+        self._fills: dict[int, object] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -327,29 +337,24 @@ class ProfileStore:
     # -- cache management ----------------------------------------------
 
     def put(self, schema: Schema) -> SchemaMatchProfile:
-        """Eagerly (re)build the entry for ``schema`` — the ingest path.
-
-        Called by the repository indexer while applying changelog
-        entries, so profiles are ready before the first query needs
-        them.
-        """
+        """Eagerly (re)build the entry for ``schema``, so its profile is
+        ready before the first query needs it."""
         if schema.schema_id is None:
             raise RepositoryError(
                 "cannot profile a schema without an id; store it first")
-        profile = self._admit(schema)[1]
-        with self._lock:
-            self._version += 1
-        return profile
+        return self._admit(schema, None)[1]
 
     def invalidate(self, schema_id: int) -> bool:
         """Drop one entry; returns whether it was cached."""
         with self._lock:
             self._version += 1
+            self._fills.pop(schema_id, None)
             return self._entries.pop(schema_id, None) is not None
 
     def clear(self) -> None:
         with self._lock:
             self._version += 1
+            self._fills.clear()
             self._entries.clear()
 
     @property
@@ -408,21 +413,37 @@ class ProfileStore:
                 self._hits += 1
                 return entry
             self._misses += 1
+            token = self._fills[schema_id] = object()
         # Fetch and build outside the lock: sqlite and profile building
-        # are the slow parts, and a racing double-build is benign.
+        # are the slow parts.  A racing double-build is benign; a write
+        # landing meanwhile drops the token, so the fill is not cached.
         from repro.resilience.faults import FAULTS
-        FAULTS.hit("profile_store.lookup")
-        schema = self._source.get_schema(schema_id)
-        return self._admit(schema)
+        try:
+            FAULTS.hit("profile_store.lookup")
+            return self._admit(self._source.get_schema(schema_id), token)
+        except BaseException:
+            with self._lock:
+                if self._fills.get(schema_id) is token:
+                    del self._fills[schema_id]
+            raise
 
-    def _admit(self, schema: Schema) \
+    def _admit(self, schema: Schema, token: object | None) \
             -> tuple[Schema, SchemaMatchProfile]:
+        """Build and cache ``schema``'s entry.  ``token`` is the fill's
+        in-flight token (None for :meth:`put`); a superseded fill's
+        entry is returned but not cached."""
         profile = SchemaMatchProfile.build(schema)
         entry = (schema, profile)
-        assert schema.schema_id is not None
+        schema_id = schema.schema_id
+        assert schema_id is not None
         with self._lock:
-            self._entries[schema.schema_id] = entry
-            self._entries.move_to_end(schema.schema_id)
+            if token is None:
+                self._version += 1
+            elif self._fills.get(schema_id) is not token:
+                return entry
+            self._fills.pop(schema_id, None)
+            self._entries[schema_id] = entry
+            self._entries.move_to_end(schema_id)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
                 self._evictions += 1

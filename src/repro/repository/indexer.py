@@ -44,9 +44,12 @@ class RepositoryIndexer:
     """Keeps an :class:`InvertedIndex` in sync with a repository.
 
     When a :class:`~repro.matching.profile.ProfileStore` is attached,
-    every refresh also keeps match profiles in step with the changelog:
-    deletes invalidate, adds/updates rebuild eagerly (the schema is
-    already in hand), so queries never pay the profile build.
+    every refresh invalidates the entry of each schema it changed, and
+    a rebuild clears the store.  Nothing is built eagerly: read-through
+    fills only what searches ask for, so a batch costs no profile
+    builds and does not evict the readers' working set.  Invalidating
+    still matters when the write came through another repository
+    handle, whose CRUD invalidation never reached this store.
     """
 
     def __init__(self, repository: "SchemaRepository",
@@ -138,10 +141,10 @@ class RepositoryIndexer:
         generation_before = self._index.generation
         logger.debug("indexer refresh: %d pending change(s)",
                      len(changes))
-        # Build off the index lock: repository fetches, flattening and
-        # profile builds are nearly all of a batch's cost, and searches
-        # keep reading the previous generation meanwhile.  A build that
-        # raises publishes nothing.
+        # Build off the index lock: repository fetches and flattening
+        # are nearly all of a batch's cost, and searches keep reading
+        # the previous generation meanwhile.  A build that raises
+        # publishes nothing.
         edits = self._build(final_op)
         # Publish under the lock: only the prepared index edits, so a
         # concurrent searcher (run_scheduled in a background thread is
@@ -166,9 +169,7 @@ class RepositoryIndexer:
         """Resolve a collapsed batch into index edits, off the lock.
 
         One ``(schema_id, document)`` per schema: the document to
-        (re)index, or None to remove it.  Rebuilding the profile here is
-        safe: repository CRUD already invalidated the entry, and a
-        read-through fill would serve the same newest copy.
+        (re)index, or None to remove it.
         """
         edits: list[tuple[int, Document | None]] = []
         for schema_id, op in final_op.items():
@@ -185,8 +186,6 @@ class RepositoryIndexer:
                 edits.append((schema_id, None))
                 continue
             edits.append((schema_id, document_from_schema(schema)))
-            if self._profile_store is not None:
-                self._profile_store.put(schema)
         return edits
 
     def _publish(self, edits: list[tuple[int, Document | None]]) -> int:
@@ -194,12 +193,12 @@ class RepositoryIndexer:
         holds the index lock."""
         applied = 0
         for schema_id, document in edits:
+            if self._profile_store is not None:
+                self._profile_store.invalidate(schema_id)
             if document is not None:
                 self._index.replace(document)
                 applied += 1
                 continue
-            if self._profile_store is not None:
-                self._profile_store.invalidate(schema_id)
             if self._index.has_document(schema_id):
                 self._index.remove(schema_id)
                 applied += 1
@@ -362,6 +361,9 @@ class RepositoryIndexer:
         # (flush and merge take them in that order, and clear() below
         # takes both), so take it first.
         commit_lock = getattr(self._index, "commit_lock", None)
+        # Read the cursor before the schemas: a change committed while
+        # they stream in is replayed by the next refresh, never skipped.
+        changes = self._repository.changes_since(self._last_change_id)
         with commit_lock or nullcontext(), self._index.lock, \
                 self._refreshing_guard():
             self._index.clear()
@@ -369,10 +371,7 @@ class RepositoryIndexer:
                 self._profile_store.clear()
             for schema in self._repository.iter_schemas(skip_corrupt=True):
                 self._index.add(document_from_schema(schema))
-                if self._profile_store is not None:
-                    self._profile_store.put(schema)
                 count += 1
-        changes = self._repository.changes_since(self._last_change_id)
         if changes:
             self._last_change_id = changes[-1][0]
         self._commit_segments()

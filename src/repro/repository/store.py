@@ -15,6 +15,7 @@ import logging
 import sqlite3
 import threading
 import time
+from contextlib import AbstractContextManager, nullcontext
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
@@ -103,6 +104,24 @@ class SchemaRepository:
                 # Network filesystems can refuse WAL; the repository
                 # still works in the default rollback mode.
                 logger.warning("could not enable WAL mode: %s", exc)
+        # Schema fetches (the searches' read-through path) get their own
+        # read-only connection: it sees only committed rows, never
+        # queues behind the lock, and a retry's rollback cannot touch
+        # the writer's open transaction.  An in-memory database exists
+        # only on its one connection, so there fetches share it and
+        # take the lock, which writers hold from first statement to
+        # commit.
+        if self._path == ":memory:":
+            self._read_conn = self._conn
+            self._read_guard: AbstractContextManager[object] = self._lock
+        else:
+            self._read_conn = sqlite3.connect(self._path,
+                                              check_same_thread=False)
+            self._read_conn.row_factory = sqlite3.Row
+            self._read_conn.execute(
+                f"PRAGMA busy_timeout = {int(busy_timeout_seconds * 1000)}")
+            self._read_conn.execute("PRAGMA query_only = ON")
+            self._read_guard = nullcontext()
         #: Backoff policy for transient "database is locked" errors that
         #: survive busy_timeout (e.g. a writer in another process
         #: holding the lock past it).
@@ -117,18 +136,22 @@ class SchemaRepository:
         self._conn.executescript(_SCHEMA_SQL)
         self._conn.commit()
 
-    def _with_retry(self, fn: Callable[[], _T]) -> _T:
-        """Run a sqlite operation, retrying transient lock errors.
+    def _with_retry(self, fn: Callable[[], _T],
+                    conn: sqlite3.Connection | None = None) -> _T:
+        """Run a sqlite operation on ``conn`` (default: the write
+        connection), retrying transient lock errors.
 
-        Rolls back before each retry so a failure mid-transaction
-        cannot leave half a multi-statement operation behind (each
-        retried ``fn`` is written to be idempotent from a clean
-        transaction).
+        Rolls back ``conn`` before each retry so a failure
+        mid-transaction cannot leave half a multi-statement operation
+        behind (each retried ``fn`` is written to be idempotent from a
+        clean transaction).
         """
+        conn = self._conn if conn is None else conn
+
         def before_retry(attempt: int, exc: BaseException) -> None:
             self._retry_count += 1
             try:
-                self._conn.rollback()
+                conn.rollback()
             except sqlite3.Error:  # pragma: no cover - best effort
                 pass
         return retry_transient(fn, self._retry_policy,
@@ -152,6 +175,8 @@ class SchemaRepository:
         return cls(":memory:")
 
     def close(self) -> None:
+        if self._read_conn is not self._conn:
+            self._read_conn.close()
         self._conn.close()
 
     def __enter__(self) -> "SchemaRepository":
@@ -233,13 +258,17 @@ class SchemaRepository:
             self._profile_store.invalidate(schema_id)
 
     def get_schema(self, schema_id: int) -> Schema:
+        """The committed copy of one schema."""
+        conn = self._read_conn
+
         def fetch():
             FAULTS.hit("store.get_schema")
-            return self._conn.execute(
+            return conn.execute(
                 "SELECT payload FROM schemas WHERE schema_id = ?",
                 (schema_id,)).fetchone()
 
-        row = self._with_retry(fetch)
+        with self._read_guard:
+            row = self._with_retry(fetch, conn)
         if row is None:
             raise SchemaNotFound(
                 f"schema {schema_id} is not in the repository")
@@ -296,16 +325,23 @@ class SchemaRepository:
             "VALUES (?, ?, ?)", (schema_id, op, when))
 
     def changes_since(self, change_id: int) -> list[tuple[int, int, str]]:
-        """(change_id, schema_id, op) rows after ``change_id``."""
+        """Committed (change_id, schema_id, op) rows after ``change_id``.
+
+        Read like :meth:`get_schema`, so a refresh's cursor never moves
+        past a change whose schema its fetches cannot see yet.
+        """
+        conn = self._read_conn
+
         def fetch() -> list[tuple[int, int, str]]:
             FAULTS.hit("store.changes_since")
-            cursor = self._conn.execute(
+            cursor = conn.execute(
                 "SELECT change_id, schema_id, op FROM changelog "
                 "WHERE change_id > ? ORDER BY change_id", (change_id,))
             return [(row["change_id"], row["schema_id"], row["op"])
                     for row in cursor]
 
-        return self._with_retry(fetch)
+        with self._read_guard:
+            return self._with_retry(fetch, conn)
 
     # -- imports -----------------------------------------------------------
 
@@ -335,8 +371,10 @@ class SchemaRepository:
 
         A read-through LRU over this repository: serving ``get_schema``
         without the per-call JSON parse and ``get_profile`` with the
-        precomputed match artifacts.  Kept in sync by the CRUD methods
-        (invalidate) and the indexer refresh (eager rebuild).
+        precomputed match artifacts.  Kept in sync by invalidation
+        alone: the CRUD methods drop what they change, the indexer's
+        refresh drops every id in its batch (covering writes made
+        through other handles), and read-through refills on demand.
         """
         if self._profile_store is None:
             self._profile_store = ProfileStore(self, capacity=capacity)

@@ -73,7 +73,7 @@ class NeighborhoodIndex:
 
         This is the fast path used by
         :class:`~repro.matching.profile.SchemaMatchProfile`: the
-        transitive closure is computed once at ingest time and served
+        transitive closure is computed once per profile and served
         as a dict lookup per query.
         """
         return cls(component_of=component_of)

@@ -15,6 +15,7 @@ Two ready-made instances cover the library's needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.text.splitter import split_identifier
 from repro.text.stemmer import porter_stem
@@ -42,30 +43,47 @@ class Analyzer:
     max_length: int = 64
 
     def analyze(self, text: str) -> list[str]:
-        """Produce the term list for one piece of text."""
-        terms: list[str] = []
-        for word in split_identifier(text):
-            token = word.lower()
-            if self.remove_stopwords and is_stopword(token):
-                continue
-            if not (self.min_length <= len(token) <= self.max_length):
-                continue
-            if self.stem:
-                token = porter_stem(token)
-            if token:
-                terms.append(token)
-        return terms
+        """Produce the term list for one piece of text.
+
+        A fresh list per call: callers may extend it without touching
+        the memo behind :func:`_analysed`.
+        """
+        return list(_analysed(self, text))
 
     def analyze_all(self, texts: list[str]) -> list[str]:
         """Analyze several texts and concatenate the term lists in order."""
         terms: list[str] = []
         for text in texts:
-            terms.extend(self.analyze(text))
+            terms.extend(_analysed(self, text))
         return terms
 
     def unique_terms(self, text: str) -> set[str]:
         """Set view of :meth:`analyze` (used by set-based matchers)."""
-        return set(self.analyze(text))
+        return set(_analysed(self, text))
+
+
+@lru_cache(maxsize=1 << 15)
+def _analysed(analyzer: Analyzer, text: str) -> tuple[str, ...]:
+    """The term tuple of ``text`` under ``analyzer``.
+
+    A process-wide memo of a pure function (the analyzer is frozen, so
+    equal analyzers share entries): schema corpora repeat element names
+    constantly, so indexing pays the splitter regexes and the stemmer
+    once per distinct string, not once per occurrence.  Returns a
+    shared tuple; :meth:`Analyzer.analyze` hands out mutable copies.
+    """
+    terms: list[str] = []
+    for word in split_identifier(text):
+        token = word.lower()
+        if analyzer.remove_stopwords and is_stopword(token):
+            continue
+        if not (analyzer.min_length <= len(token) <= analyzer.max_length):
+            continue
+        if analyzer.stem:
+            token = porter_stem(token)
+        if token:
+            terms.append(token)
+    return tuple(terms)
 
 
 #: Full pipeline used by the inverted index.

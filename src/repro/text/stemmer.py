@@ -12,6 +12,8 @@ guarantees that.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _VOWELS = frozenset("aeiou")
 
 
@@ -162,8 +164,14 @@ def _step5b(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=1 << 15)
 def porter_stem(word: str) -> str:
-    """Stem one lowercase word.  Words of length <= 2 pass through."""
+    """Stem one lowercase word.  Words of length <= 2 pass through.
+
+    Memoised process-wide: a vocabulary is small next to the number of
+    times its words occur.  ``porter_stem.__wrapped__`` is the uncached
+    rule cascade.
+    """
     if len(word) <= 2:
         return word
     word = _step1a(word)

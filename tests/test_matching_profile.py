@@ -7,13 +7,16 @@ one-adjacency-build-per-candidate regression, and the ensemble's cheap
 container properties.
 """
 
+import sys
+import threading
+
 import pytest
 
 import repro.matching.context as context_mod
 import repro.matching.profile as profile_mod
 import repro.scoring.neighborhood as neighborhood_mod
 from repro.core.engine import DictSchemaSource, SchemrEngine
-from repro.errors import MatchError, RepositoryError, SchemaError
+from repro.errors import MatchError, QueryError, RepositoryError, SchemaError
 from repro.index.documents import document_from_schema
 from repro.index.inverted import InvertedIndex
 from repro.matching.context import element_context
@@ -271,6 +274,143 @@ class TestProfileStore:
     def test_bad_capacity_rejected(self):
         with pytest.raises(RepositoryError):
             ProfileStore(DictSchemaSource({}), capacity=0)
+
+
+class _ParkedSource(DictSchemaSource):
+    """Hands out the copy it held when asked, but only once released:
+    a read-through fill that a write overtakes."""
+
+    def __init__(self, schemas):
+        super().__init__(schemas)
+        self.fetched = threading.Event()
+        self.release = threading.Event()
+
+    def get_schema(self, schema_id):
+        schema = super().get_schema(schema_id)
+        self.fetched.set()
+        assert self.release.wait(5)
+        return schema
+
+
+def _overtaken_fill(store, source, write):
+    """Start a fill of schema 1, run ``write`` while it is parked, then
+    let it finish; returns the schema the fill handed its caller."""
+    filled = []
+    fill = threading.Thread(target=lambda: filled.append(
+        store.get_schema(1)))
+    fill.start()
+    try:
+        assert source.fetched.wait(5)
+        write()
+    finally:
+        source.release.set()
+        fill.join(5)
+    assert not fill.is_alive()
+    return filled[0]
+
+
+class _LiveSource:
+    """A source whose schemas a test replaces while the store reads."""
+
+    def __init__(self, schemas):
+        self.schemas = dict(schemas)
+
+    def get_schema(self, schema_id):
+        return self.schemas[schema_id]
+
+
+def _stress_round(store, source, round_):
+    """One writer replacing and invalidating 30 times beside four
+    readers, more threads than cores; returns once all have stopped."""
+    stop = threading.Event()
+
+    def write():
+        for version in range(30):
+            schema_id = version % 3 + 1
+            newer = source.schemas[schema_id].copy()
+            newer.description = f"v{round_}.{version}"
+            source.schemas[schema_id] = newer
+            store.invalidate(schema_id)
+        stop.set()
+
+    def read(offset):
+        while not stop.is_set():
+            for schema_id in (1, 2, 3):
+                store.get_schema((schema_id + offset) % 3 + 1)
+
+    threads = [threading.Thread(target=write)] + [
+        threading.Thread(target=read, args=(i,)) for i in range(4)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+    finally:
+        stop.set()
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestProfileStoreFillRace:
+    """A write that lands while a read-through fill is in flight wins:
+    the fill's older copy is never cached."""
+
+    def test_put_during_fill_is_served(self):
+        schemas = _schemas_by_id()
+        source = _ParkedSource(schemas)
+        store = ProfileStore(source)
+        newer = schemas[1].copy()
+        newer.name = "clinic_v2"
+        filled = _overtaken_fill(store, source, lambda: store.put(newer))
+        assert filled.name == "clinic_emr"  # the caller gets its fetch
+        assert store.get_schema(1).name == "clinic_v2"
+        assert store.get_profile(1).schema_id == 1
+
+    def test_invalidate_during_fill_leaves_nothing_cached(self):
+        source = _ParkedSource(_schemas_by_id())
+        store = ProfileStore(source)
+        _overtaken_fill(store, source, lambda: store.invalidate(1))
+        assert 1 not in store
+
+    def test_clear_during_fill_leaves_nothing_cached(self):
+        source = _ParkedSource(_schemas_by_id())
+        store = ProfileStore(source)
+        _overtaken_fill(store, source, store.clear)
+        assert len(store) == 0
+
+    def test_stress_resident_entries_match_the_source(self):
+        """Readers fill while a writer replaces schemas and invalidates
+        (the repository's commit-then-invalidate order).  Whenever all
+        threads have stopped, every resident entry is the source's
+        current copy."""
+        source = _LiveSource(_schemas_by_id())
+        store = ProfileStore(source, capacity=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(40):
+                _stress_round(store, source, round_)
+                for schema_id in (1, 2, 3):
+                    if schema_id in store:
+                        assert store.get_schema(schema_id) is \
+                            source.schemas[schema_id]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failed_fill_leaves_no_token_behind(self, monkeypatch):
+        store = ProfileStore(DictSchemaSource({}))
+        with pytest.raises(QueryError):
+            store.get_schema(7)  # the fetch raises
+        assert store._fills == {}
+
+        def failing_build(schema):
+            raise MatchError("profile build failed")
+
+        store = ProfileStore(DictSchemaSource(_schemas_by_id()))
+        monkeypatch.setattr(SchemaMatchProfile, "build",
+                            staticmethod(failing_build))
+        with pytest.raises(MatchError):
+            store.get_schema(1)  # the build raises
+        assert store._fills == {} and 1 not in store
 
 
 def _build_engine(profiled=False):

@@ -2,7 +2,9 @@
 
 import threading
 
-from repro.matching.profile import ProfileStore
+import pytest
+
+from repro.matching.profile import ProfileStore, SchemaMatchProfile
 from repro.repository.indexer import RepositoryIndexer
 from repro.repository.store import SchemaRepository
 
@@ -71,16 +73,98 @@ class TestRefresh:
             assert indexer.index.document(schema.schema_id).title == "c"
 
 
+class TestRefreshBesideAWriter:
+    """A refresh's cursor never moves past a change its fetches cannot
+    see yet, so a write still open during a refresh is replayed by the
+    next one."""
+
+    @pytest.mark.parametrize("op", ["add", "update"])
+    def test_write_open_during_refresh_is_indexed_after_commit(
+            self, tmp_path, monkeypatch, op):
+        with SchemaRepository(tmp_path / "repo.db") as repo:
+            schema = build_clinic_schema()
+            repo.add_schema(schema)
+            indexer = RepositoryIndexer(repo)
+            indexer.refresh()
+            parked, release = threading.Event(), threading.Event()
+            log_change = repo._log_change
+
+            def parking_log_change(*args):
+                log_change(*args)
+                parked.set()
+                assert release.wait(5)
+
+            monkeypatch.setattr(repo, "_log_change", parking_log_change)
+            schema.name = "renamed_clinic"
+            write = repo.update_schema if op == "update" else \
+                lambda s: repo.add_schema(_named_clinic("renamed_clinic"))
+            writer = threading.Thread(target=write, args=(schema,))
+            writer.start()
+            try:
+                assert parked.wait(5)
+                indexer.refresh()
+            finally:
+                release.set()
+                writer.join(5)
+            assert not writer.is_alive()
+            indexer.refresh()
+            ids = repo.list_schema_ids()
+            assert indexer.index.document_count == len(ids)
+            assert "renamed_clinic" in {
+                indexer.index.document(i).title for i in ids}
+
+
+def _named_clinic(name):
+    schema = build_clinic_schema()
+    schema.name = name
+    return schema
+
+
+def _count_profile_builds(monkeypatch):
+    """Spy on :meth:`SchemaMatchProfile.build`; returns the list each
+    build appends its schema id to."""
+    builds = []
+    real = SchemaMatchProfile.build
+
+    def spy(schema, *args, **kwargs):
+        builds.append(schema.schema_id)
+        return real(schema, *args, **kwargs)
+
+    monkeypatch.setattr(SchemaMatchProfile, "build", staticmethod(spy))
+    return builds
+
+
 class TestProfileSync:
     """The changelog-driven refresh keeps the profile cache honest."""
 
-    def test_refresh_builds_profiles_eagerly(self):
+    def test_refresh_builds_no_profiles_and_drops_changed_ids(
+            self, monkeypatch):
+        """A batch of 30 adds and 20 updates costs no profile builds;
+        every resident changed id leaves the store, the rest stay."""
         with SchemaRepository.in_memory() as repo:
-            schema_id = repo.add_schema(build_clinic_schema())
+            old = [_named_clinic(f"clinic_{i}") for i in range(25)]
+            for schema in old:
+                repo.add_schema(schema)
+            # Not the repository's own store, so only the refresh can
+            # invalidate it.
             store = ProfileStore(repo)
             indexer = RepositoryIndexer(repo, profile_store=store)
             indexer.refresh()
-            assert schema_id in store  # built before any query asks
+            for schema in old:
+                store.get_profile(schema.schema_id)  # resident
+            added = [repo.add_schema(_named_clinic(f"new_{i}"))
+                     for i in range(30)]
+            for schema in old[:20]:
+                schema.name += "_v2"
+                repo.update_schema(schema)
+            builds = _count_profile_builds(monkeypatch)
+            assert indexer.refresh() == 50
+            assert builds == []
+            assert not any(s.schema_id in store for s in old[:20])
+            assert not any(schema_id in store for schema_id in added)
+            assert all(s.schema_id in store for s in old[20:])
+            assert store.get_schema(old[0].schema_id).name == \
+                "clinic_0_v2"
 
     def test_update_via_changelog_refreshes_profile(self):
         with SchemaRepository.in_memory() as repo:
@@ -143,14 +227,36 @@ class TestProfileSync:
             assert engine.search(keywords="patient height")[0].name == \
                 "renamed_clinic"
 
-    def test_rebuild_repopulates_profiles(self):
+    def test_rebuild_clears_profiles_without_building(self, monkeypatch):
         with SchemaRepository.in_memory() as repo:
             a = repo.add_schema(build_clinic_schema())
-            b = repo.add_schema(build_hr_schema())
+            repo.add_schema(build_hr_schema())
             store = ProfileStore(repo)
+            store.get_profile(a)
             indexer = RepositoryIndexer(repo, profile_store=store)
-            indexer.rebuild()
-            assert a in store and b in store
+            builds = _count_profile_builds(monkeypatch)
+            assert indexer.rebuild() == 2
+            assert builds == [] and len(store) == 0
+
+    def test_refresh_drops_entries_changed_through_another_handle(
+            self, tmp_path):
+        """Another handle's CRUD invalidates only its own store; the
+        refresh is what reaches this one."""
+        path = tmp_path / "repo.db"
+        with SchemaRepository(path) as repo, \
+                SchemaRepository(path) as other:
+            schema_id = repo.add_schema(build_clinic_schema())
+            indexer = repo.indexer()
+            indexer.refresh()
+            store = repo.profile_store()
+            assert store.get_schema(schema_id).name == "clinic_emr"
+            schema = other.get_schema(schema_id)
+            schema.name = "renamed_clinic"
+            other.update_schema(schema)
+            assert schema_id in store  # stale until the refresh
+            assert indexer.refresh() == 1
+            assert schema_id not in store
+            assert store.get_schema(schema_id).name == "renamed_clinic"
 
 
 class TestRebuild:

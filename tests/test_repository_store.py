@@ -1,5 +1,8 @@
 """Unit tests for the SQLite schema repository."""
 
+import sqlite3
+import threading
+
 import pytest
 
 from repro.errors import RepositoryError
@@ -157,3 +160,73 @@ class TestEngineIntegration:
         engine = small_repository.engine()  # refreshes the index
         results = engine.search(keywords="warpdrive")
         assert results and results[0].name == "spaceship"
+
+
+class TestReadConnection:
+    """Schema fetches read committed rows only, beside a writer."""
+
+    def _park_writer(self, repo, monkeypatch):
+        """Make the next write stop inside its transaction, after its
+        statements and before its commit; returns (parked, release)."""
+        parked, release = threading.Event(), threading.Event()
+        log_change = repo._log_change
+
+        def parking_log_change(*args):
+            log_change(*args)
+            parked.set()
+            assert release.wait(5)
+
+        monkeypatch.setattr(repo, "_log_change", parking_log_change)
+        return parked, release
+
+    def test_get_schema_never_reads_an_uncommitted_update(
+            self, tmp_path, monkeypatch):
+        with SchemaRepository(tmp_path / "repo.db") as repo:
+            schema = build_clinic_schema()
+            schema_id = repo.add_schema(schema)
+            parked, release = self._park_writer(repo, monkeypatch)
+            schema.name = "renamed_clinic"
+            writer = threading.Thread(target=repo.update_schema,
+                                      args=(schema,))
+            writer.start()
+            try:
+                assert parked.wait(5)
+                assert repo.get_schema(schema_id).name == "clinic_emr"
+            finally:
+                release.set()
+                writer.join(5)
+            assert repo.get_schema(schema_id).name == "renamed_clinic"
+
+    def test_in_memory_fetch_waits_for_the_commit(self, monkeypatch):
+        """One connection: the fetch takes the lock, so it sees the
+        row as committed after the writer finishes, never mid-way."""
+        with SchemaRepository.in_memory() as repo:
+            schema = build_clinic_schema()
+            schema_id = repo.add_schema(schema)
+            parked, release = self._park_writer(repo, monkeypatch)
+            schema.name = "renamed_clinic"
+            writer = threading.Thread(target=repo.update_schema,
+                                      args=(schema,))
+            writer.start()
+            fetched = []
+            reader = threading.Thread(target=lambda: fetched.append(
+                repo.get_schema(schema_id).name))
+            try:
+                assert parked.wait(5)
+                reader.start()
+                reader.join(0.2)
+                assert fetched == []  # queued behind the open write
+            finally:
+                release.set()
+                writer.join(5)
+                reader.join(5)
+            assert fetched == ["renamed_clinic"]
+
+    def test_read_connection_is_query_only_and_closed(self, tmp_path):
+        repo = SchemaRepository(tmp_path / "repo.db")
+        read_conn = repo._read_conn
+        assert read_conn is not repo.connection
+        assert read_conn.execute("PRAGMA query_only").fetchone()[0] == 1
+        repo.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            read_conn.execute("SELECT 1")
