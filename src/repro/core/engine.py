@@ -835,26 +835,27 @@ class InProcessExecutor:
         return [
             self._score_candidate(hit.score, candidate, element_scores,
                                   profile)
-            for (hit, candidate, _ensemble_result, element_scores,
+            for (hit, candidate, _columns, element_scores,
                  profile) in matched
         ]
 
     def materialise(self, results: list[SearchResult],
                     matched: list) -> None:
         """Fill in ``element_matches`` of ``results`` (a subset of what
-        :meth:`score` returned for ``matched``) from their combined
-        matrices."""
+        :meth:`score` returned for ``matched``): the only place phase 2
+        builds a total-similarity matrix, from the candidate's
+        memoised columns."""
         if not results:
             return
-        combined = {candidate.schema_id: ensemble_result.combined
-                    for _hit, candidate, ensemble_result, _scores, _profile
-                    in matched}
+        columns_of = {candidate.schema_id: columns
+                      for _hit, candidate, columns, _scores, _profile
+                      in matched}
         floor = self._config.penalties.match_floor
         for result in results:
             result.element_matches = [
                 ElementMatch(query_label=row, element_path=col, score=value)
-                for row, col, value in
-                combined[result.schema_id].nonzero_pairs(threshold=floor)
+                for row, col, value in columns_of[result.schema_id]
+                .combined().nonzero_pairs(threshold=floor)
             ]
 
     def _match_candidates(self, query: QueryGraph, hits: list[IndexHit],
@@ -915,10 +916,9 @@ class InProcessExecutor:
                            "(skipped): %s", hit.doc_id, exc)
             return None
         breaker.record_success()
-        result = self._guard.match(query, candidate, profile=profile,
-                                   scratch=scratch, cheap_only=cheap_only)
-        element_scores = result.combined.max_per_column()
-        return (hit, candidate, result, element_scores, profile)
+        columns = self._guard.match(query, candidate, profile=profile,
+                                    scratch=scratch, cheap_only=cheap_only)
+        return (hit, candidate, columns, columns.element_scores(), profile)
 
     def _score_candidate(self, coarse_score: float, candidate: Schema,
                          element_scores: dict[str, float],
@@ -929,10 +929,13 @@ class InProcessExecutor:
                           for path, value in element_scores.items()
                           if value > floor}
         if self._config.use_tightness:
-            neighborhoods = (profile.neighborhood_index()
-                             if profile is not None else None)
-            tight = self._tightness.score(candidate, element_scores,
-                                          neighborhoods=neighborhoods)
+            if profile is not None:
+                tight = self._tightness.score(
+                    candidate, element_scores,
+                    neighborhoods=profile.neighborhood_index(),
+                    entity_of=profile.entity_of)
+            else:
+                tight = self._tightness.score(candidate, element_scores)
             final_score = tight.score
             best_anchor = tight.best_anchor
         else:

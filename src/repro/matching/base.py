@@ -7,7 +7,7 @@ which describes the match quality — a value between 0 and 1."
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -132,43 +132,47 @@ class SimilarityMatrix:
         return SimilarityMatrix(first.row_labels, first.col_labels, combined)
 
 
-#: Column-memo marker for "not scored yet" (``None`` already means
-#: "scored, all zero").
-_UNSCORED = object()
+#: A score column: one float per query row, or ``None`` when every row
+#: scores 0 (zero-only columns are never stored as floats).
+Column = Optional[tuple[float, ...]]
 
 
-def fill_columns(matrix: SimilarityMatrix,
-                 rows: list[tuple[str, Hashable]], keys: Iterable[Hashable],
-                 memo: dict, similarity: Callable[[Hashable, Hashable],
-                                                  float],
-                 threshold: float) -> None:
-    """Fill ``matrix`` column by column from a per-query column memo.
+def column_from_cells(n_rows: int,
+                      cells: Iterable[tuple[Iterable[int], float]]
+                      ) -> Column:
+    """A column of ``n_rows`` zeros with each (rows, value) cell set;
+    ``None`` when no cell carries a non-zero value."""
+    column: list[float] | None = None
+    for rows, value in cells:
+        if value:
+            if column is None:
+                column = [0.0] * n_rows
+            for i in rows:
+                column[i] = value
+    return None if column is None else tuple(column)
 
-    ``rows`` holds each query row's (label, analysed form); ``keys``
-    gives, per candidate column, everything its scores depend on (for
-    the name matcher the element's words, for the context matcher its
-    term set).  The first column with a given key scores it against
-    every non-empty row — ``similarity``, the ``>= threshold`` cut-off
-    and the ``min(score, 1.0)`` clamp of the reference cell loops, so
-    the same float lands in the same cell; every later column with that
-    key is a memo probe plus a copy.  An all-zero column is memoized as
-    ``None`` and left untouched.
-    """
+
+def distinct_rows(forms: Iterable[Hashable]
+                  ) -> list[tuple[Hashable, list[int]]]:
+    """Group query rows by their analysed form, first-seen order: a
+    column scores each distinct form once and copies it to its rows.
+    Falsy forms (nothing to score) are dropped."""
+    groups: dict[Hashable, list[int]] = {}
+    for i, form in enumerate(forms):
+        if form:
+            groups.setdefault(form, []).append(i)
+    return list(groups.items())
+
+
+def matrix_from_columns(row_labels: list[str], col_labels: list[str],
+                        columns: Iterable[Column]) -> SimilarityMatrix:
+    """The matrix whose ``j``-th column is ``columns[j]``."""
+    matrix = SimilarityMatrix(row_labels, col_labels)
     values = matrix.values
-    for j, key in enumerate(keys):
-        column = memo.get(key, _UNSCORED)
-        if column is _UNSCORED:
-            column = np.zeros(len(rows))
-            for i, (_label, row) in enumerate(rows):
-                if row:
-                    score = similarity(row, key)
-                    if score >= threshold:
-                        column[i] = min(score, 1.0)
-            if not column.any():
-                column = None
-            memo[key] = column
+    for j, column in enumerate(columns):
         if column is not None:
             values[:, j] = column
+    return matrix
 
 
 class Matcher(abc.ABC):
@@ -190,6 +194,20 @@ class Matcher(abc.ABC):
         produce identical matrices (the golden-equivalence tests hold
         them to it).
         """
+
+    def columns(self, query: QueryGraph, candidate: Schema,
+                profile: "SchemaMatchProfile | None" = None,
+                scratch: "MatchScratch | None" = None) -> list[Column]:
+        """One score column per candidate element, in schema order.
+
+        This is what the ensemble combines.  The default slices
+        :meth:`match`'s matrix; :class:`ColumnMatcher` scores memoised
+        column keys instead and builds no matrix.
+        """
+        values = self.match(query, candidate, profile=profile,
+                            scratch=scratch).values
+        return [tuple(column) if any(column) else None
+                for column in values.T.tolist()]
 
     # -- shared helpers ----------------------------------------------------
 
@@ -226,3 +244,73 @@ class Matcher(abc.ABC):
         else:
             col_labels = [ref.path for ref in candidate.elements()]
         return SimilarityMatrix(row_labels=row_labels, col_labels=col_labels)
+
+
+class ColumnMemo(dict):
+    """column key -> score column, for one column matcher and one
+    query: a key is scored on its first lookup, then served."""
+
+    __slots__ = ("_matcher", "_rows")
+
+    def __init__(self, matcher: "ColumnMatcher", rows: object) -> None:
+        super().__init__()
+        self._matcher = matcher
+        self._rows = rows
+
+    def __missing__(self, key: Hashable) -> Column:
+        column = self[key] = self._matcher.score_column(self._rows, key)
+        return column
+
+
+class ColumnMatcher(Matcher):
+    """A matcher whose column for a candidate element depends only on a
+    hashable *column key* of that element.
+
+    Element names, context sets and type families repeat across the
+    candidate pool, so with a profile each distinct key is scored
+    against the query rows once per search (memoised in the scratch,
+    ``None`` for a column with no hit) and every later element with
+    that key costs a dict probe.  Without a profile :meth:`reference`
+    scores every cell on its own: the golden the column path is held to.
+    """
+
+    def match(self, query: QueryGraph, candidate: Schema,
+              profile: "SchemaMatchProfile | None" = None,
+              scratch: "MatchScratch | None" = None) -> SimilarityMatrix:
+        if profile is None:
+            return self.reference(query, candidate)
+        row_labels = (scratch.row_labels(query) if scratch is not None
+                      else query.element_labels())
+        return matrix_from_columns(
+            row_labels, profile.element_paths,
+            self.columns(query, candidate, profile, scratch))
+
+    def columns(self, query: QueryGraph, candidate: Schema,
+                profile: "SchemaMatchProfile | None" = None,
+                scratch: "MatchScratch | None" = None) -> list[Column]:
+        if profile is None:
+            return super().columns(query, candidate, scratch=scratch)
+        memo = scratch.columns.get(self) if scratch is not None else None
+        if memo is None:
+            memo = ColumnMemo(self, self.query_rows(query))
+            if scratch is not None:
+                scratch.columns[self] = memo
+        return list(map(memo.__getitem__, self.column_keys(profile)))
+
+    @abc.abstractmethod
+    def reference(self, query: QueryGraph,
+                  candidate: Schema) -> SimilarityMatrix:
+        """The cell-by-cell matrix, derived from the schema alone."""
+
+    @abc.abstractmethod
+    def query_rows(self, query: QueryGraph) -> object:
+        """The query-side artifact :meth:`score_column` reads (computed
+        once per search)."""
+
+    @abc.abstractmethod
+    def column_keys(self, profile: "SchemaMatchProfile") -> Iterable[Hashable]:
+        """One column key per element of ``profile.element_paths``."""
+
+    @abc.abstractmethod
+    def score_column(self, rows: object, key: Hashable) -> Column:
+        """Score one column key against every query row."""

@@ -22,7 +22,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.matching.base import Matcher, SimilarityMatrix, fill_columns
+from repro.matching.base import (
+    Column,
+    ColumnMatcher,
+    SimilarityMatrix,
+    column_from_cells,
+    distinct_rows,
+)
 from repro.matching.normalize import normalize_words
 from repro.model.elements import ElementRef
 from repro.model.graph import entity_adjacency
@@ -30,7 +36,7 @@ from repro.model.query import QueryGraph, QueryItemKind
 from repro.model.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import MatchScratch, SchemaMatchProfile
+    from repro.matching.profile import SchemaMatchProfile
 
 
 def _jaccard(a: set[str], b: set[str]) -> float:
@@ -57,8 +63,11 @@ def element_context(schema: Schema, ref: ElementRef,
     return terms
 
 
-class ContextMatcher(Matcher):
-    """Scores element pairs by Jaccard similarity of neighborhood terms."""
+class ContextMatcher(ColumnMatcher):
+    """Scores element pairs by Jaccard similarity of neighborhood terms.
+
+    Column key: the element's (frozen) neighborhood term set.
+    """
 
     name = "context"
 
@@ -67,53 +76,41 @@ class ContextMatcher(Matcher):
             raise ValueError(f"threshold must be in [0, 1), got {threshold}")
         self._threshold = threshold
 
-    def match(self, query: QueryGraph, candidate: Schema,
-              profile: "SchemaMatchProfile | None" = None,
-              scratch: "MatchScratch | None" = None) -> SimilarityMatrix:
-        matrix = self.empty_matrix(query, candidate,
-                                   profile=profile, scratch=scratch)
-        query_contexts = self._memoized_query_contexts(query, scratch)
-        if profile is None:
-            # Reference path: adjacency rebuilt, every cell scored on
-            # its own — the golden the fast path is held to.
-            adjacency = entity_adjacency(candidate)
-            candidate_contexts = [
-                (ref.path, element_context(candidate, ref, adjacency))
-                for ref in candidate.elements()
-            ]
-            for row_label, query_context in query_contexts:
-                if not query_context:
-                    continue
-                for col_label, cand_context in candidate_contexts:
-                    score = _jaccard(query_context, cand_context)
-                    if score >= self._threshold:
-                        matrix.set(row_label, col_label, score)
-            return matrix
-        # Fast path: neighborhood term sets were derived once per
-        # profile, and a column depends only on its (frozen) term set, so
-        # each distinct set is scored against the query rows once per
-        # search and every later column with that set is a copy.
-        columns = (scratch.context_columns.setdefault(self, {})
-                   if scratch is not None else {})
-        fill_columns(matrix, query_contexts,
-                     map(profile.context_terms.__getitem__,
-                         profile.element_paths),
-                     columns, _jaccard, self._threshold)
+    def reference(self, query: QueryGraph,
+                  candidate: Schema) -> SimilarityMatrix:
+        matrix = self.empty_matrix(query, candidate)
+        adjacency = entity_adjacency(candidate)
+        candidate_contexts = [
+            (ref.path, element_context(candidate, ref, adjacency))
+            for ref in candidate.elements()
+        ]
+        for row_label, query_context in self._query_contexts(query):
+            if not query_context:
+                continue
+            for col_label, cand_context in candidate_contexts:
+                score = _jaccard(query_context, cand_context)
+                if score >= self._threshold:
+                    matrix.set(row_label, col_label, score)
         return matrix
 
-    def _memoized_query_contexts(self, query: QueryGraph,
-                                 scratch: "MatchScratch | None"
-                                 ) -> list[tuple[str, frozenset[str]]]:
-        """Query-side contexts, computed once per search when a scratch
-        is available (they are a function of the query alone)."""
-        if scratch is not None:
-            cached = scratch.matcher_memo.get(self.name)
-            if cached is not None:
-                return cached  # type: ignore[return-value]
+    def query_rows(self, query: QueryGraph):
+        # Every keyword row shares one context, so it is scored once.
         contexts = self._query_contexts(query)
-        if scratch is not None:
-            scratch.matcher_memo[self.name] = contexts
-        return contexts
+        return (len(contexts),
+                distinct_rows(context for _label, context in contexts))
+
+    def column_keys(self, profile: "SchemaMatchProfile"):
+        return map(profile.context_terms.__getitem__, profile.element_paths)
+
+    def score_column(self, rows, key: frozenset[str]) -> Column:
+        n_rows, forms = rows
+        threshold = self._threshold
+        cells = []
+        for context, indices in forms:
+            score = _jaccard(context, key)
+            if score >= threshold:
+                cells.append((indices, score))
+        return column_from_cells(n_rows, cells)
 
     def _query_contexts(self, query: QueryGraph) \
             -> list[tuple[str, frozenset[str]]]:
@@ -123,8 +120,6 @@ class ContextMatcher(Matcher):
         keyword_terms: set[str] = set()
         for name in query.element_names():
             keyword_terms.update(normalize_words(name))
-        # Frozen: query contexts live in the per-search scratch, shared
-        # across candidates and worker threads.
         keyword_context = frozenset(keyword_terms)
         label_iter = iter(labels)
         for item in query.items:

@@ -12,15 +12,22 @@ entity, score 0 — the matcher abstains rather than guessing.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from repro.matching.base import Matcher, SimilarityMatrix
+from repro.matching.base import (
+    Column,
+    ColumnMatcher,
+    SimilarityMatrix,
+    column_from_cells,
+    distinct_rows,
+)
 from repro.model.elements import ElementKind, ElementRef
 from repro.model.query import QueryGraph, QueryItemKind
 from repro.model.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import MatchScratch, SchemaMatchProfile
+    from repro.matching.profile import SchemaMatchProfile
 
 #: type-name (lowercased, parameters stripped) -> family
 _TYPE_FAMILIES: dict[str, str] = {
@@ -60,6 +67,7 @@ _CROSS_FAMILY: dict[frozenset[str], float] = {
 _PARAMS = re.compile(r"\(.*\)$")
 
 
+@lru_cache(maxsize=4096)
 def type_family(declared: str) -> str | None:
     """Map a declared type string to its family, or None when unknown."""
     cleaned = _PARAMS.sub("", declared.strip().lower()).strip()
@@ -77,27 +85,25 @@ def family_similarity(a: str | None, b: str | None) -> float:
     return _CROSS_FAMILY.get(frozenset({a, b}), 0.0)
 
 
-class DataTypeMatcher(Matcher):
+class DataTypeMatcher(ColumnMatcher):
     """Scores attribute pairs by declared-type family compatibility.
 
     Only fragment attributes carry declared types on the query side, so
     keyword rows always stay 0 — this matcher refines fragment queries
     and abstains otherwise, which is the behaviour the ensemble
     weighting expects.
+
+    Column key: the attribute's declared-type family.
     """
 
     name = "datatype"
 
-    def match(self, query: QueryGraph, candidate: Schema,
-              profile: "SchemaMatchProfile | None" = None,
-              scratch: "MatchScratch | None" = None) -> SimilarityMatrix:
-        matrix = self.empty_matrix(query, candidate,
-                                   profile=profile, scratch=scratch)
-        if profile is not None:
-            candidate_families = list(profile.type_families.items())
-        else:
-            candidate_families = self._attribute_families(candidate)
-        for label, family in self._query_families(query, scratch):
+    def reference(self, query: QueryGraph,
+                  candidate: Schema) -> SimilarityMatrix:
+        matrix = self.empty_matrix(query, candidate)
+        candidate_families = self._attribute_families(candidate)
+        for label, family in zip(query.element_labels(),
+                                 self._query_families(query)):
             if family is None:
                 continue
             for path, cand_family in candidate_families:
@@ -106,28 +112,34 @@ class DataTypeMatcher(Matcher):
                     matrix.set(label, path, score)
         return matrix
 
-    def _query_families(self, query: QueryGraph,
-                        scratch: "MatchScratch | None"
-                        ) -> list[tuple[str, str | None]]:
-        """(label, declared-type family) per fragment element, memoized
-        per search; keyword rows are omitted (they carry no type)."""
-        if scratch is not None:
-            cached = scratch.matcher_memo.get(self.name)
-            if cached is not None:
-                return cached  # type: ignore[return-value]
-        families: list[tuple[str, str | None]] = []
-        labels = iter(query.element_labels())
+    def query_rows(self, query: QueryGraph):
+        families = self._query_families(query)
+        return (len(families), distinct_rows(families))
+
+    def column_keys(self, profile: "SchemaMatchProfile"):
+        # Entities have no family: their key is None, an empty column.
+        return map(profile.type_families.get, profile.element_paths)
+
+    def score_column(self, rows, key: str | None) -> Column:
+        if key is None:
+            return None
+        n_rows, forms = rows
+        return column_from_cells(n_rows, [
+            (indices, family_similarity(family, key))
+            for family, indices in forms])
+
+    @classmethod
+    def _query_families(cls, query: QueryGraph) -> list[str | None]:
+        """Declared-type family per query row; keyword rows carry no
+        type (None)."""
+        families: list[str | None] = []
         for item in query.items:
             if item.kind is QueryItemKind.KEYWORD:
-                next(labels)  # keywords have no declared type
+                families.append(None)
                 continue
             assert item.fragment is not None
-            for ref in item.fragment.elements():
-                label = next(labels)
-                families.append(
-                    (label, self._ref_family(item.fragment, ref)))
-        if scratch is not None:
-            scratch.matcher_memo[self.name] = families
+            families.extend(cls._ref_family(item.fragment, ref)
+                            for ref in item.fragment.elements())
         return families
 
     @staticmethod

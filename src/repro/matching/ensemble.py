@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import MatchError
-from repro.matching.base import Matcher, SimilarityMatrix
+from repro.matching.base import (
+    Column,
+    Matcher,
+    SimilarityMatrix,
+    matrix_from_columns,
+)
 from repro.matching.context import ContextMatcher
 from repro.matching.name import NameMatcher
 from repro.model.query import QueryGraph
@@ -29,6 +34,92 @@ class EnsembleResult:
 
     combined: SimilarityMatrix
     per_matcher: dict[str, SimilarityMatrix] = field(default_factory=dict)
+
+
+@dataclass(slots=True)
+class ColumnMatch:
+    """One candidate's phase-2 outcome, kept as score columns.
+
+    ``parts`` holds (matcher name, weight, one column per element of
+    ``paths``) in ensemble order; ``row_labels`` are the query's.  The
+    total-similarity column of an element is ``0.0 + w1/W * a``, then
+    ``+ w2/W * b``... — the float order of
+    :meth:`SimilarityMatrix.combine`, with ``W`` the weight sum — so
+    element scores and matrices built here are bit-identical to
+    combining the per-matcher matrices.  Matrices are built only on
+    request (:meth:`combined`, :meth:`result`).
+    """
+
+    row_labels: list[str]
+    paths: list[str]
+    parts: list[tuple[str, float, list[Column]]]
+
+    @classmethod
+    def of(cls, query: QueryGraph, candidate: Schema,
+           profile: "SchemaMatchProfile | None",
+           scratch: "MatchScratch | None",
+           parts: list[tuple[str, float, list[Column]]]) -> "ColumnMatch":
+        """Label ``parts`` with the query's rows and the candidate's
+        element paths (from the profile/scratch when available)."""
+        row_labels = (scratch.row_labels(query) if scratch is not None
+                      else query.element_labels())
+        paths = (profile.element_paths if profile is not None
+                 else list(candidate.element_entities()))
+        return cls(row_labels, paths, parts)
+
+    def _scaled(self) -> list[tuple[float, list[Column]]]:
+        total = sum(weight for _name, weight, _columns in self.parts)
+        # A zero weight adds exactly 0.0 to every cell: skipped.
+        return [(weight / total, columns)
+                for _name, weight, columns in self.parts if weight]
+
+    def element_scores(self) -> dict[str, float]:
+        """path -> best total similarity over the query rows (the
+        paper's max per schema element)."""
+        scaled = self._scaled()
+        return {path: _peak([(scale, columns[j])
+                             for scale, columns in scaled
+                             if columns[j] is not None])
+                for j, path in enumerate(self.paths)}
+
+    def combined(self) -> SimilarityMatrix:
+        """The total-similarity matrix."""
+        scaled = self._scaled()
+        columns = []
+        for j in range(len(self.paths)):
+            hits = [(scale, columns_[j]) for scale, columns_ in scaled
+                    if columns_[j] is not None]
+            columns.append(tuple(_combine(hits)) if hits else None)
+        return matrix_from_columns(self.row_labels, self.paths, columns)
+
+    def result(self) -> EnsembleResult:
+        """The combined and per-matcher matrices."""
+        return EnsembleResult(
+            combined=self.combined(),
+            per_matcher={
+                name: matrix_from_columns(self.row_labels, self.paths,
+                                          columns)
+                for name, _weight, columns in self.parts})
+
+
+def _peak(hits: list[tuple[float, tuple[float, ...]]]) -> float:
+    """Max over the rows of :func:`_combine`."""
+    if not hits:
+        return 0.0
+    if len(hits) == 1:
+        # x -> scale * x is monotone, so the max commutes with it.
+        scale, column = hits[0]
+        return scale * max(column)
+    return max(_combine(hits))
+
+
+def _combine(hits: list[tuple[float, tuple[float, ...]]]) -> list[float]:
+    """Row-wise weighted sum of non-empty columns, in ensemble order."""
+    (scale, column), *rest = hits
+    total = [scale * value for value in column]
+    for scale, column in rest:
+        total = [acc + scale * value for acc, value in zip(total, column)]
+    return total
 
 
 class MatcherEnsemble:
@@ -102,14 +193,9 @@ class MatcherEnsemble:
         candidate's precomputed artifacts and the per-query memoization
         of the acceleration layer.
         """
-        per_matcher: dict[str, SimilarityMatrix] = {}
-        matrices: list[SimilarityMatrix] = []
-        weight_list: list[float] = []
-        for matcher in self._matchers:
-            matrix = matcher.match(query, candidate,
-                                   profile=profile, scratch=scratch)
-            per_matcher[matcher.name] = matrix
-            matrices.append(matrix)
-            weight_list.append(self._weights[matcher.name])
-        combined = SimilarityMatrix.combine(matrices, weight_list)
-        return EnsembleResult(combined=combined, per_matcher=per_matcher)
+        parts = [(matcher.name, self._weights[matcher.name],
+                  matcher.columns(query, candidate, profile=profile,
+                                  scratch=scratch))
+                 for matcher in self._matchers]
+        return ColumnMatch.of(query, candidate, profile, scratch,
+                              parts).result()

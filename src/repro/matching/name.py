@@ -24,14 +24,20 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from repro.matching.base import Matcher, SimilarityMatrix, fill_columns
+from repro.matching.base import (
+    Column,
+    ColumnMatcher,
+    SimilarityMatrix,
+    column_from_cells,
+    distinct_rows,
+)
 from repro.matching.ngram import weighted_ngram_similarity
 from repro.matching.normalize import analysed_words
 from repro.model.query import QueryGraph
 from repro.model.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import MatchScratch, SchemaMatchProfile
+    from repro.matching.profile import SchemaMatchProfile
 
 
 @lru_cache(maxsize=65536)
@@ -55,12 +61,14 @@ def name_similarity(a_words: tuple[str, ...],
     return max(whole, aligned)
 
 
-class NameMatcher(Matcher):
+class NameMatcher(ColumnMatcher):
     """Scores element pairs by n-gram overlap of normalized names.
 
     ``threshold`` zeroes scores below a noise floor: every pair of
     English words shares a few single letters, and keeping that haze in
     the matrix would pollute the tightness-of-fit aggregates.
+
+    Column key: the element's analysed words.
     """
 
     name = "name"
@@ -71,56 +79,43 @@ class NameMatcher(Matcher):
         self._threshold = threshold
         self._expand = expand
 
-    def match(self, query: QueryGraph, candidate: Schema,
-              profile: "SchemaMatchProfile | None" = None,
-              scratch: "MatchScratch | None" = None) -> SimilarityMatrix:
-        matrix = self.empty_matrix(query, candidate,
-                                   profile=profile, scratch=scratch)
-        query_pairs = self._query_pairs(query, scratch)
-        if profile is None:
-            # Reference path: every (query row, candidate column) cell
-            # scored on its own — the golden the fast path is held to.
-            candidate_pairs = [
-                (path, analysed_words(name, self._expand))
-                for path, name, _kind in self.candidate_elements(candidate)
-            ]
-            for row_label, query_words in query_pairs:
-                if not query_words:
+    def reference(self, query: QueryGraph,
+                  candidate: Schema) -> SimilarityMatrix:
+        matrix = self.empty_matrix(query, candidate)
+        candidate_pairs = [
+            (path, analysed_words(name, self._expand))
+            for path, name, _kind in self.candidate_elements(candidate)
+        ]
+        for row_label, name in self.query_elements(query):
+            query_words = analysed_words(name, self._expand)
+            if not query_words:
+                continue
+            for col_label, cand_words in candidate_pairs:
+                if not cand_words:
                     continue
-                for col_label, cand_words in candidate_pairs:
-                    if not cand_words:
-                        continue
-                    score = name_similarity(query_words, cand_words)
-                    if score >= self._threshold:
-                        matrix.set(row_label, col_label, min(score, 1.0))
-            return matrix
-        # Fast path: a column depends only on the candidate element's
-        # words, and element names repeat across the candidate pool, so
-        # each distinct word tuple is scored against the query rows once
-        # per search and every later column with those words is a copy.
-        words_of = (profile.words_expanded if self._expand
-                    else profile.words_plain)
-        columns = (scratch.name_columns.setdefault(self, {})
-                   if scratch is not None else {})
-        fill_columns(matrix, query_pairs,
-                     map(words_of.__getitem__, profile.element_paths),
-                     columns, name_similarity, self._threshold)
+                score = name_similarity(query_words, cand_words)
+                if score >= self._threshold:
+                    matrix.set(row_label, col_label, min(score, 1.0))
         return matrix
 
-    def _query_pairs(self, query: QueryGraph,
-                     scratch: "MatchScratch | None"
-                     ) -> list[tuple[str, tuple[str, ...]]]:
-        """(label, normalized words) per query element, memoized per
-        search so the normalization runs once, not once per candidate."""
-        key = (self.name, self._expand)
-        if scratch is not None:
-            cached = scratch.matcher_memo.get(key)
-            if cached is not None:
-                return cached  # type: ignore[return-value]
-        pairs = [
-            (label, analysed_words(name, self._expand))
-            for label, name in self.query_elements(query)
-        ]
-        if scratch is not None:
-            scratch.matcher_memo[key] = pairs
-        return pairs
+    def query_rows(self, query: QueryGraph):
+        return (len(query.element_labels()), distinct_rows(
+            analysed_words(name, self._expand)
+            for name in query.element_names()))
+
+    def column_keys(self, profile: "SchemaMatchProfile"):
+        words_of = (profile.words_expanded if self._expand
+                    else profile.words_plain)
+        return map(words_of.__getitem__, profile.element_paths)
+
+    def score_column(self, rows, key: tuple[str, ...]) -> Column:
+        if not key:
+            return None
+        n_rows, forms = rows
+        threshold = self._threshold
+        cells = []
+        for words, indices in forms:
+            score = name_similarity(words, key)
+            if score >= threshold:
+                cells.append((indices, min(score, 1.0)))
+        return column_from_cells(n_rows, cells)

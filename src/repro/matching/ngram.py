@@ -35,10 +35,7 @@ def dice_similarity(a: set[str], b: set[str]) -> float:
     return 2.0 * len(a & b) / (len(a) + len(b))
 
 
-#: Process-wide gram-profile cache.  A plain dict (not ``lru_cache``)
-#: so the ingest-time profile builder can seed it via
-#: :func:`warm_gram_cache` — a deserialized schema profile then serves
-#: gram lookups without recomputing a single n-gram.
+#: Process-wide gram-profile cache, cleared whole when it fills.
 _GRAM_CACHE: dict[tuple[str, int, int], tuple[frozenset[str], float]] = {}
 _GRAM_CACHE_MAX = 1 << 17
 
@@ -60,27 +57,6 @@ def weighted_gram_profile(text: str, min_n: int = 1, max_n_cap: int = 24) \
             _GRAM_CACHE.clear()
         _GRAM_CACHE[key] = hit
     return hit
-
-
-def warm_gram_cache(profiles: dict[str, tuple[frozenset[str], float]],
-                    min_n: int = 1, max_n_cap: int = 24) -> int:
-    """Seed the gram cache with precomputed profiles; returns seeded count.
-
-    Used by :class:`~repro.matching.profile.SchemaMatchProfile` so that
-    profiles loaded from disk make their n-gram work reusable without
-    re-deriving it.
-    """
-    seeded = 0
-    for word, profile in profiles.items():
-        key = (word, min_n, max_n_cap)
-        if key not in _GRAM_CACHE and len(_GRAM_CACHE) < _GRAM_CACHE_MAX:
-            _GRAM_CACHE[key] = profile
-            seeded += 1
-    return seeded
-
-
-# Backwards-compatible internal alias (pre-acceleration name).
-_weighted_grams = weighted_gram_profile
 
 
 def weighted_ngram_similarity(a: str, b: str, min_n: int = 1,

@@ -1,36 +1,37 @@
 """The match-phase acceleration layer: precomputed schema profiles.
 
 Phases two and three of the pipeline used to re-derive everything per
-candidate per query: re-parse the stored JSON payload, re-split and
-re-normalize every element name, rebuild the entity adjacency map twice
-(context matcher and tightness scorer), and re-run the foreign-key
-transitive closure.  A :class:`SchemaMatchProfile` computes all of those
-artifacts exactly once per schema version — on the first search that
-needs them, then cached by :class:`ProfileStore` — so a query's match
-phase collapses to dict lookups plus arithmetic:
+candidate per query: re-split and re-normalize every element name,
+rebuild the entity adjacency map twice (context matcher and tightness
+scorer), and re-run the foreign-key transitive closure.  A
+:class:`SchemaMatchProfile` computes what the matchers and the
+tightness scorer read exactly once per schema version — on the first
+search that needs it, then cached by :class:`ProfileStore` — so a
+query's match phase collapses to dict lookups plus arithmetic:
 
 * analyzed element words (abbreviation-expanded and plain) per element;
-* weighted n-gram profiles for every distinct word and squashed name
-  (seeded into the process-wide gram cache, see
-  :func:`repro.matching.ngram.warm_gram_cache`);
 * neighboring-element context term sets per element;
-* the undirected entity adjacency map and the FK transitive closure
-  (component map) feeding :class:`~repro.scoring.neighborhood.NeighborhoodIndex`;
-* declared-type families and per-entity attribute word sets for the
-  datatype and structure matchers.
+* the FK transitive closure (component map) feeding
+  :class:`~repro.scoring.neighborhood.NeighborhoodIndex`;
+* declared-type families, and per-entity attribute word sets and
+  attribute counts, for the datatype and structure matchers.
+
+Building a profile is cheaper than decoding a persisted one, so
+profiles are never serialized: a cache miss fetches the schema and
+builds.
 
 :class:`ProfileStore` is the serving side: an LRU read-through cache of
 ``(schema, profile)`` pairs fronting any ``SchemaSource``, so a candidate
 fetched (and profiled) for one query is free for the next.  The
-repository invalidates entries on ``update_schema``/``delete_schema``
+repository invalidates entries on ``update_schema``/``delete_schema``,
 and the changelog-driven :class:`~repro.repository.indexer.RepositoryIndexer`
-rebuilds them on refresh.
+invalidates the ones a refresh touches; the next search that needs
+them rebuilds them.
 
 :class:`MatchScratch` is the per-query companion: memoization shared
-across the candidates (and worker threads) of one search — whole score
-columns of the name and context matchers, keyed by the candidate
-element's words or context set, and the query-side artifacts every
-matcher would otherwise recompute per candidate.
+across the candidates of one search — each column matcher's query-side
+rows and its score column per distinct column key (see
+:class:`~repro.matching.base.ColumnMatcher`).
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ from typing import TYPE_CHECKING, Protocol
 
 from repro.errors import RepositoryError, SchemaError
 from repro.matching.datatype import type_family
-from repro.matching.ngram import warm_gram_cache, weighted_gram_profile
 from repro.matching.normalize import analysed_words
 from repro.model.graph import entity_adjacency
 from repro.model.schema import Schema
 from repro.scoring.neighborhood import NeighborhoodIndex, entity_components
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.matching.base import ColumnMemo
     from repro.model.query import QueryGraph
 
 
@@ -58,8 +59,6 @@ class SchemaMatchProfile:
 
     All fields are derived purely from the schema, so a profile is valid
     until the schema changes (the repository invalidates on mutation).
-    The profile is serializable (:meth:`to_dict` / :meth:`from_dict`) so
-    offline indexers can persist it next to the index segment.
     """
 
     schema_id: int | None
@@ -76,92 +75,77 @@ class SchemaMatchProfile:
     #: path -> neighboring-element context term set (the context
     #: matcher's per-element neighborhood).
     context_terms: dict[str, frozenset[str]]
-    #: Undirected entity-level FK adjacency.
-    adjacency: dict[str, frozenset[str]]
     #: entity -> connected-component id (FK transitive closure).
     component_of: dict[str, int]
     #: attribute path -> declared-type family (datatype matcher).
     type_families: dict[str, str | None]
     #: entity -> union of its attributes' words (structure matcher).
     entity_attr_words: dict[str, frozenset[str]]
-    #: distinct word / squashed name -> (gram set, total weight); the
-    #: precomputed half of the weighted n-gram similarity.
-    word_grams: dict[str, tuple[frozenset[str], float]]
-    #: Lazily rehydrated NeighborhoodIndex (not serialized).
+    #: entity -> number of its attributes (structure matcher).
+    attribute_counts: dict[str, int]
+    #: Lazily built NeighborhoodIndex.
     _neighborhoods: NeighborhoodIndex | None = field(
         default=None, repr=False, compare=False)
 
     @classmethod
     def build(cls, schema: Schema) -> "SchemaMatchProfile":
         """Derive every artifact from ``schema`` in one pass."""
-        element_paths: list[str] = []
         entity_of: dict[str, str] = {}
         words_expanded: dict[str, tuple[str, ...]] = {}
         words_plain: dict[str, tuple[str, ...]] = {}
-        for ref in schema.elements():
-            path = ref.path
-            element_paths.append(path)
-            entity_of[path] = ref.entity
-            # One (memoized) split per name; the expanded view is
-            # derived from it, not re-split.
-            name = ref.local_name
-            words_plain[path] = analysed_words(name, False)
-            words_expanded[path] = analysed_words(name, True)
-
-        adjacency = entity_adjacency(schema)
-        component_of: dict[str, int] = {}
-        components = entity_components(schema, adjacency=adjacency)
-        for component_id, component in enumerate(components):
-            for entity in component:
-                component_of[entity] = component_id
-
         context_terms: dict[str, frozenset[str]] = {}
         type_families: dict[str, str | None] = {}
         entity_attr_words: dict[str, frozenset[str]] = {}
+        attribute_counts: dict[str, int] = {}
+        adjacency = entity_adjacency(schema)
         for entity in schema.entities.values():
+            name = entity.name
+            entity_of[name] = name
+            # One (memoized) split per name; the expanded view is
+            # derived from it, not re-split.
+            words_plain[name] = analysed_words(name, False)
+            entity_words = words_expanded[name] = analysed_words(name, True)
+            attr_paths: list[str] = []
             attr_words: set[str] = set()
             for attr in entity.attributes:
-                path = f"{entity.name}.{attr.name}"
-                attr_words.update(words_expanded[path])
+                path = f"{name}.{attr.name}"
+                attr_paths.append(path)
+                entity_of[path] = name
+                words_plain[path] = analysed_words(attr.name, False)
+                words = words_expanded[path] = analysed_words(attr.name, True)
+                attr_words.update(words)
                 type_families[path] = type_family(attr.data_type)
             frozen_attr_words = frozenset(attr_words)
-            entity_attr_words[entity.name] = frozen_attr_words
+            entity_attr_words[name] = frozen_attr_words
+            attribute_counts[name] = len(attr_paths)
             # Every attribute of an entity shares one context set: the
             # entity's name words plus all sibling attribute words.
-            shared = frozen_attr_words.union(words_expanded[entity.name])
-            for attr in entity.attributes:
-                context_terms[f"{entity.name}.{attr.name}"] = shared
+            shared = frozen_attr_words.union(entity_words)
+            for path in attr_paths:
+                context_terms[path] = shared
             # The entity element additionally sees FK-adjacent entity
             # name words.
-            context_terms[entity.name] = shared.union(
-                *(words_expanded[neighbor]
-                  for neighbor in adjacency.get(entity.name, ())))
+            context_terms[name] = shared.union(
+                *(analysed_words(neighbor, True)
+                  for neighbor in adjacency.get(name, ())))
 
-        word_grams: dict[str, tuple[frozenset[str], float]] = {}
-        for table in (words_expanded, words_plain):
-            for words in table.values():
-                if not words:
-                    continue
-                for word in words:
-                    if word not in word_grams:
-                        word_grams[word] = weighted_gram_profile(word)
-                squashed = "".join(words)
-                if squashed not in word_grams:
-                    word_grams[squashed] = weighted_gram_profile(squashed)
+        component_of: dict[str, int] = {}
+        components = entity_components(schema, adjacency=adjacency)
+        for component_id, component in enumerate(components):
+            for entity_name in component:
+                component_of[entity_name] = component_id
 
         return cls(
             schema_id=schema.schema_id,
-            element_paths=element_paths,
+            element_paths=list(entity_of),
             entity_of=entity_of,
             words_expanded=words_expanded,
             words_plain=words_plain,
             context_terms=context_terms,
-            adjacency={name: frozenset(neighbors)
-                       for name, neighbors in adjacency.items()},
             component_of=component_of,
             type_families=type_families,
             entity_attr_words=entity_attr_words,
-            word_grams=word_grams,
+            attribute_counts=attribute_counts,
         )
 
     # -- fast-path accessors -------------------------------------------
@@ -175,7 +159,7 @@ class SchemaMatchProfile:
             raise SchemaError(f"profile has no element {path!r}") from None
 
     def neighborhood_index(self) -> NeighborhoodIndex:
-        """The schema's (cached) NeighborhoodIndex, rehydrated from the
+        """The schema's (cached) NeighborhoodIndex, built from the
         precomputed component map — no graph traversal per query."""
         index = self._neighborhoods
         if index is None:
@@ -183,86 +167,24 @@ class SchemaMatchProfile:
             self._neighborhoods = index
         return index
 
-    # -- serialization -------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-safe form (sets become sorted lists)."""
-        return {
-            "schema_id": self.schema_id,
-            "element_paths": list(self.element_paths),
-            "entity_of": dict(self.entity_of),
-            "words_expanded": {path: list(words)
-                               for path, words in self.words_expanded.items()},
-            "words_plain": {path: list(words)
-                            for path, words in self.words_plain.items()},
-            "context_terms": {path: sorted(terms)
-                              for path, terms in self.context_terms.items()},
-            "adjacency": {name: sorted(neighbors)
-                          for name, neighbors in self.adjacency.items()},
-            "component_of": dict(self.component_of),
-            "type_families": dict(self.type_families),
-            "entity_attr_words": {
-                name: sorted(words)
-                for name, words in self.entity_attr_words.items()},
-            "word_grams": {word: [sorted(grams), weight]
-                           for word, (grams, weight)
-                           in self.word_grams.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SchemaMatchProfile":
-        """Inverse of :meth:`to_dict`; re-seeds the process gram cache."""
-        try:
-            word_grams = {word: (frozenset(grams), float(weight))
-                          for word, (grams, weight)
-                          in data["word_grams"].items()}
-            profile = cls(
-                schema_id=data["schema_id"],
-                element_paths=list(data["element_paths"]),
-                entity_of=dict(data["entity_of"]),
-                words_expanded={path: tuple(words) for path, words
-                                in data["words_expanded"].items()},
-                words_plain={path: tuple(words) for path, words
-                             in data["words_plain"].items()},
-                context_terms={path: frozenset(terms) for path, terms
-                               in data["context_terms"].items()},
-                adjacency={name: frozenset(neighbors) for name, neighbors
-                           in data["adjacency"].items()},
-                component_of={name: int(component) for name, component
-                              in data["component_of"].items()},
-                type_families=dict(data["type_families"]),
-                entity_attr_words={name: frozenset(words) for name, words
-                                   in data["entity_attr_words"].items()},
-                word_grams=word_grams,
-            )
-        except KeyError as exc:
-            raise SchemaError(f"profile dict missing key {exc}") from exc
-        warm_gram_cache(word_grams)
-        return profile
-
 
 class MatchScratch:
     """Per-query memoization shared across candidates.
 
-    ``name_columns`` / ``context_columns`` map a matcher instance to its
-    score-column memo: candidate element words (name) or frozen context
-    term set (context) -> the thresholded scores of every query row
-    against that element (``None`` when all zero).  An instance owns
-    its dict because a column bakes in the matcher's own settings
-    (``expand``, ``threshold``).  Everything here is a *pure* function
-    of its key and the query, and a matrix copies the column into its
-    own storage, so no matrix aliases a memo entry.
+    ``columns`` maps a column matcher to its
+    :class:`~repro.matching.base.ColumnMemo`: column key (the candidate
+    element's words, context set, type family...) -> the scores of
+    every query row against that key (``None`` when all zero).  A memo
+    belongs to one matcher instance, because a column bakes in the
+    matcher's own settings (``expand``, ``threshold``).  Everything
+    here is a *pure* function of its key and the query; columns are
+    immutable tuples, so a matrix built from one copies it.
     """
 
-    __slots__ = ("name_columns", "context_columns", "matcher_memo",
-                 "_row_labels")
+    __slots__ = ("columns", "_row_labels")
 
     def __init__(self) -> None:
-        self.name_columns: dict[object, dict] = {}
-        self.context_columns: dict[object, dict] = {}
-        #: matcher name (plus any setting the artifact depends on) ->
-        #: its prepared query-side artifact.
-        self.matcher_memo: dict[object, object] = {}
+        self.columns: dict[object, ColumnMemo] = {}
         self._row_labels: list[str] | None = None
 
     def row_labels(self, query: "QueryGraph") -> list[str]:

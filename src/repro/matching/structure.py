@@ -14,14 +14,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.matching.base import Matcher, SimilarityMatrix
+from repro.matching.base import (
+    Column,
+    ColumnMatcher,
+    SimilarityMatrix,
+    column_from_cells,
+)
 from repro.matching.normalize import normalize_words
 from repro.model.elements import Entity
 from repro.model.query import QueryGraph, QueryItemKind
 from repro.model.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import MatchScratch, SchemaMatchProfile
+    from repro.matching.profile import SchemaMatchProfile
 
 #: Attribute pairs inherit this fraction of their entities' score.
 _CHILD_PROPAGATION = 0.5
@@ -54,8 +59,12 @@ def entity_shape_similarity(a: Entity, b: Entity) -> float:
                         _entity_word_set(b), len(b.attributes))
 
 
-class StructureMatcher(Matcher):
-    """Scores entity pairs by shape; propagates a fraction to children."""
+class StructureMatcher(ColumnMatcher):
+    """Scores entity pairs by shape; propagates a fraction to children.
+
+    Column key: the owning entity's attribute-word set and attribute
+    count, tagged with whether the element is the entity itself.
+    """
 
     name = "structure"
 
@@ -64,27 +73,17 @@ class StructureMatcher(Matcher):
             raise ValueError(f"threshold must be in [0, 1), got {threshold}")
         self._threshold = threshold
 
-    def match(self, query: QueryGraph, candidate: Schema,
-              profile: "SchemaMatchProfile | None" = None,
-              scratch: "MatchScratch | None" = None) -> SimilarityMatrix:
-        matrix = self.empty_matrix(query, candidate,
-                                   profile=profile, scratch=scratch)
-        cand_words_of = profile.entity_attr_words if profile is not None \
-            else None
+    def reference(self, query: QueryGraph,
+                  candidate: Schema) -> SimilarityMatrix:
+        matrix = self.empty_matrix(query, candidate)
         for fragment_labels, query_entity, query_words in \
-                self._query_shapes(query, scratch):
+                self._query_shapes(query):
             entity_label = fragment_labels[query_entity.name]
             for cand_entity in candidate.entities.values():
-                if cand_words_of is not None:
-                    score = _shape_score(
-                        query_words, len(query_entity.attributes),
-                        cand_words_of[cand_entity.name],
-                        len(cand_entity.attributes))
-                else:
-                    score = _shape_score(
-                        query_words, len(query_entity.attributes),
-                        _entity_word_set(cand_entity),
-                        len(cand_entity.attributes))
+                score = _shape_score(
+                    query_words, len(query_entity.attributes),
+                    _entity_word_set(cand_entity),
+                    len(cand_entity.attributes))
                 if score < self._threshold:
                     continue
                 matrix.set(entity_label, cand_entity.name, score)
@@ -100,15 +99,53 @@ class StructureMatcher(Matcher):
                             matrix.set(q_label, col, child_score)
         return matrix
 
-    def _query_shapes(self, query: QueryGraph,
-                      scratch: "MatchScratch | None"
+    def query_rows(self, query: QueryGraph):
+        """(entity row, its attribute rows, attribute word set,
+        attribute count) per fragment entity, plus the row count."""
+        index_of = {label: i
+                    for i, label in enumerate(query.element_labels())}
+        shapes = []
+        for fragment_labels, query_entity, query_words in \
+                self._query_shapes(query):
+            entity = query_entity.name
+            shapes.append((
+                (index_of[fragment_labels[entity]],),
+                [index_of[fragment_labels[f"{entity}.{attr.name}"]]
+                 for attr in query_entity.attributes],
+                query_words, len(query_entity.attributes)))
+        return (len(index_of), shapes)
+
+    def column_keys(self, profile: "SchemaMatchProfile"):
+        entity_of = profile.entity_of
+        words = profile.entity_attr_words
+        counts = profile.attribute_counts
+        for path in profile.element_paths:
+            entity = entity_of[path]
+            yield (path == entity, words[entity], counts[entity])
+
+    def score_column(self, rows, key) -> Column:
+        is_entity, cand_words, cand_count = key
+        n_rows, shapes = rows
+        threshold = self._threshold
+        cells = []
+        for entity_row, attr_rows, query_words, query_count in shapes:
+            score = _shape_score(query_words, query_count,
+                                 cand_words, cand_count)
+            if score < threshold:
+                continue
+            if is_entity:
+                cells.append((entity_row, score))
+                continue
+            child_score = score * _CHILD_PROPAGATION
+            if child_score >= threshold:
+                cells.append((attr_rows, child_score))
+        return column_from_cells(n_rows, cells)
+
+    @staticmethod
+    def _query_shapes(query: QueryGraph
                       ) -> list[tuple[dict[str, str], Entity, set[str]]]:
         """(fragment labels by path, query entity, its attribute word
-        set) per fragment entity, memoized per search."""
-        if scratch is not None:
-            cached = scratch.matcher_memo.get(self.name)
-            if cached is not None:
-                return cached  # type: ignore[return-value]
+        set) per fragment entity."""
         shapes: list[tuple[dict[str, str], Entity, set[str]]] = []
         labels = iter(query.element_labels())
         for item in query.items:
@@ -123,6 +160,4 @@ class StructureMatcher(Matcher):
             for query_entity in item.fragment.entities.values():
                 shapes.append((fragment_labels, query_entity,
                                _entity_word_set(query_entity)))
-        if scratch is not None:
-            scratch.matcher_memo[self.name] = shapes
         return shapes

@@ -12,13 +12,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.matching.base import Matcher, SimilarityMatrix
+from repro.matching.base import (
+    Column,
+    ColumnMatcher,
+    SimilarityMatrix,
+    column_from_cells,
+    distinct_rows,
+)
 from repro.matching.normalize import normalize_words
 from repro.model.query import QueryGraph
 from repro.model.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import MatchScratch, SchemaMatchProfile
+    from repro.matching.profile import SchemaMatchProfile
 
 #: Each inner tuple is one synonym set.
 DEFAULT_THESAURUS: tuple[tuple[str, ...], ...] = (
@@ -63,8 +69,11 @@ DEFAULT_THESAURUS: tuple[tuple[str, ...], ...] = (
 )
 
 
-class SynonymMatcher(Matcher):
-    """Scores pairs by word-level synonym overlap."""
+class SynonymMatcher(ColumnMatcher):
+    """Scores pairs by word-level synonym overlap.
+
+    Column key: the element's analysed (expanded) words.
+    """
 
     name = "synonym"
 
@@ -88,50 +97,53 @@ class SynonymMatcher(Matcher):
             sets.update(self._memberships.get(word, ()))
         return sets
 
-    def match(self, query: QueryGraph, candidate: Schema,
-              profile: "SchemaMatchProfile | None" = None,
-              scratch: "MatchScratch | None" = None) -> SimilarityMatrix:
-        matrix = self.empty_matrix(query, candidate,
-                                   profile=profile, scratch=scratch)
-        if profile is not None:
-            candidate_sets = [
-                (path, self._sets_of(profile.words_expanded[path]),
-                 len(profile.words_expanded[path]))
-                for path in profile.element_paths
-            ]
-        else:
-            candidate_sets = [
-                (path, self._word_sets(name), len(normalize_words(name)))
-                for path, name, _kind in self.candidate_elements(candidate)
-            ]
-        for label, query_sets, query_word_count in \
-                self._query_sets(query, scratch):
+    def reference(self, query: QueryGraph,
+                  candidate: Schema) -> SimilarityMatrix:
+        matrix = self.empty_matrix(query, candidate)
+        candidate_sets = [
+            (path, self._word_sets(name), len(normalize_words(name)))
+            for path, name, _kind in self.candidate_elements(candidate)
+        ]
+        for label, name in self.query_elements(query):
+            query_sets = self._word_sets(name)
             if not query_sets:
                 continue
+            query_word_count = max(len(normalize_words(name)), 1)
             for path, cand_sets, cand_word_count in candidate_sets:
-                shared = len(query_sets & cand_sets)
-                if shared == 0:
-                    continue
-                # Fraction of the longer name's words that found a
-                # synonym partner; single-word synonym hits score 1.0.
-                denom = max(query_word_count, cand_word_count, 1)
-                matrix.set(label, path, min(1.0, shared / denom))
+                score = self._score(query_sets, query_word_count,
+                                    cand_sets, cand_word_count)
+                if score:
+                    matrix.set(label, path, score)
         return matrix
 
-    def _query_sets(self, query: QueryGraph,
-                    scratch: "MatchScratch | None"
-                    ) -> list[tuple[str, set[int], int]]:
-        """(label, synonym-set ids, word count) per query element,
-        memoized per search when a scratch is available."""
-        if scratch is not None:
-            cached = scratch.matcher_memo.get(self.name)
-            if cached is not None:
-                return cached  # type: ignore[return-value]
-        out = [
-            (label, self._word_sets(name),
-             max(len(normalize_words(name)), 1))
-            for label, name in self.query_elements(query)
-        ]
-        if scratch is not None:
-            scratch.matcher_memo[self.name] = out
-        return out
+    def query_rows(self, query: QueryGraph):
+        forms = []
+        for name in query.element_names():
+            sets = frozenset(self._word_sets(name))
+            forms.append((sets, max(len(normalize_words(name)), 1))
+                         if sets else None)
+        return (len(forms), distinct_rows(forms))
+
+    def column_keys(self, profile: "SchemaMatchProfile"):
+        return map(profile.words_expanded.__getitem__, profile.element_paths)
+
+    def score_column(self, rows, key: tuple[str, ...]) -> Column:
+        n_rows, forms = rows
+        cand_sets = self._sets_of(key)
+        if not cand_sets:
+            return None
+        return column_from_cells(n_rows, [
+            (indices, self._score(query_sets, query_word_count,
+                                  cand_sets, len(key)))
+            for (query_sets, query_word_count), indices in forms])
+
+    @staticmethod
+    def _score(query_sets: "set[int] | frozenset[int]", query_word_count: int,
+               cand_sets: set[int], cand_word_count: int) -> float:
+        shared = len(query_sets & cand_sets)
+        if shared == 0:
+            return 0.0
+        # Fraction of the longer name's words that found a synonym
+        # partner; single-word synonym hits score 1.0.
+        denom = max(query_word_count, cand_word_count, 1)
+        return min(1.0, shared / denom)

@@ -32,18 +32,61 @@ class Schema:
                 raise SchemaError(
                     f"entity dict key {key!r} does not match entity name "
                     f"{entity.name!r}")
+        # Two paths can only collide when an entity name holds a dot
+        # (``a.b`` + ``c`` against ``a`` + ``b.c``, or ``a.b`` against
+        # ``a`` + ``b``), so schemas without one skip the path check.
+        if "." in "".join(self.entities):
+            self._check_paths()
         for fk in self.foreign_keys:
             self._check_fk(fk)
 
     # -- construction ------------------------------------------------------
 
     def add_entity(self, entity: Entity) -> Entity:
-        """Register an entity; rejects duplicate names."""
+        """Register an entity; rejects duplicate names and an element
+        path that an element already in the schema holds.
+
+        Only the new entity's paths are probed.  Attributes appended to
+        an entity after it was added are not rechecked; building a
+        :class:`Schema` from its entities checks every path.
+        """
         if entity.name in self.entities:
             raise SchemaError(
                 f"schema {self.name!r} already has entity {entity.name!r}")
-        self.entities[entity.name] = entity
+        name = entity.name
+        for path in (name, *(f"{name}.{attr.name}"
+                             for attr in entity.attributes)):
+            if self._has_path(path):
+                raise SchemaError(
+                    f"schema {self.name!r} has two elements at path "
+                    f"{path!r}")
+        self.entities[name] = entity
         return entity
+
+    def _has_path(self, path: str) -> bool:
+        """Whether an element sits at ``path``: its entity is ``path``
+        itself or a prefix of it ending just before a dot."""
+        if path in self.entities:
+            return True
+        cut = path.find(".")
+        while cut != -1:
+            entity = self.entities.get(path[:cut])
+            if entity is not None and entity.has_attribute(path[cut + 1:]):
+                return True
+            cut = path.find(".", cut + 1)
+        return False
+
+    def _check_paths(self) -> None:
+        """Reject two elements that share one path: paths label matrix
+        columns and key every profile map."""
+        if len(self.element_entities()) != self.element_count:
+            seen: set[str] = set()
+            for ref in self.elements():
+                if ref.path in seen:
+                    raise SchemaError(
+                        f"schema {self.name!r} has two elements at path "
+                        f"{ref.path!r}")
+                seen.add(ref.path)
 
     def add_foreign_key(self, fk: ForeignKey) -> ForeignKey:
         """Register a foreign key after validating both endpoints exist."""
@@ -93,6 +136,17 @@ class Schema:
         """All element refs: each entity followed by its attributes."""
         for entity in self.entities.values():
             yield from entity.refs()
+
+    def element_entities(self) -> dict[str, str]:
+        """path -> owning entity name for every element, in
+        :meth:`elements` order (built without element refs)."""
+        entity_of: dict[str, str] = {}
+        for entity in self.entities.values():
+            name = entity.name
+            entity_of[name] = name
+            for attr in entity.attributes:
+                entity_of[f"{name}.{attr.name}"] = name
+        return entity_of
 
     def attribute_refs(self) -> Iterator[ElementRef]:
         """Only attribute-level refs (the rows Figure 4 scores)."""
@@ -165,14 +219,14 @@ class Schema:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schema":
-        """Inverse of :meth:`to_dict`; validates as it builds."""
+        """Inverse of :meth:`to_dict`; validates as it builds.
+
+        The schema is constructed once from all its entities and foreign
+        keys, so its paths are checked once, not per entity.
+        """
         try:
-            schema = cls(
-                name=data["name"],
-                description=data.get("description", ""),
-                source=data.get("source", ""),
-                schema_id=data.get("schema_id"),
-            )
+            name = data["name"]
+            entities: dict[str, Entity] = {}
             for entity_data in data.get("entities", []):
                 entity = Entity(
                     name=entity_data["name"],
@@ -188,17 +242,29 @@ class Schema:
                         for attr in entity_data.get("attributes", [])
                     ],
                 )
-                schema.add_entity(entity)
-            for fk_data in data.get("foreign_keys", []):
-                schema.add_foreign_key(ForeignKey(
+                if entity.name in entities:
+                    raise SchemaError(
+                        f"schema {name!r} already has entity "
+                        f"{entity.name!r}")
+                entities[entity.name] = entity
+            foreign_keys = [
+                ForeignKey(
                     source_entity=fk_data["source_entity"],
                     source_attribute=fk_data["source_attribute"],
                     target_entity=fk_data["target_entity"],
                     target_attribute=fk_data["target_attribute"],
-                ))
+                )
+                for fk_data in data.get("foreign_keys", [])]
         except KeyError as exc:
             raise SchemaError(f"schema dict missing key {exc}") from exc
-        return schema
+        return cls(
+            name=name,
+            entities=entities,
+            foreign_keys=foreign_keys,
+            description=data.get("description", ""),
+            source=data.get("source", ""),
+            schema_id=data.get("schema_id"),
+        )
 
     def copy(self) -> "Schema":
         """Deep, independent copy (used by the repository cache)."""

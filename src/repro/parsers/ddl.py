@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ParseError, SchemaError
+from repro.errors import ParseError
 from repro.model.elements import Attribute, Entity, ForeignKey
 from repro.model.schema import Schema
 from repro.parsers.sqltok import Token, TokenType, tokenize_sql
@@ -128,13 +128,10 @@ class _DdlParser:
             token = self._peek()
             if token.is_keyword("CREATE") and self._peek(1).is_keyword("TABLE"):
                 entity, fks = self._parse_create_table()
-                try:
+                # A re-declared table keeps its first definition, as a
+                # dump with duplicates usually repeats identical DDL.
+                if entity.name not in schema.entities:
                     schema.add_entity(entity)
-                except SchemaError:
-                    # Re-declared table: keep the first definition, as a
-                    # dump with duplicates usually repeats identical DDL.
-                    pass
-                else:
                     pending_fks.extend(fks)
             else:
                 self._skip_statement()

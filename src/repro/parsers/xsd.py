@@ -18,6 +18,7 @@ names.
 
 from __future__ import annotations
 
+import dataclasses
 import xml.etree.ElementTree as ET
 
 from repro.errors import ParseError, SchemaError
@@ -65,7 +66,9 @@ class _XsdParser:
         for parent, child in self._containments:
             self._link(parent, child)
         self._restore_appinfo_foreign_keys()
-        return self._schema
+        # Attributes were added after their entities: construct the
+        # schema again so that it checks no two elements share a path.
+        return dataclasses.replace(self._schema)
 
     def _restore_appinfo_foreign_keys(self) -> None:
         """Read back ``<foreignKey source target>`` appinfo annotations.

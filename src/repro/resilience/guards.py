@@ -1,8 +1,10 @@
 """Breaker-guarded wrappers around the match-phase dependencies.
 
-:class:`GuardedEnsemble` mirrors
-:meth:`~repro.matching.ensemble.MatcherEnsemble.match` but runs each
-matcher under its own :class:`~repro.resilience.breaker.CircuitBreaker`:
+:class:`GuardedEnsemble` runs the ensemble's matchers as
+:meth:`~repro.matching.ensemble.MatcherEnsemble.match` does, but keeps
+their score columns (a :class:`~repro.matching.ensemble.ColumnMatch`,
+no matrices) and runs each matcher under its own
+:class:`~repro.resilience.breaker.CircuitBreaker`:
 a matcher that keeps failing is cut out of the ensemble (its weight
 simply drops from the combination) instead of failing every search,
 and half-open probes let it back in once it recovers.  A ``cheap_only``
@@ -22,8 +24,7 @@ import time
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import CircuitOpenError
-from repro.matching.base import SimilarityMatrix
-from repro.matching.ensemble import EnsembleResult, MatcherEnsemble
+from repro.matching.ensemble import ColumnMatch, MatcherEnsemble
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FAULTS
 
@@ -74,20 +75,20 @@ class GuardedEnsemble:
     def match(self, query: "QueryGraph", candidate: "Schema",
               profile: "SchemaMatchProfile | None" = None,
               scratch: "MatchScratch | None" = None,
-              cheap_only: bool = False) -> EnsembleResult:
-        """The ensemble match, minus matchers whose breakers are open.
+              cheap_only: bool = False) -> ColumnMatch:
+        """The ensemble's columns, minus matchers whose breakers are open.
 
         With ``cheap_only`` the ensemble is reduced to the name matcher
         (the ``name_only`` degradation level).  Matcher exceptions are
         recorded on their breaker and the matcher skipped for this
         candidate; :class:`CircuitOpenError` is raised only when no
-        matcher at all produced a matrix.
+        matcher at all produced its columns.  No matrix is built: the
+        caller reads element scores off the columns and asks for
+        matrices only for the results it materialises.
         """
         ensemble = self._ensemble
         weights = ensemble.weights
-        per_matcher: dict[str, SimilarityMatrix] = {}
-        matrices: list[SimilarityMatrix] = []
-        weight_list: list[float] = []
+        parts: list[tuple[str, float, list]] = []
         for matcher in ensemble.matchers:
             if cheap_only and matcher.name != self._cheap_name:
                 continue
@@ -96,25 +97,22 @@ class GuardedEnsemble:
                 continue
             try:
                 FAULTS.hit(f"matcher.{matcher.name}")
-                matrix = matcher.match(query, candidate,
-                                       profile=profile, scratch=scratch)
+                columns = matcher.columns(query, candidate,
+                                          profile=profile, scratch=scratch)
             except Exception as exc:
                 breaker.record_failure()
                 logger.debug("matcher %s failed (%s); skipped for this "
                              "candidate", matcher.name, exc)
                 continue
             breaker.record_success()
-            per_matcher[matcher.name] = matrix
-            matrices.append(matrix)
-            weight_list.append(weights[matcher.name])
-        if not matrices:
+            parts.append((matcher.name, weights[matcher.name], columns))
+        if not parts:
             raise CircuitOpenError(
                 "no matcher available: all breakers open or failing",
                 breaker="ensemble")
-        if all(w == 0 for w in weight_list):
+        if all(weight == 0 for _name, weight, _columns in parts):
             # Every surviving matcher carries zero weight (the weighted
             # ones are all broken); fall back to uniform combination so
             # degraded results still rank.
-            weight_list = [1.0] * len(matrices)
-        combined = SimilarityMatrix.combine(matrices, weight_list)
-        return EnsembleResult(combined=combined, per_matcher=per_matcher)
+            parts = [(name, 1.0, columns) for name, _weight, columns in parts]
+        return ColumnMatch.of(query, candidate, profile, scratch, parts)

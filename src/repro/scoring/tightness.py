@@ -23,9 +23,9 @@ drown any signal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.errors import MatchError
-from repro.model.elements import ElementRef
 from repro.model.schema import Schema
 from repro.scoring.neighborhood import NeighborhoodIndex
 
@@ -107,32 +107,34 @@ class TightnessScorer:
 
     def score(self, schema: Schema,
               element_scores: dict[str, float],
-              neighborhoods: NeighborhoodIndex | None = None
+              neighborhoods: NeighborhoodIndex | None = None,
+              entity_of: Mapping[str, str] | None = None
               ) -> TightnessResult:
         """Score ``schema`` given per-element match scores.
 
         ``element_scores`` maps element paths (``patient.height``,
         ``patient``) to combined similarity in [0, 1] — normally the
-        ``max_per_column`` of the ensemble's combined matrix.  Unknown
+        column maxima of the ensemble's combined matrix.  Unknown
         paths raise :class:`MatchError`; a mismatched matrix is a
         programming error worth failing loudly on.
 
-        ``neighborhoods`` lets the caller supply a prebuilt
-        :class:`NeighborhoodIndex` (e.g. from a schema match profile) so
-        the FK transitive closure is not re-derived per candidate.
+        ``neighborhoods`` and ``entity_of`` (path -> owning entity) let
+        the caller supply them prebuilt (e.g. from a schema match
+        profile) so neither is re-derived per candidate.  A path's
+        entity is looked up, never parsed: entity names may contain
+        dots.
         """
+        if entity_of is None:
+            entity_of = schema.element_entities()
         matched: dict[str, float] = {}
-        entity_of: dict[str, str] = {}
         for path, value in element_scores.items():
             if value <= self._policy.match_floor:
                 continue
-            ref = ElementRef.parse(path)
-            if not schema.has_element(ref):
+            if path not in entity_of:
                 raise MatchError(
                     f"element {path!r} does not exist in schema "
                     f"{schema.name!r}")
             matched[path] = min(value, 1.0)
-            entity_of[path] = ref.entity
         if not matched:
             return TightnessResult(score=0.0, best_anchor=None)
 
@@ -142,7 +144,7 @@ class TightnessScorer:
         # An anchor with no matched element of its own is dominated by one
         # that has (penalties only grow), so restricting is safe and keeps
         # the loop linear in matched entities.
-        anchors = sorted(set(entity_of.values()))
+        anchors = sorted({entity_of[path] for path in matched})
         anchor_scores: list[AnchorScore] = []
         for anchor in anchors:
             penalized: dict[str, float] = {}

@@ -22,7 +22,6 @@ from repro.index.inverted import InvertedIndex
 from repro.matching.context import element_context
 from repro.matching.datatype import type_family
 from repro.matching.ensemble import MatcherEnsemble
-from repro.matching.ngram import weighted_gram_profile
 from repro.matching.normalize import (
     analysed_words,
     expand_abbreviations,
@@ -103,28 +102,10 @@ class TestSchemaMatchProfile:
                 expected.update(normalize_words(attr.name))
             assert clinic_profile.entity_attr_words[entity.name] == expected
 
-    def test_serialization_round_trip(self, clinic_profile):
-        restored = SchemaMatchProfile.from_dict(clinic_profile.to_dict())
-        assert restored.schema_id == clinic_profile.schema_id
-        assert restored.element_paths == clinic_profile.element_paths
-        assert restored.words_expanded == clinic_profile.words_expanded
-        assert restored.words_plain == clinic_profile.words_plain
-        assert restored.context_terms == clinic_profile.context_terms
-        assert restored.adjacency == clinic_profile.adjacency
-        assert restored.component_of == clinic_profile.component_of
-        assert restored.type_families == clinic_profile.type_families
-        assert restored.entity_attr_words == clinic_profile.entity_attr_words
-        assert restored.word_grams == clinic_profile.word_grams
-
-    def test_round_trip_is_json_safe(self, clinic_profile):
-        import json
-        payload = json.dumps(clinic_profile.to_dict())
-        restored = SchemaMatchProfile.from_dict(json.loads(payload))
-        assert restored.element_paths == clinic_profile.element_paths
-
-    def test_from_dict_missing_key_rejected(self):
-        with pytest.raises(SchemaError, match="missing key"):
-            SchemaMatchProfile.from_dict({"schema_id": 1})
+    def test_attribute_counts(self, clinic_schema, clinic_profile):
+        for entity in clinic_schema.entities.values():
+            assert clinic_profile.attribute_counts[entity.name] == \
+                len(entity.attributes)
 
 
 def _reference_profile(schema) -> SchemaMatchProfile:
@@ -140,12 +121,6 @@ def _reference_profile(schema) -> SchemaMatchProfile:
     words_expanded = {ref.path: words(ref.local_name, True) for ref in refs}
     words_plain = {ref.path: words(ref.local_name, False) for ref in refs}
     adjacency = entity_adjacency(schema)
-    word_grams = {}
-    for table in (words_expanded, words_plain):
-        for analysed in table.values():
-            if analysed:
-                for text in (*analysed, "".join(analysed)):
-                    word_grams[text] = weighted_gram_profile(text)
     return SchemaMatchProfile(
         schema_id=schema.schema_id,
         element_paths=[ref.path for ref in refs],
@@ -155,8 +130,6 @@ def _reference_profile(schema) -> SchemaMatchProfile:
         context_terms={
             ref.path: frozenset(element_context(schema, ref, adjacency))
             for ref in refs},
-        adjacency={name: frozenset(neighbors)
-                   for name, neighbors in adjacency.items()},
         component_of={
             entity: component_id
             for component_id, component in enumerate(
@@ -171,7 +144,8 @@ def _reference_profile(schema) -> SchemaMatchProfile:
                 word for attr in entity.attributes
                 for word in words(attr.name, True))
             for entity in schema.entities.values()},
-        word_grams=word_grams,
+        attribute_counts={entity.name: len(entity.attributes)
+                          for entity in schema.entities.values()},
     )
 
 
