@@ -30,7 +30,7 @@ The package layout follows the system architecture (Figure 5):
 """
 
 from repro.core.config import SchemrConfig
-from repro.core.engine import DictSchemaSource, SchemrEngine
+from repro.core.engine import SchemrEngine
 from repro.core.results import SearchResult, format_result_table
 from repro.errors import (
     IndexError_,
@@ -62,7 +62,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Attribute",
     "CodebookMatcher",
-    "DictSchemaSource",
     "annotate_schema",
     "derive_mapping",
     "export_ddl",

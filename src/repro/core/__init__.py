@@ -9,13 +9,11 @@ Figure 2 tabular view displays.
 """
 
 from repro.core.config import SchemrConfig
-from repro.core.engine import DictSchemaSource, SchemaSource, SchemrEngine
+from repro.core.engine import SchemrEngine
 from repro.core.results import ElementMatch, SearchResult, format_result_table
 
 __all__ = [
-    "DictSchemaSource",
     "ElementMatch",
-    "SchemaSource",
     "SchemrConfig",
     "SchemrEngine",
     "SearchResult",

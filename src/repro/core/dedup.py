@@ -12,12 +12,15 @@ group, annotating it with how many near-duplicates it hides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.engine import SchemaSource
 from repro.core.results import SearchResult
 from repro.errors import SchemrError
 from repro.matching.normalize import normalize_words
 from repro.model.schema import Schema
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.repository.store import SchemaRepository
 
 #: Jaccard overlap of element-word fingerprints above which two schemas
 #: are near-duplicates.
@@ -56,7 +59,7 @@ class DedupedResult:
 
 
 def collapse_duplicates(results: list[SearchResult],
-                        source: SchemaSource,
+                        source: "SchemaRepository",
                         overlap: float = DEFAULT_OVERLAP
                         ) -> list[DedupedResult]:
     """Greedily collapse near-duplicate results, order-preserving.

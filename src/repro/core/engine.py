@@ -28,12 +28,13 @@ from repro.core.pipeline import (
     PHASE_TIGHTNESS,
 )
 from repro.core.results import ElementMatch, SearchResult
-from repro.errors import QueryError
+from repro.errors import IndexError_, QueryError
 from repro.index.cache import QueryCache
 from repro.index.inverted import InvertedIndex
 from repro.index.searcher import IndexHit, IndexSearcher, SearchStats
 from repro.matching.ensemble import MatcherEnsemble
-from repro.matching.profile import MatchScratch, SchemaMatchProfile
+from repro.matching.profile import (MatchScratch, ProfileStore,
+                                    SchemaMatchProfile)
 from repro.model.query import QueryGraph
 from repro.model.schema import Schema
 from repro.errors import CircuitOpenError, DeadlineExceeded, SchemaNotFound
@@ -64,31 +65,17 @@ from repro.telemetry import (
 logger = logging.getLogger(__name__)
 
 
-class SchemaSource(Protocol):
-    """Where the engine fetches full schemas for candidate ids.
-
-    The repository implements this; tests can use
-    :class:`DictSchemaSource`.  A source whose contents can change in
-    process also exposes a ``version`` counter that every write bumps;
-    the engine's result cache is stamped with it.
-    """
-
-    def get_schema(self, schema_id: int) -> Schema:  # pragma: no cover
-        """Return the schema stored under ``schema_id``."""
-        ...
-
-
-class DictSchemaSource:
-    """In-memory :class:`SchemaSource` over a dict (tests, examples)."""
-
-    def __init__(self, schemas: dict[int, Schema]) -> None:
-        self._schemas = dict(schemas)
-
-    def get_schema(self, schema_id: int) -> Schema:
-        try:
-            return self._schemas[schema_id]
-        except KeyError:
-            raise QueryError(f"unknown schema id {schema_id}") from None
+def served_payload(index: InvertedIndex, schema_id: int
+                   ) -> bytes | memoryview:
+    """The stored payload of ``schema_id`` in ``index``'s current
+    generation; :class:`SchemaNotFound` when that generation does not
+    hold it."""
+    try:
+        return index.document(schema_id).payload
+    except IndexError_:
+        raise SchemaNotFound(
+            f"schema {schema_id} is not in the served index "
+            "generation") from None
 
 
 def breaker_trouble(breakers: Iterable[CircuitBreaker]) -> int:
@@ -157,10 +144,11 @@ def _raw_query(keywords: object, fragment: object) -> tuple | None:
 class SearchExecutor(Protocol):
     """Where the three phases execute; the engine owns the rest.
 
-    Executors that serve an index also expose ``searcher``,
-    ``breakers``, ``source`` (whose ``version`` stamps the result
-    cache) and ``close()``; the lifecycle itself needs only the three
-    methods below.  An executor whose :meth:`score` defers the
+    Executors that serve an index also expose ``searcher`` (whose
+    index generation stamps the result cache), ``breakers``,
+    ``schema(schema_id)`` (a schema as that generation holds it) and
+    ``close()``; the lifecycle itself needs only the three methods
+    below.  An executor whose :meth:`score` defers the
     per-element drill-in (``SearchResult.element_matches``) also
     exposes ``materialise(results, matched)``, which the engine calls
     for the page only.
@@ -207,10 +195,13 @@ class SchemrEngine:
     Parameters
     ----------
     index:
-        The inverted index over the schema corpus (phase one).
+        The inverted index over the schema corpus — the whole read
+        state: phases two and three decode each candidate from the
+        payload its document carries.
     source:
-        Resolver from candidate ids to full :class:`Schema` objects
-        (needed by phases two and three).
+        The :class:`~repro.matching.profile.ProfileStore` that caches
+        decoded candidates and their match profiles; a fresh one
+        (default capacity) when omitted.
     ensemble:
         Fine-grained matcher ensemble; defaults to the paper's
         name + context pair with uniform weights.
@@ -230,7 +221,7 @@ class SchemrEngine:
     """
 
     def __init__(self, index: InvertedIndex | None = None,
-                 source: SchemaSource | None = None,
+                 source: ProfileStore | None = None,
                  ensemble: MatcherEnsemble | None = None,
                  config: SchemrConfig | None = None,
                  telemetry: Telemetry | None = None,
@@ -392,8 +383,15 @@ class SchemrEngine:
 
     @property
     def store_breaker(self) -> CircuitBreaker:
-        """The breaker around the schema source (sqlite/ProfileStore)."""
+        """The breaker around candidate decoding (the ProfileStore
+        fill path)."""
         return self._executor.store_breaker
+
+    def schema(self, schema_id: int) -> Schema:
+        """``schema_id`` as the served index generation holds it;
+        :class:`SchemaNotFound` when it does not (deleted, or committed
+        but not yet refreshed)."""
+        return self._executor.schema(schema_id)
 
     @property
     def breakers(self) -> dict[str, CircuitBreaker]:
@@ -520,16 +518,15 @@ class SchemrEngine:
         return (raw, (top_n, offset), stamp)
 
     def _page_stamp(self) -> tuple:
-        """Everything phases 2-3 read that can change under a page.
+        """Everything a page is built from that can change under it.
 
-        The index generation (flushes and merges keep it), the schema
-        source's write ``version`` and, in process, the ensemble
-        weights.  Read *before* the pipeline runs, so a page is never
-        filed under a stamp newer than the data it was built from.
+        The index generation — flushes and merges keep it, and it
+        carries every candidate's payload — and, in process, the
+        ensemble weights.  Read *before* the pipeline runs, so a page
+        is never filed under a stamp newer than the data it was built
+        from.
         """
-        executor = self._executor
-        stamp: tuple = (executor.searcher.index.generation,
-                        getattr(executor.source, "version", 0))
+        stamp: tuple = (self._executor.searcher.index.generation,)
         ensemble = self.ensemble
         if ensemble is not None:
             stamp += (tuple(ensemble.weights.items()),)
@@ -740,16 +737,15 @@ class SchemrEngine:
 class InProcessExecutor:
     """The three phases in this process: index, ensemble, tightness."""
 
-    def __init__(self, index: InvertedIndex, source: SchemaSource,
+    def __init__(self, index: InvertedIndex, profiles: ProfileStore | None,
                  ensemble: MatcherEnsemble | None, config: SchemrConfig,
                  clock: Callable[[], float],
                  metrics: MetricsRegistry) -> None:
         self._config = config
         self.searcher = build_searcher(index, config)
-        self._source = source
-        # Sources that precompute match profiles (ProfileStore) expose
-        # get_profile; the executor takes the fast path when it exists.
-        self._get_profile = getattr(source, "get_profile", None)
+        self._index = index
+        self._profiles = profiles if profiles is not None \
+            else ProfileStore()
         self.ensemble = ensemble or MatcherEnsemble.default()
         self._guard = GuardedEnsemble(
             self.ensemble,
@@ -768,23 +764,21 @@ class InProcessExecutor:
         self._m_source_failures = metrics.counter(
             "schemr_source_failures_total",
             "Candidate fetches the schema source failed")
-        if metrics.enabled and all(
-                hasattr(source, name)
-                for name in ("hits", "misses", "evictions")):
+        if metrics.enabled:
+            profiles = self._profiles
             metrics.counter("schemr_profile_cache_hits_total",
                             "Profile-cache hits",
-                            callback=lambda: source.hits)
+                            callback=lambda: profiles.hits)
             metrics.counter("schemr_profile_cache_misses_total",
                             "Profile-cache misses",
-                            callback=lambda: source.misses)
+                            callback=lambda: profiles.misses)
             metrics.counter("schemr_profile_cache_evictions_total",
                             "Profile-cache LRU evictions",
-                            callback=lambda: source.evictions)
+                            callback=lambda: profiles.evictions)
 
-    @property
-    def source(self) -> SchemaSource:
-        """The schema source phases 2-3 read."""
-        return self._source
+    def schema(self, schema_id: int) -> Schema:
+        return self._profiles.lookup(
+            schema_id, served_payload(self._index, schema_id))[0]
 
     @property
     def breakers(self) -> dict[str, CircuitBreaker]:
@@ -882,15 +876,15 @@ class InProcessExecutor:
 
     def _match_one(self, query: QueryGraph, hit: IndexHit,
                    scratch: MatchScratch, cheap_only: bool = False):
-        """Score one candidate; None when its schema fetch failed.
+        """Score one candidate; None when its decode failed.
 
-        The schema source sits behind its circuit breaker: individual
-        fetch failures skip the candidate and count against the
+        One :meth:`ProfileStore.lookup` of the payload its document
+        carries, behind the ``schema_source`` circuit breaker:
+        individual failures skip the candidate and count against the
         breaker; an open breaker aborts the whole match phase with
         :class:`CircuitOpenError` so the caller can fall back to the
-        phase-1 ranking instead of paying a timeout per candidate.  A
-        candidate the repository no longer holds is skipped without
-        counting against the breaker.
+        phase-1 ranking.  A candidate a refresh removed after phase 1
+        is skipped without counting against the breaker.
         """
         FAULTS.hit("engine.match_one")
         breaker = self.store_breaker
@@ -898,15 +892,13 @@ class InProcessExecutor:
             raise CircuitOpenError(
                 "schema source circuit is open",
                 breaker=breaker.name, retry_after=breaker.retry_after())
-        profile: SchemaMatchProfile | None = None
         try:
-            if self._get_profile is not None:
-                profile = self._get_profile(hit.doc_id)
-            candidate = self._source.get_schema(hit.doc_id)
+            candidate, profile = self._profiles.lookup(
+                hit.doc_id, served_payload(self._index, hit.doc_id))
         except SchemaNotFound:
-            # Deleted after phase 1 read the index, before the refresh
-            # published the delete: the source answered, so the
-            # candidate is skipped without counting a failure.
+            # Removed by a refresh after phase 1 read the index: the
+            # index answered, so the candidate is skipped without
+            # counting a failure.
             breaker.record_success()
             return None
         except Exception as exc:
@@ -922,20 +914,16 @@ class InProcessExecutor:
 
     def _score_candidate(self, coarse_score: float, candidate: Schema,
                          element_scores: dict[str, float],
-                         profile: SchemaMatchProfile | None = None
-                         ) -> SearchResult:
+                         profile: SchemaMatchProfile) -> SearchResult:
         floor = self._config.penalties.match_floor
         matched_scores = {path: value
                           for path, value in element_scores.items()
                           if value > floor}
         if self._config.use_tightness:
-            if profile is not None:
-                tight = self._tightness.score(
-                    candidate, element_scores,
-                    neighborhoods=profile.neighborhood_index(),
-                    entity_of=profile.entity_of)
-            else:
-                tight = self._tightness.score(candidate, element_scores)
+            tight = self._tightness.score(
+                candidate, element_scores,
+                neighborhoods=profile.neighborhood_index(),
+                entity_of=profile.entity_of)
             final_score = tight.score
             best_anchor = tight.best_anchor
         else:

@@ -23,12 +23,18 @@ File layout (all integers little-endian)::
     norms       D x f64       parallel length norms
     doc_off     (D+1) x u64   offsets into doc_blob
     doc_blob    per-doc packed records (title, summary, term ordinals)
+    pay_off     (D+1) x u64   offsets into pay_blob
+    pay_blob    per-doc stored schema payloads, doc-id order
 
 where ``T`` = term count, ``D`` = document count, ``P`` = total
 postings (sum of df) and ``C`` = total positions (sum of cf).  A
 document's token stream is stored as i32 *ordinals* into the sorted
 term dictionary, so the document store shares the dictionary's string
-storage and round-trips exactly.
+storage and round-trips exactly.  Each document's stored schema
+payload (:attr:`~repro.index.documents.Document.payload`) sits in a
+section of its own, so reading titles never touches payload pages; the
+reader hands a payload out as a zero-copy view of the map, and phase 2
+decodes candidates from the segment it searched.
 
 Writing goes through a temp file renamed into place
 (:func:`write_segment`), so a crash mid-write never leaves a partial
@@ -45,6 +51,7 @@ import os
 import struct
 import zlib
 from array import array
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator
 
@@ -55,11 +62,11 @@ from repro.index.postings import (Posting, position_offsets,
 from repro.resilience.faults import FAULTS
 
 MAGIC = b"SCHMRSEG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Header: magic, version, crc32, doc_count, term_count, total_postings,
-#: total_positions, file_length, then the 12 section offsets.
-_SECTIONS = 12
+#: total_positions, file_length, then the 14 section offsets.
+_SECTIONS = 14
 _HEADER = struct.Struct("<8sII5Q" + "Q" * _SECTIONS)
 #: CRC covers everything after the crc field itself.
 _CRC_OFFSET = 16
@@ -225,6 +232,14 @@ def write_segment(path: str | Path, index) -> None:
         w.begin()
         for record in doc_records:
             w.write(record)
+        # Payloads, streamed from their source (delta bytes or a merged
+        # segment's map) without collecting them.
+        w.begin()
+        w.write(array("Q", accumulate(
+            (len(d.payload) for d in documents), initial=0)).tobytes())
+        w.begin()
+        for document in documents:
+            w.write(document.payload)
 
         file_length = w.length
         header = _HEADER.pack(
@@ -420,7 +435,9 @@ class MmapSegment:
         self._norm_ids = cast(8, "q", D)
         self._norms = cast(9, "d", D)
         self._doc_off = cast(10, "Q", D + 1)
-        self._doc_blob = view[offs[11]:file_length]
+        self._doc_blob = view[offs[11]:offs[11] + self._doc_off[D]]
+        self._pay_off = cast(12, "Q", D + 1)
+        self._pay_blob = view[offs[13]:offs[13] + self._pay_off[D]]
         self._view = view
         self._doc_cache: dict[int, Document] = {}
 
@@ -439,9 +456,10 @@ class MmapSegment:
         """Release the map when no views escaped; best-effort otherwise.
 
         A swapped-out segment may still be referenced by an in-flight
-        search's postings views; in that case the map stays alive until
-        those views are garbage collected, which is safe (the file may
-        already be unlinked — POSIX keeps the mapping valid).
+        search's postings or payload views, or by a memo a generation
+        bump has not cleared yet; in that case the map stays alive
+        until those views are garbage collected, which is safe (the
+        file may already be unlinked — POSIX keeps the mapping valid).
         """
         try:
             self._view.release()
@@ -556,8 +574,9 @@ class MmapSegment:
         self._doc_cache[i] = document
         return document
 
-    def _record(self, i: int) -> tuple[str, str, array]:
-        """Title, summary and term-ordinal stream of document ``i``."""
+    def _record(self, i: int) -> tuple[str, str, array, memoryview]:
+        """Title, summary, term-ordinal stream and payload view of
+        document ``i``."""
         blob = self._doc_blob
         offset = self._doc_off[i]
         title_len, summary_len, n_terms = _DOC_REC.unpack_from(blob, offset)
@@ -568,15 +587,17 @@ class MmapSegment:
         offset += summary_len
         stream = array("i")
         stream.frombytes(blob[offset:offset + 4 * n_terms])
-        return title, summary, stream
+        payload = self._pay_blob[self._pay_off[i]:self._pay_off[i + 1]]
+        return title, summary, stream, payload
 
     def _decode_document(self, i: int) -> Document:
-        title, summary, stream = self._record(i)
+        title, summary, stream, payload = self._record(i)
         return Document(
             doc_id=self._norm_ids[i],
             title=title,
             summary=summary,
             terms=[self._term_at(ordinal) for ordinal in stream],
+            payload=payload,
         )
 
     def live_documents(self, dead: set[int],
@@ -587,9 +608,10 @@ class MmapSegment:
         decoded-document cache is neither read nor filled."""
         for i, doc_id in enumerate(self._norm_ids):
             if doc_id not in dead:
-                title, summary, stream = self._record(i)
+                title, summary, stream, payload = self._record(i)
                 yield Document(doc_id, title, summary,
-                               list(map(terms.__getitem__, stream)))
+                               list(map(terms.__getitem__, stream)),
+                               payload)
 
     def documents(self) -> Iterator[Document]:
         return (self._document_at(i) for i in range(self.document_count))

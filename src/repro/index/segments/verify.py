@@ -5,10 +5,12 @@ harness (``schemr verify-index``): it walks a flat or sharded layout
 and re-checks everything the reader normally trusts — control-file
 JSON, per-segment header CRCs, the manifest's recorded ``bytes`` and
 ``crc32`` against the actual files, section offset monotonicity, sorted
-term and doc-id columns, document record bounds, tombstone membership,
-and (for sharded layouts) doc-id routing.  Findings come back as a
-:class:`VerifyReport` of per-file problems and warnings rather than an
-exception, so one torn file does not hide the rest of the picture.
+term and doc-id columns, document record bounds, every live record's
+schema payload, when it has one (it must decode to the schema the
+record's doc id names), tombstone membership, and (for sharded
+layouts) doc-id routing.  Findings come back as a :class:`VerifyReport`
+of per-file problems and warnings rather than an exception, so one
+torn file does not hide the rest of the picture.
 
 The distinction between the two buckets is recoverability: a *problem*
 means committed state cannot be trusted (exit non-zero); a *warning* is
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from struct import error as struct_error
 
-from repro.errors import SchemrError
+from repro.errors import SchemaError, SchemrError
 from repro.index.segments.directory import SegmentDirectory
 from repro.index.segments.format import MmapSegment, file_crc32
 from repro.index.segments.sharded import (
@@ -31,6 +33,7 @@ from repro.index.segments.sharded import (
     shard_dir_name,
     shard_of,
 )
+from repro.model.schema import Schema
 
 
 @dataclass
@@ -71,12 +74,15 @@ class VerifyReport:
 
 def verify_segment_file(path: str | Path,
                         report: VerifyReport | None = None,
-                        shard: tuple[int, int] | None = None
+                        shard: tuple[int, int] | None = None,
+                        deleted: frozenset[int] | set[int] = frozenset()
                         ) -> VerifyReport:
     """Deep-check one segment file; findings append to ``report``.
 
     ``shard`` is ``(shard_id, shard_count)`` when the segment belongs
     to a sharded layout, enabling the doc-id routing check.
+    ``deleted`` holds the manifest's tombstones: a tombstoned record's
+    payload is never served, so it is not decoded.
     """
     path = Path(path)
     if report is None:
@@ -87,7 +93,7 @@ def verify_segment_file(path: str | Path,
         report.problem(path, str(exc))
         return report
     try:
-        _check_segment(segment, path, report, shard)
+        _check_segment(segment, path, report, shard, deleted)
     finally:
         segment.close()
     report.segments_checked += 1
@@ -96,14 +102,16 @@ def verify_segment_file(path: str | Path,
 
 def _check_segment(segment: MmapSegment, path: Path,
                    report: VerifyReport,
-                   shard: tuple[int, int] | None) -> None:
+                   shard: tuple[int, int] | None,
+                   deleted: frozenset[int] | set[int]) -> None:
     # Offset columns must be non-decreasing; a violation means the
     # header CRC protected a coherent header over incoherent sections
     # (targeted corruption) or a writer bug.
     for name, column in (("tstr_off", segment._tstr_off),
                          ("post_off", segment._post_off),
                          ("pos_off", segment._pos_off),
-                         ("doc_off", segment._doc_off)):
+                         ("doc_off", segment._doc_off),
+                         ("pay_off", segment._pay_off)):
         previous = 0
         for value in column:
             if value < previous:
@@ -163,12 +171,30 @@ def _check_segment(segment: MmapSegment, path: Path,
                 f"{shard[0]}")
             return
         try:
-            segment._decode_document(i)
+            document = segment._decode_document(i)
         except (ValueError, struct_error, IndexError) as exc:
             report.problem(
                 path, f"document record {i} does not decode: {exc}")
             return
+        # A document indexed directly rather than from a repository
+        # carries no payload, so there is nothing to decode.
+        if doc_id not in deleted and len(document.payload):
+            problem = _payload_problem(document.payload, doc_id)
+            if problem is not None:
+                report.problem(path, f"document {doc_id}: {problem}")
+                return
         report.documents_checked += 1
+
+
+def _payload_problem(payload, doc_id: int) -> str | None:
+    """Why a live record's payload cannot serve phase 2, or None."""
+    try:
+        schema = Schema.from_payload(payload)
+    except SchemaError as exc:
+        return f"payload does not decode to a schema: {exc}"
+    if schema.schema_id != doc_id:
+        return f"payload holds schema {schema.schema_id}"
+    return None
 
 
 def _verify_flat(path: Path, report: VerifyReport,
@@ -200,7 +226,8 @@ def _verify_flat(path: Path, report: VerifyReport,
                 "manifest crc32 does not match the file contents")
             continue
         before = len(report.problems)
-        verify_segment_file(seg_path, report, shard=shard)
+        verify_segment_file(seg_path, report, shard=shard,
+                            deleted=set(entry.get("deleted", ())))
         if len(report.problems) > before:
             continue
         # Tombstones must name documents the segment actually holds.

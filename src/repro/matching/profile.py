@@ -17,16 +17,14 @@ query's match phase collapses to dict lookups plus arithmetic:
   attribute counts, for the datatype and structure matchers.
 
 Building a profile is cheaper than decoding a persisted one, so
-profiles are never serialized: a cache miss fetches the schema and
-builds.
+profiles are never serialized: a cache miss decodes the schema's stored
+payload and builds.
 
-:class:`ProfileStore` is the serving side: an LRU read-through cache of
-``(schema, profile)`` pairs fronting any ``SchemaSource``, so a candidate
-fetched (and profiled) for one query is free for the next.  The
-repository invalidates entries on ``update_schema``/``delete_schema``,
-and the changelog-driven :class:`~repro.repository.indexer.RepositoryIndexer`
-invalidates the ones a refresh touches; the next search that needs
-them rebuilds them.
+:class:`ProfileStore` is the serving side: an LRU cache of
+``(schema, profile)`` pairs keyed by schema id *and* payload bytes, so
+a candidate decoded (and profiled) for one query is free for the next,
+and a changed schema — which arrives with a different payload — can
+never be served from an older entry.  Nothing invalidates it.
 
 :class:`MatchScratch` is the per-query companion: memoization shared
 across the candidates of one search — each column matcher's query-side
@@ -58,7 +56,7 @@ class SchemaMatchProfile:
     """Per-schema artifacts every matcher needs, computed once.
 
     All fields are derived purely from the schema, so a profile is valid
-    until the schema changes (the repository invalidates on mutation).
+    for as long as the payload it was built from.
     """
 
     schema_id: int | None
@@ -196,35 +194,27 @@ class MatchScratch:
         return labels
 
 
-class SchemaSourceLike(Protocol):  # pragma: no cover - typing only
-    """Anything that resolves schema ids to schemas."""
+class PayloadSource(Protocol):  # pragma: no cover - typing only
+    """Where by-id reads find a schema's payload (the repository)."""
 
-    def get_schema(self, schema_id: int) -> Schema:
+    def payload(self, schema_id: int) -> bytes:
         ...
 
 
 class ProfileStore:
-    """LRU read-through cache of (schema, match profile) pairs.
+    """LRU cache of (schema, match profile) pairs, keyed by payload.
 
-    Fronts any ``SchemaSource``: :meth:`get_schema` satisfies the engine
-    protocol from cache, falling through to the underlying source on a
-    miss; :meth:`get_profile` serves the precomputed artifacts.  The
-    schema and its profile live in one entry, so they can never drift
-    apart.  Mutation paths (repository CRUD, the indexer's refresh)
-    call :meth:`invalidate` to keep the cache honest; read-through fills
-    whatever searches ask for next.
-
-    A fill fetches outside the lock, so a write can land while it is in
-    flight.  Each miss registers a token under the lock, and
-    :meth:`put`, :meth:`invalidate` and :meth:`clear` drop it: a fill
-    whose token is gone returns what it fetched to its caller but never
-    caches it, so an older copy cannot overwrite or outlive a newer one.
-
-    Thread-safe: concurrent searches read from serving threads while
-    the scheduled indexer refreshes from another.
+    :meth:`lookup` hits only when the entry was decoded from the very
+    payload bytes the caller read (phase 2: from the index generation
+    it searched), so a changed schema is decoded afresh and nothing
+    ever invalidates the cache; a fill that loses a race merely
+    replaces an entry the next lookup re-checks.  The by-id reads
+    :meth:`get_schema`/:meth:`get_profile` take the payload from
+    ``source`` (None: a cache used only through :meth:`lookup`).
+    Thread-safe.
     """
 
-    def __init__(self, source: SchemaSourceLike,
+    def __init__(self, source: PayloadSource | None = None,
                  capacity: int = 1024) -> None:
         if capacity <= 0:
             raise RepositoryError(
@@ -232,62 +222,62 @@ class ProfileStore:
         self._source = source
         self._capacity = capacity
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[int, tuple[Schema, SchemaMatchProfile]]" \
+        self._entries: \
+            "OrderedDict[int, tuple[bytes, Schema, SchemaMatchProfile]]" \
             = OrderedDict()
-        #: schema id -> token of the read-through fill in flight for it.
-        self._fills: dict[int, object] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._version = 0
 
-    # -- SchemaSource protocol -----------------------------------------
+    def lookup(self, schema_id: int, payload: bytes | memoryview
+               ) -> tuple[Schema, SchemaMatchProfile]:
+        """The schema decoded from ``payload`` and its profile: one
+        cache lookup, decoded and built on a miss.
 
-    def get_schema(self, schema_id: int) -> Schema:
-        """The cached schema (read-through on miss).
-
-        Returned objects are shared across callers — treat as
+        Returned objects are shared across callers — treat them as
         immutable; use :meth:`repro.model.schema.Schema.copy` before
         mutating.
         """
-        return self._entry(schema_id)[0]
+        if type(payload) is not bytes:
+            payload = bytes(payload)
+        with self._lock:
+            entry = self._entries.get(schema_id)
+            if entry is not None and entry[0] == payload:
+                self._entries.move_to_end(schema_id)
+                self._hits += 1
+                return entry[1], entry[2]
+            self._misses += 1
+        # Decode and build outside the lock: they are the slow part.
+        from repro.resilience.faults import FAULTS
+        FAULTS.hit("profile_store.lookup")
+        schema = Schema.from_payload(payload)
+        if schema.schema_id != schema_id:
+            raise RepositoryError(
+                f"payload stored for schema {schema_id} holds schema "
+                f"{schema.schema_id}")
+        profile = SchemaMatchProfile.build(schema)
+        with self._lock:
+            self._entries[schema_id] = (payload, schema, profile)
+            self._entries.move_to_end(schema_id)
+            while len(self._entries) > self._capacity:
+                self._entries.popitem(last=False)
+                self._evictions += 1
+        return schema, profile
+
+    def get_schema(self, schema_id: int) -> Schema:
+        """The schema ``source`` stores under ``schema_id``."""
+        return self._by_id(schema_id)[0]
 
     def get_profile(self, schema_id: int) -> SchemaMatchProfile:
-        """The cached match profile (read-through on miss)."""
-        return self._entry(schema_id)[1]
+        """The match profile of the schema ``source`` stores under
+        ``schema_id``."""
+        return self._by_id(schema_id)[1]
 
-    # -- cache management ----------------------------------------------
-
-    def put(self, schema: Schema) -> SchemaMatchProfile:
-        """Eagerly (re)build the entry for ``schema``, so its profile is
-        ready before the first query needs it."""
-        if schema.schema_id is None:
+    def _by_id(self, schema_id: int) -> tuple[Schema, SchemaMatchProfile]:
+        if self._source is None:
             raise RepositoryError(
-                "cannot profile a schema without an id; store it first")
-        return self._admit(schema, None)[1]
-
-    def invalidate(self, schema_id: int) -> bool:
-        """Drop one entry; returns whether it was cached."""
-        with self._lock:
-            self._version += 1
-            self._fills.pop(schema_id, None)
-            return self._entries.pop(schema_id, None) is not None
-
-    def clear(self) -> None:
-        with self._lock:
-            self._version += 1
-            self._fills.clear()
-            self._entries.clear()
-
-    @property
-    def version(self) -> int:
-        """Moves on every :meth:`put`, :meth:`invalidate` and
-        :meth:`clear` — and with the wrapped source's own ``version``,
-        when it has one — but never on a read-through fill.  The
-        engine's result cache is stamped with it."""
-        with self._lock:
-            own = self._version
-        return own + getattr(self._source, "version", 0)
+                "this profile cache has no source for by-id reads")
+        return self.lookup(schema_id, self._source.payload(schema_id))
 
     def __len__(self) -> int:
         with self._lock:
@@ -309,7 +299,7 @@ class ProfileStore:
 
     @property
     def misses(self) -> int:
-        """Lookups that fell through to the source (and rebuilt)."""
+        """Lookups that decoded a payload and built its profile."""
         with self._lock:
             return self._misses
 
@@ -324,49 +314,3 @@ class ProfileStore:
         with self._lock:
             total = self._hits + self._misses
             return self._hits / total if total else 0.0
-
-    # -- internals -----------------------------------------------------
-
-    def _entry(self, schema_id: int) -> tuple[Schema, SchemaMatchProfile]:
-        with self._lock:
-            entry = self._entries.get(schema_id)
-            if entry is not None:
-                self._entries.move_to_end(schema_id)
-                self._hits += 1
-                return entry
-            self._misses += 1
-            token = self._fills[schema_id] = object()
-        # Fetch and build outside the lock: sqlite and profile building
-        # are the slow parts.  A racing double-build is benign; a write
-        # landing meanwhile drops the token, so the fill is not cached.
-        from repro.resilience.faults import FAULTS
-        try:
-            FAULTS.hit("profile_store.lookup")
-            return self._admit(self._source.get_schema(schema_id), token)
-        except BaseException:
-            with self._lock:
-                if self._fills.get(schema_id) is token:
-                    del self._fills[schema_id]
-            raise
-
-    def _admit(self, schema: Schema, token: object | None) \
-            -> tuple[Schema, SchemaMatchProfile]:
-        """Build and cache ``schema``'s entry.  ``token`` is the fill's
-        in-flight token (None for :meth:`put`); a superseded fill's
-        entry is returned but not cached."""
-        profile = SchemaMatchProfile.build(schema)
-        entry = (schema, profile)
-        schema_id = schema.schema_id
-        assert schema_id is not None
-        with self._lock:
-            if token is None:
-                self._version += 1
-            elif self._fills.get(schema_id) is not token:
-                return entry
-            self._fills.pop(schema_id, None)
-            self._entries[schema_id] = entry
-            self._entries.move_to_end(schema_id)
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-        return entry

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import zlib
+
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -266,6 +269,40 @@ class Schema:
             schema_id=data.get("schema_id"),
         )
 
+    def to_json(self) -> str:
+        """The stored form: the JSON text the repository keeps."""
+        return json.dumps(self.to_dict())
+
+    def to_payload(self) -> bytes:
+        """What an index document carries: :meth:`to_json`, packed
+        by :func:`pack_payload`."""
+        return pack_payload(self.to_json())
+
+    @classmethod
+    def from_payload(cls, payload: bytes | memoryview) -> "Schema":
+        """Inverse of :meth:`to_payload`; anything else raises
+        :class:`SchemaError`."""
+        try:
+            text = zlib.decompress(payload)
+        except zlib.error as exc:
+            raise SchemaError(f"payload is not a packed schema: "
+                              f"{exc}") from exc
+        return cls.from_json(text)
+
+    @classmethod
+    def from_json(cls, payload: str | bytes) -> "Schema":
+        """Inverse of :meth:`to_json`; anything that is not a stored
+        schema raises :class:`SchemaError`."""
+        try:
+            data = json.loads(payload)
+        except ValueError as exc:
+            raise SchemaError(f"payload is not JSON: {exc}") from exc
+        try:
+            return cls.from_dict(data)
+        except (TypeError, AttributeError) as exc:
+            raise SchemaError(f"payload is not a stored schema: "
+                              f"{exc}") from exc
+
     def copy(self) -> "Schema":
         """Deep, independent copy (used by the repository cache)."""
         return Schema.from_dict(self.to_dict())
@@ -273,3 +310,13 @@ class Schema:
     def __str__(self) -> str:  # pragma: no cover - display only
         return (f"Schema({self.name!r}, {self.entity_count} entities, "
                 f"{self.attribute_count} attributes)")
+
+
+def pack_payload(text: str | bytes) -> bytes:
+    """The index payload of a schema's stored JSON text
+    (:meth:`Schema.to_json`), zlib-packed to about a quarter of its
+    size: every lookup reads one through the map, so its size is
+    resident memory.  The one payload producer."""
+    if isinstance(text, str):
+        text = text.encode("utf-8")
+    return zlib.compress(text)

@@ -87,7 +87,6 @@ class ReplicaSyncer:
         self._source = source
         self._root = Path(local_dir)
         self._index = index
-        self._repository = None
         self._telemetry = telemetry
         self._poll_seconds = poll_seconds
         self._clock = clock
@@ -109,17 +108,15 @@ class ReplicaSyncer:
                     "Change-log cursor the replica serves",
                     callback=lambda: float(self._local_generation))
 
-    def attach_index(self, index, repository=None) -> None:
+    def attach_index(self, index) -> None:
         """Adopt the serving index to hot-swap after future commits.
 
         Exists because a fresh replica's index can only be opened
-        *after* the first sync creates the directory.  ``repository``
-        is the handle whose profile store serves phase 2 beside the
-        index: each hot-swap first drops its profiles of the schemas
-        changed since the generation being replaced.
+        *after* the first sync creates the directory.  The pulled
+        segments carry every schema's payload, so the swap is all a
+        replica needs: it never reads the primary's database.
         """
         self._index = index
-        self._repository = repository
 
     # -- observability -----------------------------------------------------
 
@@ -233,9 +230,6 @@ class ReplicaSyncer:
             report.dirs_updated.append(name or ".")
         report.local_generation = min(cursors, default=0)
         if self._index is not None and report.dirs_updated:
-            if self._repository is not None:
-                self._repository.invalidate_profiles_since(
-                    self._index.last_change_id)
             report.changed = self._index.reopen_from_disk()
         elif report.dirs_updated:
             report.changed = True

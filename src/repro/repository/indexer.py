@@ -19,7 +19,7 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-from repro.errors import IndexError_, SchemaNotFound
+from repro.errors import IndexError_, RepositoryError, SchemaError
 from repro.index.documents import Document, document_from_schema
 from repro.index.inverted import InvertedIndex
 from repro.index.segments import (
@@ -29,7 +29,7 @@ from repro.index.segments import (
     open_segment_index,
 )
 from repro.index.store import load_index, save_index
-from repro.matching.profile import ProfileStore
+from repro.model.schema import Schema
 from repro.resilience.faults import FAULTS
 from repro.telemetry.metrics import DEFAULT_COUNT_BUCKETS
 
@@ -43,22 +43,17 @@ logger = logging.getLogger(__name__)
 class RepositoryIndexer:
     """Keeps an :class:`InvertedIndex` in sync with a repository.
 
-    When a :class:`~repro.matching.profile.ProfileStore` is attached,
-    every refresh invalidates the entry of each schema it changed, and
-    a rebuild clears the store.  Nothing is built eagerly: read-through
-    fills only what searches ask for, so a batch costs no profile
-    builds and does not evict the readers' working set.  Invalidating
-    still matters when the write came through another repository
-    handle, whose CRUD invalidation never reached this store.
+    Each indexed document carries its schema's stored payload, so the
+    index generation is the whole read state of a search: what a
+    refresh has not published, no search sees.  Nothing else needs
+    telling about a batch — the profile cache is keyed by payload.
     """
 
     def __init__(self, repository: "SchemaRepository",
-                 profile_store: ProfileStore | None = None,
                  segment_dir: str | Path | None = None,
                  merge_policy: str = "tiered",
                  shards: int | None = None) -> None:
         self._repository = repository
-        self._profile_store = profile_store
         self._merge_policy = make_merge_policy(merge_policy)
         if segment_dir is not None:
             # Durable mode: the index lives in a segment directory.
@@ -120,32 +115,33 @@ class RepositoryIndexer:
     def refresh(self) -> int:
         """Apply pending change-log entries; returns operations applied.
 
-        Multiple changes to one schema within a batch collapse to the
-        final state, so a schema added and deleted between refreshes
-        costs nothing.
+        The batch is read in one statement (one snapshot), and changes
+        to one schema collapse to its state there, so a schema added
+        and deleted between refreshes costs nothing.
         """
         with self._refresh_lock:
             return self._refresh()
 
     def _refresh(self) -> int:
         FAULTS.hit("indexer.refresh")
-        changes = self._repository.changes_since(self._last_change_id)
+        changes = self._repository.changes_since(self._last_change_id,
+                                                 texts=True)
         if not changes:
             return 0
-        final_op: dict[int, str] = {}
-        head_change_id = self._last_change_id
-        for change_id, schema_id, op in changes:
-            final_op[schema_id] = op
-            head_change_id = max(head_change_id, change_id)
+        # Every row of one schema carries the same text (its state in
+        # the snapshot), so the last row per schema is the whole story;
+        # rows arrive in change order.
+        latest = {schema_id: text
+                  for _change_id, schema_id, _op, text in changes}
+        head_change_id = changes[-1][0]
         started = time.perf_counter()
         generation_before = self._index.generation
         logger.debug("indexer refresh: %d pending change(s)",
                      len(changes))
-        # Build off the index lock: repository fetches and flattening
-        # are nearly all of a batch's cost, and searches keep reading
-        # the previous generation meanwhile.  A build that raises
-        # publishes nothing.
-        edits = self._build(final_op)
+        # Build off the index lock: decoding and flattening are nearly
+        # all of a batch's cost, and searches keep reading the previous
+        # generation meanwhile.  A build that raises publishes nothing.
+        edits = self._build(latest)
         # Publish under the lock: only the prepared index edits, so a
         # concurrent searcher (run_scheduled in a background thread is
         # the intended deployment) sees the whole batch or none of it,
@@ -164,37 +160,19 @@ class RepositoryIndexer:
                              publish_seconds, generation_before)
         return applied
 
-    def _build(self, final_op: dict[int, str]
+    def _build(self, latest: dict[int, bytes | None]
                ) -> list[tuple[int, Document | None]]:
-        """Resolve a collapsed batch into index edits, off the lock.
-
-        One ``(schema_id, document)`` per schema: the document to
-        (re)index, or None to remove it.
-        """
-        edits: list[tuple[int, Document | None]] = []
-        for schema_id, op in final_op.items():
-            schema = None
-            if op != "delete":
-                # add/update collapse to replace-with-current-state;
-                # the schema may have been deleted after the logged
-                # change.
-                try:
-                    schema = self._repository.get_schema(schema_id)
-                except SchemaNotFound:
-                    pass
-            if schema is None:
-                edits.append((schema_id, None))
-                continue
-            edits.append((schema_id, document_from_schema(schema)))
-        return edits
+        """Resolve a collapsed batch into index edits, off the lock:
+        one ``(schema_id, document)`` per schema, None to remove it."""
+        return [(schema_id, None if text is None
+                 else _stored_document(schema_id, text))
+                for schema_id, text in latest.items()]
 
     def _publish(self, edits: list[tuple[int, Document | None]]) -> int:
         """Apply built edits; returns operations applied.  The caller
         holds the index lock."""
         applied = 0
         for schema_id, document in edits:
-            if self._profile_store is not None:
-                self._profile_store.invalidate(schema_id)
             if document is not None:
                 self._index.replace(document)
                 applied += 1
@@ -345,8 +323,7 @@ class RepositoryIndexer:
             self._last_change_id = changes[-1][0]
 
     def rebuild(self) -> int:
-        """Drop the index (and profile cache) and re-flatten every
-        stored schema.
+        """Drop the index and re-flatten every stored schema.
 
         Rows whose stored payload no longer parses are skipped (and
         logged by the repository) rather than aborting the rebuild: one
@@ -367,12 +344,28 @@ class RepositoryIndexer:
         with commit_lock or nullcontext(), self._index.lock, \
                 self._refreshing_guard():
             self._index.clear()
-            if self._profile_store is not None:
-                self._profile_store.clear()
-            for schema in self._repository.iter_schemas(skip_corrupt=True):
-                self._index.add(document_from_schema(schema))
+            for schema_id, text in self._repository.iter_stored():
+                try:
+                    document = _stored_document(schema_id, text)
+                except RepositoryError as exc:
+                    logger.warning("rebuild skips a row: %s", exc)
+                    continue
+                self._index.add(document)
                 count += 1
         if changes:
             self._last_change_id = changes[-1][0]
         self._commit_segments()
         return count
+
+
+def _stored_document(schema_id: int, text: bytes) -> Document:
+    """The index document of one schema's stored text: refresh and
+    rebuild both publish through here, so a document's payload is
+    the stored text, packed."""
+    try:
+        schema = Schema.from_json(text)
+    except SchemaError as exc:
+        raise RepositoryError(
+            f"stored payload of schema {schema_id} is corrupt: "
+            f"{exc}") from exc
+    return document_from_schema(schema, text=text)

@@ -10,7 +10,6 @@ ready-to-use :class:`~repro.core.engine.SchemrEngine` instances.
 
 from __future__ import annotations
 
-import json
 import logging
 import sqlite3
 import threading
@@ -104,33 +103,38 @@ class SchemaRepository:
                 # Network filesystems can refuse WAL; the repository
                 # still works in the default rollback mode.
                 logger.warning("could not enable WAL mode: %s", exc)
-        # Schema fetches (the searches' read-through path) get their own
-        # read-only connection: it sees only committed rows, never
-        # queues behind the lock, and a retry's rollback cannot touch
-        # the writer's open transaction.  An in-memory database exists
-        # only on its one connection, so there fetches share it and
-        # take the lock, which writers hold from first statement to
-        # commit.
+        # Read-only connections see committed rows only and never queue
+        # behind the lock: one for schema fetches, one for the indexer's
+        # change-log reads alone (a fetch's open statement on a shared
+        # one pinned an older snapshot under a refresh).  An in-memory
+        # database exists only on its one connection: there both share
+        # it under the lock, which writers hold until they commit.
         if self._path == ":memory:":
-            self._read_conn = self._conn
+            self._read_conn = self._log_conn = self._conn
             self._read_guard: AbstractContextManager[object] = self._lock
+            self._log_guard: AbstractContextManager[object] = self._lock
         else:
-            self._read_conn = sqlite3.connect(self._path,
-                                              check_same_thread=False)
-            self._read_conn.row_factory = sqlite3.Row
-            self._read_conn.execute(
-                f"PRAGMA busy_timeout = {int(busy_timeout_seconds * 1000)}")
-            self._read_conn.execute("PRAGMA query_only = ON")
+            self._read_conn = self._reader(busy_timeout_seconds)
+            self._log_conn = self._reader(busy_timeout_seconds)
             self._read_guard = nullcontext()
+            self._log_guard = threading.Lock()
         #: Backoff policy for transient "database is locked" errors that
         #: survive busy_timeout (e.g. a writer in another process
         #: holding the lock past it).
         self._retry_policy = retry_policy or RetryPolicy()
         self._retry_count = 0
-        self._version = 0
         self._indexer: "RepositoryIndexer | None" = None
         self._profile_store: ProfileStore | None = None
         self._with_retry(self._init_tables)
+
+    def _reader(self, busy_timeout_seconds: float) -> sqlite3.Connection:
+        """A read-only connection that sees committed rows only."""
+        timeout = f"PRAGMA busy_timeout = {int(busy_timeout_seconds * 1000)}"
+        conn = sqlite3.connect(self._path, check_same_thread=False)
+        conn.row_factory = sqlite3.Row
+        conn.execute(timeout)
+        conn.execute("PRAGMA query_only = ON")
+        return conn
 
     def _init_tables(self) -> None:
         self._conn.executescript(_SCHEMA_SQL)
@@ -162,13 +166,6 @@ class SchemaRepository:
         """Transient-lock retries performed (telemetry feed)."""
         return self._retry_count
 
-    @property
-    def version(self) -> int:  # lint: unlocked (GIL-atomic int read; a search must not queue behind a writer's transaction)
-        """Bumped after every committed in-process schema write (add,
-        update, delete).  Writes through another handle or process
-        reach searches through the indexer's refresh instead."""
-        return self._version
-
     @classmethod
     def in_memory(cls) -> "SchemaRepository":
         """A throwaway repository for tests, examples and benches."""
@@ -177,6 +174,7 @@ class SchemaRepository:
     def close(self) -> None:
         if self._read_conn is not self._conn:
             self._read_conn.close()
+            self._log_conn.close()
         self._conn.close()
 
     def __enter__(self) -> "SchemaRepository":
@@ -190,7 +188,7 @@ class SchemaRepository:
     def add_schema(self, schema: Schema) -> int:
         """Store a schema; returns the assigned id (also set on the object)."""
         now = time.time()
-        payload = json.dumps(schema.to_dict())
+        payload = schema.to_json()
 
         def insert() -> int:
             with self._lock:
@@ -207,10 +205,9 @@ class SchemaRepository:
                 # Rewrite payload so the stored copy knows its own id.
                 self._conn.execute(
                     "UPDATE schemas SET payload = ? WHERE schema_id = ?",
-                    (json.dumps(schema.to_dict()), schema_id))
+                    (schema.to_json(), schema_id))
                 self._log_change(schema_id, "add", now)
                 self._conn.commit()
-                self._version += 1
                 return schema_id
 
         return self._with_retry(insert)
@@ -228,18 +225,15 @@ class SchemaRepository:
                     "source = ?, payload = ?, updated_at = ? "
                     "WHERE schema_id = ?",
                     (schema.name, schema.description, schema.source,
-                     json.dumps(schema.to_dict()), now, schema.schema_id))
+                     schema.to_json(), now, schema.schema_id))
                 if cursor.rowcount == 0:
                     raise RepositoryError(
                         f"schema {schema.schema_id} is not in the "
                         "repository")
                 self._log_change(schema.schema_id, "update", now)
                 self._conn.commit()
-                self._version += 1
 
         self._with_retry(update)
-        if self._profile_store is not None:
-            self._profile_store.invalidate(schema.schema_id)
 
     def delete_schema(self, schema_id: int) -> None:
         def delete() -> None:
@@ -251,11 +245,8 @@ class SchemaRepository:
                         f"schema {schema_id} is not in the repository")
                 self._log_change(schema_id, "delete", time.time())
                 self._conn.commit()
-                self._version += 1
 
         self._with_retry(delete)
-        if self._profile_store is not None:
-            self._profile_store.invalidate(schema_id)
 
     def get_schema(self, schema_id: int) -> Schema:
         """The committed copy of one schema."""
@@ -273,11 +264,16 @@ class SchemaRepository:
             raise SchemaNotFound(
                 f"schema {schema_id} is not in the repository")
         try:
-            return Schema.from_dict(json.loads(row["payload"]))
-        except (json.JSONDecodeError, SchemaError) as exc:
+            return Schema.from_json(row["payload"])
+        except SchemaError as exc:
             raise RepositoryError(
                 f"stored payload of schema {schema_id} is corrupt: "
                 f"{exc}") from exc
+
+    def payload(self, schema_id: int) -> bytes:
+        """The index payload of one committed schema — what a refresh
+        would publish for it (:meth:`Schema.to_payload`)."""
+        return self.get_schema(schema_id).to_payload()
 
     def has_schema(self, schema_id: int) -> bool:
         row = self._conn.execute(
@@ -293,21 +289,28 @@ class SchemaRepository:
         iteration continues — bulk consumers (index rebuild, export)
         should not lose the whole repository to one bad row.
         """
-        FAULTS.hit("store.iter_schemas")
-        cursor = self._conn.execute(
-            "SELECT schema_id, payload FROM schemas ORDER BY schema_id")
-        for row in cursor:
+        for schema_id, text in self.iter_stored():
             try:
-                yield Schema.from_dict(json.loads(row["payload"]))
-            except (json.JSONDecodeError, SchemaError, ValueError) as exc:
+                yield Schema.from_json(text)
+            except (SchemaError, ValueError) as exc:
                 if skip_corrupt:
                     logger.warning(
                         "skipping corrupt payload of schema %d: %s",
-                        row["schema_id"], exc)
+                        schema_id, exc)
                     continue
                 raise RepositoryError(
-                    f"stored payload of schema {row['schema_id']} is "
+                    f"stored payload of schema {schema_id} is "
                     f"corrupt: {exc}") from exc
+
+    def iter_stored(self) -> Iterator[tuple[int, bytes]]:
+        """``(schema_id, stored text)`` of every schema, id order, the
+        text UTF-8 and undecoded.  Streams rather than materializing."""
+        FAULTS.hit("store.iter_schemas")
+        cursor = self._conn.execute(
+            "SELECT schema_id, CAST(payload AS BLOB) AS payload "
+            "FROM schemas ORDER BY schema_id")
+        for row in cursor:
+            yield row["schema_id"], row["payload"]
 
     def list_schema_ids(self) -> list[int]:
         cursor = self._conn.execute(
@@ -324,24 +327,29 @@ class SchemaRepository:
             "INSERT INTO changelog (schema_id, op, changed_at) "
             "VALUES (?, ?, ?)", (schema_id, op, when))
 
-    def changes_since(self, change_id: int) -> list[tuple[int, int, str]]:
-        """Committed (change_id, schema_id, op) rows after ``change_id``.
+    def changes_since(self, change_id: int, texts: bool = False
+                      ) -> list[tuple[int, int, str, bytes | None]]:
+        """``(change_id, schema_id, op, text)`` for every committed
+        change after ``change_id``, in order, read on the change-log
+        connection.  With ``texts``, ``text`` is the schema's stored
+        text (UTF-8) as of the read, or None when it is gone; rows and
+        texts come from one statement, so from one snapshot.  Without,
+        ``text`` is None."""
+        column = "CAST(s.payload AS BLOB)" if texts else "NULL"
+        join = ("LEFT JOIN schemas s ON s.schema_id = c.schema_id "
+                if texts else "")
 
-        Read like :meth:`get_schema`, so a refresh's cursor never moves
-        past a change whose schema its fetches cannot see yet.
-        """
-        conn = self._read_conn
-
-        def fetch() -> list[tuple[int, int, str]]:
+        def fetch() -> list[tuple[int, int, str, bytes | None]]:
             FAULTS.hit("store.changes_since")
-            cursor = conn.execute(
-                "SELECT change_id, schema_id, op FROM changelog "
-                "WHERE change_id > ? ORDER BY change_id", (change_id,))
-            return [(row["change_id"], row["schema_id"], row["op"])
-                    for row in cursor]
+            cursor = self._log_conn.execute(
+                f"SELECT c.change_id, c.schema_id, c.op, {column} AS text "
+                f"FROM changelog c {join}"
+                "WHERE c.change_id > ? ORDER BY c.change_id", (change_id,))
+            return [(row["change_id"], row["schema_id"], row["op"],
+                     row["text"]) for row in cursor]
 
-        with self._read_guard:
-            return self._with_retry(fetch, conn)
+        with self._log_guard:
+            return self._with_retry(fetch, self._log_conn)
 
     # -- imports -----------------------------------------------------------
 
@@ -367,33 +375,12 @@ class SchemaRepository:
     # -- search integration --------------------------------------------
 
     def profile_store(self, capacity: int = 1024) -> ProfileStore:
-        """The repository's (lazily created) match-profile cache.
-
-        A read-through LRU over this repository: serving ``get_schema``
-        without the per-call JSON parse and ``get_profile`` with the
-        precomputed match artifacts.  Kept in sync by invalidation
-        alone: the CRUD methods drop what they change, the indexer's
-        refresh drops every id in its batch (covering writes made
-        through other handles), and read-through refills on demand.
-        """
+        """The repository's (lazily created) match-profile cache: the
+        engine :meth:`engine` builds decodes its candidates through it,
+        and its by-id reads take payloads from this repository."""
         if self._profile_store is None:
             self._profile_store = ProfileStore(self, capacity=capacity)
         return self._profile_store
-
-    def invalidate_profiles_since(self, change_id: int) -> None:
-        """Drop the cached profile of every schema changed after
-        ``change_id``.
-
-        For a process that adopts an index generation written elsewhere
-        (a shard worker's reopen, a replica's hot-swap): the writes went
-        through another handle, so this handle's CRUD invalidation never
-        saw them.  Pass the cursor of the generation being replaced.
-        """
-        if self._profile_store is None:
-            return
-        for schema_id in {schema_id for _change, schema_id, _op
-                          in self.changes_since(change_id)}:
-            self._profile_store.invalidate(schema_id)
 
     def indexer(self, segment_dir: str | None = None,
                 merge_policy: str = "tiered",
@@ -412,8 +399,7 @@ class SchemaRepository:
         from repro.repository.indexer import RepositoryIndexer
         if self._indexer is None:
             self._indexer = RepositoryIndexer(
-                self, profile_store=self.profile_store(),
-                segment_dir=segment_dir, merge_policy=merge_policy,
+                self, segment_dir=segment_dir, merge_policy=merge_policy,
                 shards=shards)
         return self._indexer
 

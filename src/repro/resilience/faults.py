@@ -42,11 +42,11 @@ from typing import Callable
 #: :mod:`repro.analysis` enforces both directions in CI, the same
 #: round-trip discipline the metric catalog established.
 KNOWN_SITES: dict[str, str] = {
-    "store.get_schema": "sqlite payload fetch in SchemaRepository",
+    "store.get_schema": "by-id sqlite payload fetch (never on a search)",
     "store.add_schema": "sqlite insert in SchemaRepository",
     "store.iter_schemas": "bulk schema iteration feeding rebuilds",
-    "store.changes_since": "changelog read feeding the indexer refresh",
-    "profile_store.lookup": "ProfileStore read-through miss path",
+    "store.changes_since": "changelog + payload read feeding a refresh",
+    "profile_store.lookup": "ProfileStore miss: payload decode + build",
     "engine.phase1": "candidate extraction call in the engine",
     "engine.match_one": "per-candidate scoring step in the engine",
     "indexer.refresh": "changelog application batch",

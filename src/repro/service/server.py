@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import logging
-import sqlite3
 import threading
 import time
 import urllib.parse
@@ -73,11 +72,10 @@ access_logger = logging.getLogger("repro.service.access")
 
 
 class _SchemrRequestHandler(BaseHTTPRequestHandler):
-    """Routes requests to the engine/repository held by the server."""
+    """Routes requests to the engine held by the server."""
 
     # Set by SchemrServer before serving.
     engine: "SchemrEngine | ShardedEngine"
-    repository: SchemaRepository
     telemetry: Telemetry
     admission: AdmissionController
     indexer: RepositoryIndexer | None = None
@@ -188,11 +186,6 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
             # defensive boundary for a budget so tight even the
             # phase-1 fallback could not be produced.
             self._send_error_xml(503, str(exc), retry_after=1.0)
-        except sqlite3.OperationalError as exc:
-            # Transient store trouble (locked/busy past the retry
-            # budget) is an availability problem, not a client error.
-            self._send_error_xml(503, f"storage unavailable: {exc}",
-                                 retry_after=1.0)
         except RepositoryError as exc:
             self._send_error_xml(404, str(exc))
         except SchemrError as exc:
@@ -446,7 +439,7 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
         layout = params.get("layout", ["radial"])[0]
         depth = _int_param(params, "depth", default=3, minimum=0)
         focus = params.get("focus", [None])[0]
-        schema = self.repository.get_schema(schema_id)
+        schema = self.engine.schema(schema_id)
         svg = render_schema_svg(schema, layout=layout, depth=depth,
                                 focus=focus, match_scores=scores)
         self._send(200, svg, content_type="image/svg+xml")
@@ -462,7 +455,7 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
         scores = self._parse_scores(params)
         if scores is None:
             return
-        schema = self.repository.get_schema(schema_id)
+        schema = self.engine.schema(schema_id)
         self._send(200, graphml_for_schema(schema, match_scores=scores))
 
 
@@ -525,7 +518,6 @@ class SchemrServer:
                  config: SchemrConfig | None = None,
                  access_log: bool = False) -> None:
         from repro.index.suggest import PrefixSuggester
-        self._repository = repository
         # A serving deployment wants observability: unless the caller
         # supplies a config, telemetry is on (the enabled-path overhead
         # is a few percent; see benchmarks/bench_telemetry_overhead.py).
@@ -538,7 +530,7 @@ class SchemrServer:
             # segment directory — never locally indexed, so there is no
             # indexer in the loop and refreshes never run here.
             self._engine, self._replica_syncer = _build_replica_engine(
-                repository, config)
+                config)
             indexer = None
         elif config.shards > 1:
             # Worker-pool serving: phases 1+2 scatter to per-shard
@@ -556,7 +548,6 @@ class SchemrServer:
             queue_timeout_seconds=config.admission_timeout_seconds)
         handler = type("BoundHandler", (_SchemrRequestHandler,), {
             "engine": self._engine,
-            "repository": self._repository,
             "suggester": PrefixSuggester(self._engine.searcher.index),
             "telemetry": self._engine.telemetry,
             "admission": self._admission,
@@ -666,8 +657,7 @@ class SchemrServer:
         return _RunningServer(self)
 
 
-def _build_replica_engine(repository: SchemaRepository,
-                          config: SchemrConfig):
+def _build_replica_engine(config: SchemrConfig):
     """A serving engine that follows a primary instead of indexing.
 
     Performs one blocking catch-up sync before opening the index, so a
@@ -698,9 +688,8 @@ def _build_replica_engine(repository: SchemaRepository,
         logger.warning("initial replica sync from %s failed; serving "
                        "the existing local state: %s", target, exc)
     index = open_segment_index(config.segment_dir, sweep=True)
-    syncer.attach_index(index, repository)
-    engine = SchemrEngine(index=index, source=repository.profile_store(),
-                          config=config, telemetry=telemetry,
+    syncer.attach_index(index)
+    engine = SchemrEngine(index=index, config=config, telemetry=telemetry,
                           owns_telemetry=True)
     return engine, syncer
 

@@ -41,12 +41,14 @@ import time
 from typing import Callable
 
 from repro.core.config import SchemrConfig
-from repro.core.engine import Phase1Stats, SchemrEngine, build_searcher
+from repro.core.engine import (Phase1Stats, SchemrEngine, build_searcher,
+                               served_payload)
 from repro.core.results import SearchResult
 from repro.errors import CircuitOpenError, DeadlineExceeded, ServiceError
 from repro.index.searcher import IndexHit
 from repro.index.segments import ShardedSegmentIndex, shard_of
 from repro.model.query import QueryGraph
+from repro.model.schema import Schema
 from repro.resilience.breaker import STATE_OPEN
 from repro.resilience.deadline import Deadline
 from repro.sharding.pool import (
@@ -97,15 +99,13 @@ class ShardExecutor:
             raise ServiceError(
                 "sharded serving requires segment_dir (the sharded "
                 "segment layout workers mmap)")
-        db_path = getattr(repository, "path", ":memory:")
-        if db_path == ":memory:":
+        if getattr(repository, "path", ":memory:") == ":memory:":
             raise ServiceError(
                 "sharded serving requires a file-backed repository; "
-                "workers open their own database connections")
+                "the layout's change-log cursor must outlive the process")
         self._config = config
         self._clock = clock
         self._telemetry = telemetry
-        self._repository = repository
         indexer = repository.indexer(
             segment_dir=config.segment_dir,
             merge_policy=config.merge_policy, shards=config.shards)
@@ -137,7 +137,7 @@ class ShardExecutor:
             segment_dir=None, search_budget_seconds=None)
         specs = [
             WorkerSpec(shard_id=i, shard_count=index.shard_count,
-                       db_path=db_path, shard_dir=str(shard_dir),
+                       shard_dir=str(shard_dir),
                        config=self._worker_config)
             for i, shard_dir in enumerate(index.shard_dirs)
         ]
@@ -224,11 +224,9 @@ class ShardExecutor:
         """
         return {}
 
-    @property
-    def source(self):
-        """The front's repository: in-process writes go through it, so
-        its ``version`` stamps the engine's result cache."""
-        return self._repository
+    def schema(self, schema_id: int) -> Schema:
+        """A schema as the union index's served generation holds it."""
+        return Schema.from_payload(served_payload(self.index, schema_id))
 
     @property
     def reopening(self) -> bool:  # lint: unlocked (GIL-atomic bool read for readiness reporting)
@@ -433,16 +431,15 @@ class ShardExecutor:
     def _fallback(self) -> SchemrEngine:
         """The local-repair engine over the union index, built lazily.
 
-        Shares the repository's profile store and the worker config, so
-        anything it scores produces exactly the floats a worker would
-        have — repair changes latency, never bytes.
+        Runs the worker config over the same payloads, so anything it
+        scores produces exactly the floats a worker would have — repair
+        changes latency, never bytes.
         """
         with self._fallback_lock:
             if self._fallback_engine is None:
                 self._fallback_engine = SchemrEngine(
-                    index=self.index,
-                    source=self._repository.profile_store(),
-                    config=self._worker_config, clock=self._clock)
+                    index=self.index, config=self._worker_config,
+                    clock=self._clock)
             return self._fallback_engine
 
     # -- phase 1: scatter, merge, cache ---------------------------------
@@ -578,9 +575,8 @@ class ShardedEngine(SchemrEngine):
     ----------
     repository:
         A **file-backed** :class:`~repro.repository.store.SchemaRepository`
-        — each worker opens its own sqlite connection (WAL mode makes
-        that multi-process safe), so ``:memory:`` repositories cannot
-        shard.
+        whose indexer keeps the sharded layout; workers read only the
+        layout's segments, never the database.
     config:
         Must carry ``segment_dir`` (the sharded layout root) and the
         ``shards`` count; ``shard_timeout_seconds`` bounds every worker

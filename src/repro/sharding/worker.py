@@ -3,11 +3,10 @@
 Each worker is a real :class:`~repro.core.engine.SchemrEngine` wrapped
 in a small request loop:
 
-* it opens **its own** connection to the repository database (sqlite in
-  WAL mode is multi-process safe) and its own
-  :class:`~repro.matching.profile.ProfileStore`;
 * it mmaps its shard's segment directory — O(ms), zero-copy, nothing
-  pickled;
+  pickled — and decodes candidates from the payloads the segments
+  carry, through its own :class:`~repro.matching.profile.ProfileStore`
+  (it never opens the repository database);
 * it answers ``phase1`` requests with
   :meth:`~repro.index.searcher.IndexSearcher.search_prepared` (the
   front pins the global idf statistics, so per-shard scores are exactly
@@ -33,6 +32,7 @@ from repro.core.config import SchemrConfig
 from repro.core.engine import SchemrEngine, breaker_trouble
 from repro.errors import CircuitOpenError, DeadlineExceeded
 from repro.index.segments import SegmentedIndex
+from repro.matching.profile import ProfileStore
 from repro.resilience.deadline import Deadline
 from repro.sharding.protocol import (
     TAG_BYE,
@@ -60,15 +60,13 @@ class WorkerSpec:
 
     shard_id: int
     shard_count: int
-    db_path: str
     shard_dir: str
     config: SchemrConfig
 
 
-def _build_engine(spec: WorkerSpec, repository) -> SchemrEngine:
+def _build_engine(spec: WorkerSpec, profiles: ProfileStore) -> SchemrEngine:
     index = SegmentedIndex.open(spec.shard_dir)
-    return SchemrEngine(index=index, source=repository.profile_store(),
-                        config=spec.config)
+    return SchemrEngine(index=index, source=profiles, config=spec.config)
 
 
 def _handle_phase1(engine: SchemrEngine, payload: dict) -> dict:
@@ -119,14 +117,11 @@ def worker_main(spec: WorkerSpec, conn) -> None:
     # The front orchestrates shutdown; a terminal Ctrl-C must not kill
     # workers out from under an in-flight scatter.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # Imported here, not at module top: the parent imports this module
-    # too, and the worker-side repository connection must be opened in
-    # the child (a forked sqlite connection is not ours to share).
-    from repro.repository.store import SchemaRepository
-    repository = None
+    # One profile cache for the worker's lifetime: it is keyed by
+    # payload, so it stays warm and correct across reopens.
+    profiles = ProfileStore()
     try:
-        repository = SchemaRepository(spec.db_path)
-        engine = _build_engine(spec, repository)
+        engine = _build_engine(spec, profiles)
         conn.send((TAG_READY, 0, {
             "pid": os.getpid(),
             "documents": engine.searcher.index.document_count,
@@ -146,13 +141,9 @@ def worker_main(spec: WorkerSpec, conn) -> None:
                     out = _handle_phase2(engine, payload)
                 elif kind == TAG_REOPEN:
                     # The front flushed new segments; swap in a fresh
-                    # view of the shard directory (O(segment count)),
-                    # dropping the profiles of schemas changed since
-                    # the generation being replaced.
-                    repository.invalidate_profiles_since(
-                        engine.searcher.index.last_change_id)
+                    # view of the shard directory (O(segment count)).
                     engine.close()
-                    engine = _build_engine(spec, repository)
+                    engine = _build_engine(spec, profiles)
                     out = {
                         "documents":
                             engine.searcher.index.document_count,
@@ -183,5 +174,3 @@ def worker_main(spec: WorkerSpec, conn) -> None:
             conn.close()
         except OSError:  # pragma: no cover - teardown race
             pass
-        if repository is not None:
-            repository.close()

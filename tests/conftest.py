@@ -80,6 +80,48 @@ def build_conservation_schema(name: str = "conservation_monitoring") -> Schema:
     return schema
 
 
+class _ColdProfile:
+    """What tightness reads from a match profile, derived from the
+    schema alone — the scorer's own unprofiled derivation."""
+
+    def __init__(self, schema: Schema) -> None:
+        from repro.scoring.neighborhood import NeighborhoodIndex
+        self.entity_of = schema.element_entities()
+        self._neighborhoods = NeighborhoodIndex(schema)
+
+    def neighborhood_index(self):
+        return self._neighborhoods
+
+
+def cold_engine(index, ensemble=None, config=None):
+    """A reference engine whose phase 2 uses no match profile and no
+    profile cache: each candidate is decoded from its payload and
+    matched from scratch, as the library's unprofiled matcher calls do.
+    Differential tests pit the serving engine against it."""
+    import time
+
+    from repro.core.config import SchemrConfig
+    from repro.core.engine import (InProcessExecutor, SchemrEngine,
+                                   served_payload)
+    from repro.telemetry import Telemetry
+
+    class ColdExecutor(InProcessExecutor):
+        def _match_one(self, query, hit, scratch, cheap_only=False):
+            candidate = Schema.from_payload(
+                served_payload(self.searcher.index, hit.doc_id))
+            columns = self._guard.match(query, candidate,
+                                        cheap_only=cheap_only)
+            return (hit, candidate, columns, columns.element_scores(),
+                    _ColdProfile(candidate))
+
+    config = config or SchemrConfig()
+    telemetry = Telemetry.from_config(config)
+    executor = ColdExecutor(index, None, ensemble, config, time.monotonic,
+                            telemetry.metrics)
+    return SchemrEngine(config=config, telemetry=telemetry,
+                        executor=executor, owns_telemetry=True)
+
+
 @pytest.fixture
 def clinic_schema() -> Schema:
     return build_clinic_schema()

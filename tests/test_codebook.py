@@ -141,7 +141,7 @@ class TestCodebookMatcher:
 
     def test_engine_with_codebook_finds_synonymless_schema(
             self, synonymless_schema):
-        from repro.core.engine import DictSchemaSource, SchemrEngine
+        from repro.core.engine import SchemrEngine
         from repro.index.documents import document_from_schema
         from repro.index.inverted import InvertedIndex
         from repro.matching.context import ContextMatcher
@@ -151,7 +151,6 @@ class TestCodebookMatcher:
         index.add(document_from_schema(synonymless_schema))
         engine = SchemrEngine(
             index=index,
-            source=DictSchemaSource({1: synonymless_schema}),
             ensemble=MatcherEnsemble([NameMatcher(), ContextMatcher(),
                                       CodebookMatcher()]))
         # 'person' gets it past candidate extraction; the codebook then

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.config import SchemrConfig
-from repro.core.engine import DictSchemaSource, Phase1Stats, SchemrEngine
+from repro.core.engine import Phase1Stats, SchemrEngine
 from repro.core.pipeline import ALL_PHASES
 from repro.core.results import SearchResult
-from repro.errors import CircuitOpenError, DeadlineExceeded, QueryError
+from repro.errors import (CircuitOpenError, DeadlineExceeded, QueryError,
+                          SchemaNotFound)
 from repro.index.documents import document_from_schema
 from repro.index.inverted import InvertedIndex
 from repro.index.searcher import IndexHit
@@ -32,7 +33,7 @@ def engine() -> SchemrEngine:
         schema.schema_id = i
         schemas[i] = schema
         index.add(document_from_schema(schema))
-    return SchemrEngine(index=index, source=DictSchemaSource(schemas))
+    return SchemrEngine(index=index)
 
 
 class TestSearch:
@@ -158,7 +159,7 @@ class TestConfiguration:
             schema.schema_id = i
             schemas[i] = schema
             index.add(document_from_schema(schema))
-        engine = SchemrEngine(index=index, source=DictSchemaSource(schemas),
+        engine = SchemrEngine(index=index,
                               config=SchemrConfig(candidate_pool=2))
         engine.search(keywords=paper_keywords)
         assert engine.last_profile.phase_items["schema_matching"][0] == 2
@@ -173,7 +174,7 @@ class TestConfiguration:
         index = InvertedIndex()
         index.add(document_from_schema(schema))
         engine = SchemrEngine(
-            index=index, source=DictSchemaSource({1: schema}),
+            index=index,
             config=SchemrConfig(use_tightness=False))
         result = engine.search(keywords=paper_keywords)[0]
         assert result.best_anchor is None
@@ -187,7 +188,6 @@ class TestConfiguration:
         from repro.matching.name import NameMatcher
         ensemble = MatcherEnsemble(matchers=[NameMatcher()])
         engine = SchemrEngine(index=index,
-                              source=DictSchemaSource({1: schema}),
                               ensemble=ensemble)
         assert engine.ensemble.matcher_names == ("name",)
         assert engine.search(keywords=paper_keywords)
@@ -200,11 +200,9 @@ class TestConfiguration:
         config = SchemrConfig(penalties=PenaltyPolicy(
             neighborhood_penalty=0.0, unrelated_penalty=0.0))
         engine = SchemrEngine(index=index,
-                              source=DictSchemaSource({1: schema}),
                               config=config)
         no_penalty_score = engine.search(keywords=paper_keywords)[0].score
-        default_engine = SchemrEngine(index=index,
-                                      source=DictSchemaSource({1: schema}))
+        default_engine = SchemrEngine(index=index)
         default_score = default_engine.search(
             keywords=paper_keywords)[0].score
         assert no_penalty_score >= default_score
@@ -231,7 +229,7 @@ class TestPaging:
             schemas[i] = schema
             index.add(document_from_schema(schema))
         config = SchemrConfig(candidate_pool=pool)
-        return SchemrEngine(index=index, source=DictSchemaSource(schemas),
+        return SchemrEngine(index=index,
                             config=config)
 
     QUERY = "name gender salary species height"
@@ -281,15 +279,17 @@ class TestPaging:
         engine.close()
 
 
-class TestDictSchemaSource:
-    def test_lookup(self, clinic_schema):
-        clinic_schema.schema_id = 1
-        source = DictSchemaSource({1: clinic_schema})
-        assert source.get_schema(1) is clinic_schema
+class TestServedSchema:
+    """Candidates come from the payloads the index documents carry."""
 
-    def test_missing_raises(self):
-        with pytest.raises(QueryError):
-            DictSchemaSource({}).get_schema(9)
+    def test_lookup(self, engine, clinic_schema):
+        clinic_schema.schema_id = 1
+        assert engine.schema(1) == clinic_schema
+        assert engine.schema(1) is engine.schema(1)  # one cached decode
+
+    def test_missing_raises(self, engine):
+        with pytest.raises(SchemaNotFound):
+            engine.schema(9)
 
 
 class _FakeExecutor:

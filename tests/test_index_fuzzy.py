@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import SchemrConfig
-from repro.core.engine import DictSchemaSource, SchemrEngine
+from repro.core.engine import SchemrEngine
 from repro.index.documents import document_from_schema
 from repro.index.fuzzy import (
     Expansion,
@@ -123,10 +123,9 @@ class TestFuzzySearch:
         schema.schema_id = 1
         index = InvertedIndex()
         index.add(document_from_schema(schema))
-        source = DictSchemaSource({1: schema})
-        plain_engine = SchemrEngine(index=index, source=source)
+        plain_engine = SchemrEngine(index=index)
         fuzzy_engine = SchemrEngine(
-            index=index, source=source,
+            index=index,
             config=SchemrConfig(use_fuzzy_expansion=True))
         assert plain_engine.search(keywords="pateint gnder") == []
         results = fuzzy_engine.search(keywords="pateint gnder")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from repro.core.config import SchemrConfig
-from repro.core.engine import DictSchemaSource, SchemrEngine
+from repro.core.engine import SchemrEngine
 from repro.corpus.generator import CorpusGenerator
 from repro.index.cache import QueryCache
 from repro.index.documents import Document, document_from_schema
@@ -450,14 +450,11 @@ def _engine_pair(schemas, config_kwargs=None):
         schema.schema_id = i
         by_id[i] = schema
         index.add(document_from_schema(schema))
-    source = DictSchemaSource(by_id)
     kwargs = dict(config_kwargs or {})
     with_cache = SchemrEngine(
-        index=index, source=source,
-        config=SchemrConfig(query_cache_size=32, **kwargs))
+        index=index, config=SchemrConfig(query_cache_size=32, **kwargs))
     without = SchemrEngine(
-        index=index, source=source,
-        config=SchemrConfig(query_cache_size=0, **kwargs))
+        index=index, config=SchemrConfig(query_cache_size=0, **kwargs))
     return with_cache, without
 
 
@@ -491,7 +488,6 @@ class TestEngineEquivalence:
         assert engine.search("kaleidoskope") == []
         late = build_conservation_schema("kaleidoscope_catalog")
         late.schema_id = 77
-        engine._executor._source._schemas[77] = late  # extend the dict source
         index.add(document_from_schema(late))
         hits = engine.search("kaleidoskope", top_n=5)
         assert any(r.schema_id == 77 for r in hits)

@@ -373,10 +373,11 @@ class TestSegmentedIndexLifecycle:
 
     def test_segment_bytes_pinned_for_fixed_operation_sequence(
             self, tmp_path):
-        """Flushes, tombstones and merges write exactly the bytes the
-        locked single-step merge wrote (CRCs recorded from it), so the
-        off-lock merge and the kill-set intersection change nothing on
-        disk."""
+        """Flushes, tombstones and merges write exactly the pinned bytes
+        (segment format 2, payloads included; the merged segments were
+        checked byte-identical to a fresh write of their live
+        documents when the pin was taken), so the off-lock merge and
+        the kill-set intersection change nothing on disk."""
         root = tmp_path / "d"
         index = SegmentedIndex.open(root, create=True)
         rng = random.Random(5)
@@ -393,7 +394,7 @@ class TestSegmentedIndexLifecycle:
                          for _ in range(rng.randint(2, 9))]
                 terms.append(f"rare{i}")
                 index.add(Document(i, f"d{i}", summary=f"s{i}",
-                                   terms=terms))
+                                   terms=terms, payload=f"p{i}".encode()))
             for doc_id in rng.sample(range(batch * 25 + 25), 6):
                 if index.has_document(doc_id):
                     index.remove(doc_id)
@@ -404,13 +405,13 @@ class TestSegmentedIndexLifecycle:
                 crcs.setdefault(path.name, f"{file_crc32(path):08x}")
         assert merges == [3, 1, 3]
         assert dict(sorted(crcs.items())) == {
-            "seg_00000001.seg": "6f5aca12",
-            "seg_00000002.seg": "b22bf6c6",
-            "seg_00000003.seg": "1edd04f8",
-            "seg_00000005.seg": "1ae95499",
-            "seg_00000006.seg": "dd682e9e",
-            "seg_00000008.seg": "5b175de1",
-            "seg_00000009.seg": "46831d17",
+            "seg_00000001.seg": "9f930192",
+            "seg_00000002.seg": "01370d57",
+            "seg_00000003.seg": "ce2bef6d",
+            "seg_00000005.seg": "2c579463",
+            "seg_00000006.seg": "4eebf2e6",
+            "seg_00000008.seg": "a7eb732e",
+            "seg_00000009.seg": "b8f5fd00",
         }
 
     def test_kill_set_equals_probing_on_both_sides(self, tmp_path):

@@ -20,13 +20,22 @@ from repro.index.segments import (
     verify_segment_file,
     write_segment,
 )
+from repro.index.segments.format import file_crc32
 from repro.index.segments.sharded import SHARDS_NAME
+from repro.model.schema import Schema
 
 
 def doc(i: int) -> Document:
     words = ["patient", "height", "salary", "orbit", "kelp", "ledger"]
     return Document(i, f"doc{i}", summary=f"s{i}",
                     terms=[words[i % 6], words[(i + 3) % 6], "common"])
+
+
+def stored_doc(i: int) -> Document:
+    """``doc(i)`` carrying the payload a repository-fed index stores."""
+    document = doc(i)
+    document.payload = Schema(f"doc{i}", schema_id=i).to_payload()
+    return document
 
 
 def build_flat(path, count: int = 10) -> SegmentedIndex:
@@ -103,6 +112,57 @@ class TestVerifyFlat:
         assert len(report.warnings) == 2
         assert any("orphan" in message for _, message in report.warnings)
         assert any("temp" in message for _, message in report.warnings)
+
+    def _flip_payload_byte(self, path, doc_id: int) -> None:
+        """Flip one byte inside ``doc_id``'s payload, then re-record the
+        file's CRC in the manifest — the corruption only the payload
+        check can see."""
+        seg = committed_segment(path)
+        blob = bytearray(seg.read_bytes())
+        payload = stored_doc(doc_id).payload
+        at = blob.index(payload) + len(payload) // 2
+        blob[at] ^= 0xFF
+        seg.write_bytes(bytes(blob))
+        manifest_path = path / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["segments"][0]["crc32"] = file_crc32(seg)
+        manifest_path.write_text(json.dumps(manifest))
+
+    def _build_stored_flat(self, path) -> None:
+        index = SegmentedIndex.open(path, create=True)
+        for i in range(10):
+            index.add(stored_doc(i))
+        index.flush(last_change_id=10)
+
+    def test_flipped_payload_byte_is_reported(self, tmp_path):
+        self._build_stored_flat(tmp_path)
+        assert verify_directory(tmp_path).ok
+        self._flip_payload_byte(tmp_path, 3)
+        report = verify_directory(tmp_path)
+        assert not report.ok
+        assert any("document 3: payload does not decode" in message
+                   for _, message in report.problems)
+
+    def test_payload_naming_another_schema_is_reported(self, tmp_path):
+        index = InvertedIndex()
+        index.add(stored_doc(3))
+        index.add(Document(4, "doc4", terms=["common"],
+                           payload=stored_doc(5).payload))
+        path = tmp_path / "seg.seg"
+        write_segment(path, index)
+        report = verify_segment_file(path)
+        assert not report.ok
+        assert any("document 4: payload holds schema 5" in message
+                   for _, message in report.problems)
+
+    def test_tombstoned_record_payload_is_not_checked(self, tmp_path):
+        self._build_stored_flat(tmp_path)
+        self._flip_payload_byte(tmp_path, 3)
+        manifest_path = tmp_path / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["segments"][0]["deleted"] = [3]
+        manifest_path.write_text(json.dumps(manifest))
+        assert verify_directory(tmp_path).ok
 
     def test_not_a_segment_directory(self, tmp_path):
         report = verify_directory(tmp_path)

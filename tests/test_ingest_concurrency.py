@@ -30,6 +30,7 @@ from repro.index.segments import (
 )
 from repro.repository.indexer import RepositoryIndexer
 from repro.repository.store import SchemaRepository
+from repro.resilience.faults import FAULTS
 from repro.sharding import ShardedEngine
 
 from tests.conftest import (build_clinic_schema, build_conservation_schema,
@@ -134,9 +135,9 @@ class TestRefreshBuildsOffLock:
             gate = Gate()
             real = indexer_module.document_from_schema
 
-            def parked(schema):
+            def parked(schema, **kwargs):
                 gate.park()
-                return real(schema)
+                return real(schema, **kwargs)
 
             monkeypatch.setattr(indexer_module, "document_from_schema",
                                 parked)
@@ -168,7 +169,7 @@ class TestRefreshBuildsOffLock:
             repo.delete_schema(first)
             cursor = indexer.last_change_id
 
-            def broken(schema):
+            def broken(schema, **kwargs):
                 raise RuntimeError("flattening failed")
 
             monkeypatch.setattr(indexer_module, "document_from_schema",
@@ -359,14 +360,17 @@ class TestDeletedBeforePublish:
                 failures = engine.store_breaker.failure_count
                 repo.delete_schema(victim)  # committed, not yet published
                 assert engine.searcher.index.has_document(victim)
+                # Phase 1 still returns the victim; the refresh that
+                # publishes the delete lands as phase 2 starts.
+                FAULTS.inject("engine.match_one", hook=repo.reindex,
+                              times=1)
                 page = engine.search(keywords)
+                assert not engine.searcher.index.has_document(victim)
                 assert engine.store_breaker.failure_count == failures
                 snapshot = engine.telemetry.metrics.snapshot()
                 assert snapshot.value("schemr_source_failures_total") == 0
                 assert page
                 assert victim not in {r.schema_id for r in page}
-                repo.reindex()
-                assert not engine.searcher.index.has_document(victim)
                 refreshed = engine.search(keywords)
                 # Final ranking and scores match; the phase-1 coarse
                 # score moves with the corpus statistics the publish
@@ -374,4 +378,5 @@ class TestDeletedBeforePublish:
                 assert [(r.schema_id, f"{r.score:.6f}") for r in page] \
                     == [(r.schema_id, f"{r.score:.6f}") for r in refreshed]
             finally:
+                FAULTS.reset()
                 engine.close()

@@ -15,8 +15,9 @@ import pytest
 import repro.matching.context as context_mod
 import repro.matching.profile as profile_mod
 import repro.scoring.neighborhood as neighborhood_mod
-from repro.core.engine import DictSchemaSource, SchemrEngine
-from repro.errors import MatchError, QueryError, RepositoryError, SchemaError
+from repro.core.engine import SchemrEngine
+from repro.errors import (MatchError, RepositoryError, SchemaError,
+                          SchemaNotFound)
 from repro.index.documents import document_from_schema
 from repro.index.inverted import InvertedIndex
 from repro.matching.context import element_context
@@ -33,6 +34,7 @@ from repro.matching.profile import (
     SchemaMatchProfile,
 )
 from repro.model.graph import entity_adjacency
+from repro.model.schema import Schema
 from repro.scoring.neighborhood import NeighborhoodIndex, entity_components
 from repro.text.splitter import split_words_lower
 
@@ -41,6 +43,7 @@ from tests.conftest import (
     build_clinic_schema,
     build_conservation_schema,
     build_hr_schema,
+    cold_engine,
 )
 
 
@@ -169,14 +172,20 @@ class TestProfileOverCorpus:
             assert SchemaMatchProfile.build(schema) == expected
 
 
-class _CountingSource(DictSchemaSource):
+class _CountingSource:
+    """By-id payloads for a :class:`ProfileStore`, counting the reads."""
+
     def __init__(self, schemas):
-        super().__init__(schemas)
+        self.payloads = {schema_id: schema.to_payload()
+                         for schema_id, schema in schemas.items()}
         self.calls = 0
 
-    def get_schema(self, schema_id):
+    def payload(self, schema_id):
         self.calls += 1
-        return super().get_schema(schema_id)
+        try:
+            return self.payloads[schema_id]
+        except KeyError:
+            raise SchemaNotFound(f"no schema {schema_id}") from None
 
 
 def _schemas_by_id():
@@ -189,13 +198,21 @@ def _schemas_by_id():
     return schemas
 
 
+def _renamed_payload(schema_id, name):
+    schema = _schemas_by_id()[schema_id]
+    schema.name = name
+    return schema.to_payload()
+
+
 class TestProfileStore:
     def test_read_through_get_schema(self):
         source = _CountingSource(_schemas_by_id())
         store = ProfileStore(source)
         assert store.get_schema(1).name == "clinic_emr"
         assert store.get_schema(1).name == "clinic_emr"
-        assert source.calls == 1  # second read was a cache hit
+        # Every by-id read asks the source for the current payload; only
+        # the first decodes it.
+        assert source.calls == 2
         assert store.hits == 1 and store.misses == 1
 
     def test_profile_and_schema_share_one_entry(self):
@@ -204,39 +221,42 @@ class TestProfileStore:
         profile = store.get_profile(2)
         assert profile.schema_id == 2
         assert store.get_schema(2).schema_id == 2
-        assert source.calls == 1
+        assert store.misses == 1 and store.hits == 1
 
-    def test_put_is_eager(self):
-        source = _CountingSource(_schemas_by_id())
-        store = ProfileStore(source)
-        schema = source.get_schema(3)
-        source.calls = 0
-        store.put(schema)
-        assert 3 in store
-        assert store.get_profile(3).schema_id == 3
-        assert source.calls == 0  # served from the eager entry
+    def test_lookup_is_one_cache_lookup(self):
+        payload = _CountingSource(_schemas_by_id()).payloads[1]
+        store = ProfileStore()
+        schema, profile = store.lookup(1, payload)
+        assert (store.hits, store.misses) == (0, 1)
+        again = store.lookup(1, memoryview(payload))
+        assert again == (schema, profile)
+        assert again[0] is schema
+        assert (store.hits, store.misses) == (1, 1)
 
     def test_put_requires_schema_id(self):
-        store = ProfileStore(DictSchemaSource({}))
+        """An entry is admitted only for the id its payload names."""
+        payloads = _CountingSource(_schemas_by_id()).payloads
+        store = ProfileStore()
+        with pytest.raises(RepositoryError, match="holds schema 2"):
+            store.lookup(1, payloads[2])
         with pytest.raises(RepositoryError):
-            store.put(build_clinic_schema())  # no id assigned
-
-    def test_invalidate(self):
-        store = ProfileStore(DictSchemaSource(_schemas_by_id()))
-        store.get_profile(1)
-        assert store.invalidate(1) is True
-        assert store.invalidate(1) is False
-        assert 1 not in store
-
-    def test_clear(self):
-        store = ProfileStore(DictSchemaSource(_schemas_by_id()))
-        store.get_profile(1)
-        store.get_profile(2)
-        store.clear()
+            store.lookup(1, build_clinic_schema().to_payload())
         assert len(store) == 0
 
+    def test_invalidate(self):
+        """A changed payload supersedes the entry: no call invalidates,
+        and the stale copy is never served."""
+        payloads = _CountingSource(_schemas_by_id()).payloads
+        store = ProfileStore()
+        store.lookup(1, payloads[1])
+        renamed = _renamed_payload(1, "clinic_v2")
+        assert store.lookup(1, renamed)[0].name == "clinic_v2"
+        assert store.lookup(1, payloads[1])[0].name == "clinic_emr"
+        assert (store.hits, store.misses) == (0, 3)
+        assert len(store) == 1
+
     def test_lru_eviction(self):
-        store = ProfileStore(DictSchemaSource(_schemas_by_id()), capacity=2)
+        store = ProfileStore(_CountingSource(_schemas_by_id()), capacity=2)
         store.get_profile(1)
         store.get_profile(2)
         store.get_schema(1)   # touch 1 so 2 is the LRU entry
@@ -244,67 +264,59 @@ class TestProfileStore:
         assert 1 in store and 3 in store
         assert 2 not in store
         assert len(store) == 2
+        assert store.evictions == 1
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(RepositoryError):
-            ProfileStore(DictSchemaSource({}), capacity=0)
+            ProfileStore(None, capacity=0)
+
+    def test_by_id_read_needs_a_source(self):
+        with pytest.raises(RepositoryError, match="no source"):
+            ProfileStore().get_schema(1)
 
 
-class _ParkedSource(DictSchemaSource):
-    """Hands out the copy it held when asked, but only once released:
-    a read-through fill that a write overtakes."""
+def _park_first_build(monkeypatch):
+    """Make the first profile build stop until released; returns
+    (parked, release)."""
+    parked, release = threading.Event(), threading.Event()
+    real = SchemaMatchProfile.build
+    calls = []
 
-    def __init__(self, schemas):
-        super().__init__(schemas)
-        self.fetched = threading.Event()
-        self.release = threading.Event()
+    def build(schema):
+        calls.append(schema.schema_id)
+        if len(calls) == 1:
+            parked.set()
+            assert release.wait(5)
+        return real(schema)
 
-    def get_schema(self, schema_id):
-        schema = super().get_schema(schema_id)
-        self.fetched.set()
-        assert self.release.wait(5)
-        return schema
-
-
-def _overtaken_fill(store, source, write):
-    """Start a fill of schema 1, run ``write`` while it is parked, then
-    let it finish; returns the schema the fill handed its caller."""
-    filled = []
-    fill = threading.Thread(target=lambda: filled.append(
-        store.get_schema(1)))
-    fill.start()
-    try:
-        assert source.fetched.wait(5)
-        write()
-    finally:
-        source.release.set()
-        fill.join(5)
-    assert not fill.is_alive()
-    return filled[0]
+    monkeypatch.setattr(SchemaMatchProfile, "build", staticmethod(build))
+    return parked, release
 
 
 class _LiveSource:
-    """A source whose schemas a test replaces while the store reads."""
+    """A payload source whose schemas a test replaces while the store
+    reads."""
 
     def __init__(self, schemas):
-        self.schemas = dict(schemas)
+        self.payloads = {schema_id: schema.to_payload()
+                         for schema_id, schema in schemas.items()}
 
-    def get_schema(self, schema_id):
-        return self.schemas[schema_id]
+    def payload(self, schema_id):
+        return self.payloads[schema_id]
 
 
 def _stress_round(store, source, round_):
-    """One writer replacing and invalidating 30 times beside four
-    readers, more threads than cores; returns once all have stopped."""
+    """One writer replacing payloads 30 times beside four readers,
+    more threads than cores; returns once all have stopped."""
     stop = threading.Event()
+    schemas = _schemas_by_id()
 
     def write():
         for version in range(30):
             schema_id = version % 3 + 1
-            newer = source.schemas[schema_id].copy()
+            newer = schemas[schema_id].copy()
             newer.description = f"v{round_}.{version}"
-            source.schemas[schema_id] = newer
-            store.invalidate(schema_id)
+            source.payloads[schema_id] = newer.to_payload()
         stop.set()
 
     def read(offset):
@@ -325,37 +337,34 @@ def _stress_round(store, source, round_):
 
 
 class TestProfileStoreFillRace:
-    """A write that lands while a read-through fill is in flight wins:
-    the fill's older copy is never cached."""
+    """A fill of an older payload that finishes after a newer one can
+    overwrite the entry, but never gets it served for the newer
+    payload."""
 
-    def test_put_during_fill_is_served(self):
-        schemas = _schemas_by_id()
-        source = _ParkedSource(schemas)
-        store = ProfileStore(source)
-        newer = schemas[1].copy()
-        newer.name = "clinic_v2"
-        filled = _overtaken_fill(store, source, lambda: store.put(newer))
-        assert filled.name == "clinic_emr"  # the caller gets its fetch
-        assert store.get_schema(1).name == "clinic_v2"
-        assert store.get_profile(1).schema_id == 1
-
-    def test_invalidate_during_fill_leaves_nothing_cached(self):
-        source = _ParkedSource(_schemas_by_id())
-        store = ProfileStore(source)
-        _overtaken_fill(store, source, lambda: store.invalidate(1))
-        assert 1 not in store
-
-    def test_clear_during_fill_leaves_nothing_cached(self):
-        source = _ParkedSource(_schemas_by_id())
-        store = ProfileStore(source)
-        _overtaken_fill(store, source, store.clear)
-        assert len(store) == 0
+    def test_put_during_fill_is_served(self, monkeypatch):
+        payloads = _CountingSource(_schemas_by_id()).payloads
+        newer = _renamed_payload(1, "clinic_v2")
+        store = ProfileStore()
+        parked, release = _park_first_build(monkeypatch)
+        filled = []
+        fill = threading.Thread(target=lambda: filled.append(
+            store.lookup(1, payloads[1])[0]))
+        fill.start()
+        try:
+            assert parked.wait(5)
+            assert store.lookup(1, newer)[0].name == "clinic_v2"
+        finally:
+            release.set()
+            fill.join(5)
+        assert not fill.is_alive()
+        assert filled[0].name == "clinic_emr"  # the caller gets its fetch
+        assert store.lookup(1, newer)[0].name == "clinic_v2"
+        assert store.lookup(1, newer)[1].schema_id == 1
 
     def test_stress_resident_entries_match_the_source(self):
-        """Readers fill while a writer replaces schemas and invalidates
-        (the repository's commit-then-invalidate order).  Whenever all
-        threads have stopped, every resident entry is the source's
-        current copy."""
+        """Readers fill while a writer replaces payloads.  Whenever all
+        threads have stopped, every by-id read is the source's current
+        copy."""
         source = _LiveSource(_schemas_by_id())
         store = ProfileStore(source, capacity=2)
         interval = sys.getswitchinterval()
@@ -364,38 +373,48 @@ class TestProfileStoreFillRace:
             for round_ in range(40):
                 _stress_round(store, source, round_)
                 for schema_id in (1, 2, 3):
-                    if schema_id in store:
-                        assert store.get_schema(schema_id) is \
-                            source.schemas[schema_id]
+                    current = Schema.from_payload(source.payloads[schema_id])
+                    assert store.get_schema(schema_id) == current
         finally:
             sys.setswitchinterval(interval)
 
     def test_failed_fill_leaves_no_token_behind(self, monkeypatch):
-        store = ProfileStore(DictSchemaSource({}))
-        with pytest.raises(QueryError):
-            store.get_schema(7)  # the fetch raises
-        assert store._fills == {}
+        """A fill that raises caches nothing."""
+        store = ProfileStore(_CountingSource({}))
+        with pytest.raises(SchemaNotFound):
+            store.get_schema(7)  # the payload read raises
+        with pytest.raises(SchemaError):
+            store.lookup(7, b"{not json")  # the decode raises
+        assert len(store) == 0
 
         def failing_build(schema):
             raise MatchError("profile build failed")
 
-        store = ProfileStore(DictSchemaSource(_schemas_by_id()))
+        store = ProfileStore(_CountingSource(_schemas_by_id()))
         monkeypatch.setattr(SchemaMatchProfile, "build",
                             staticmethod(failing_build))
         with pytest.raises(MatchError):
             store.get_schema(1)  # the build raises
-        assert store._fills == {} and 1 not in store
+        assert 1 not in store and store.misses == 1
 
 
-def _build_engine(profiled=False):
-    schemas = _schemas_by_id()
+def _build_index():
     index = InvertedIndex()
-    for schema in schemas.values():
+    for schema in _schemas_by_id().values():
         index.add(document_from_schema(schema))
-    source = DictSchemaSource(schemas)
+    return index
+
+
+def _build_engine(profiled=False, store=None):
+    """The three schemas behind an engine.  ``profiled`` warms its
+    profile cache with every query first, so the comparison pits
+    cached profiles against the unprofiled reference path."""
+    engine = SchemrEngine(index=_build_index(), source=store)
     if profiled:
-        source = ProfileStore(source)
-    return SchemrEngine(index=index, source=source)
+        for query in TestGoldenEquivalence.QUERIES:
+            engine.search(**query)
+        assert engine.search(**TestGoldenEquivalence.QUERIES[0])
+    return engine
 
 
 def _result_fingerprint(results):
@@ -418,11 +437,14 @@ class TestGoldenEquivalence:
     ]
 
     def test_profiled_path_matches_cold_path(self):
-        cold = _build_engine()
-        fast = _build_engine(profiled=True)
+        store = ProfileStore()
+        fast = _build_engine(profiled=True, store=store)
+        cold = cold_engine(_build_index())  # no profiles, no cache
+        hits = store.hits
         for query in self.QUERIES:
             assert _result_fingerprint(fast.search(**query)) == \
                 _result_fingerprint(cold.search(**query))
+        assert store.hits > hits
 
     def test_full_ensemble_equivalence(self):
         from repro.matching.datatype import DataTypeMatcher
@@ -433,21 +455,19 @@ class TestGoldenEquivalence:
             ExactMatcher(), SynonymMatcher(), DataTypeMatcher(),
             StructureMatcher(),
         ])
-        schemas = _schemas_by_id()
         query_kwargs = {"keywords": "patient stature sex",
                         "fragment": "CREATE TABLE patient "
                                     "(height DECIMAL, gender CHAR(1));"}
-        index = InvertedIndex()
-        for schema in schemas.values():
-            index.add(document_from_schema(schema))
-        cold = SchemrEngine(index=index,
-                            source=DictSchemaSource(schemas),
-                            ensemble=ensemble)
-        fast = SchemrEngine(index=index,
-                            source=ProfileStore(DictSchemaSource(schemas)),
-                            ensemble=ensemble)
+        index = _build_index()
+        cold = cold_engine(index, ensemble=ensemble)
+        store = ProfileStore()
+        fast = SchemrEngine(index=index, source=store, ensemble=ensemble)
         assert _result_fingerprint(fast.search(**query_kwargs)) == \
             _result_fingerprint(cold.search(**query_kwargs))
+        hits = store.hits
+        assert _result_fingerprint(fast.search(**query_kwargs)) == \
+            _result_fingerprint(cold.search(**query_kwargs))
+        assert store.hits > hits
 
     def test_matcher_level_equivalence(self, clinic_schema):
         from repro.model.query import QueryGraph
@@ -480,7 +500,7 @@ class TestAdjacencySharing:
         for module in (profile_mod, context_mod, neighborhood_mod):
             monkeypatch.setattr(module, "entity_adjacency", counting)
 
-        engine = _build_engine(profiled=True)
+        engine = _build_engine()
         assert calls["n"] == 0  # profiles are built lazily, none yet
         engine.search(keywords="name gender salary species")
         candidates = engine.last_profile.phase_items["schema_matching"][0]
@@ -490,6 +510,11 @@ class TestAdjacencySharing:
         assert calls["n"] == candidates  # repeat queries build nothing
 
     def test_cold_path_builds_twice_per_candidate(self, monkeypatch):
+        """Without a profile (the library's unprofiled matcher and
+        scorer calls) the context matcher and the tightness scorer
+        each build the adjacency."""
+        from repro.model.query import QueryGraph
+        from repro.scoring.tightness import TightnessScorer
         calls = {"n": 0}
         real = entity_adjacency
 
@@ -500,11 +525,15 @@ class TestAdjacencySharing:
         for module in (profile_mod, context_mod, neighborhood_mod):
             monkeypatch.setattr(module, "entity_adjacency", counting)
 
-        engine = _build_engine()
-        engine.search(keywords="name gender salary species")
-        candidates = engine.last_profile.phase_items["schema_matching"][0]
-        assert candidates > 1
-        assert calls["n"] == 2 * candidates
+        query = QueryGraph.build(
+            keywords="name gender salary species".split())
+        ensemble = MatcherEnsemble.default()
+        scorer = TightnessScorer()
+        schemas = list(_schemas_by_id().values())
+        for schema in schemas:
+            scores = ensemble.match(query, schema).combined.max_per_column()
+            scorer.score(schema, scores)
+        assert calls["n"] == 2 * len(schemas)
 
 
 class TestEnsembleCheapProperties:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import repro.matching.context as context_mod
 from repro.core.config import SchemrConfig
-from repro.core.engine import DictSchemaSource, SchemrEngine
+from repro.core.engine import SchemrEngine
 from repro.corpus.generator import CorpusGenerator
 from repro.errors import MatchError, QueryError, SchemaError
 from repro.index.documents import document_from_schema
@@ -47,6 +47,8 @@ from repro.repository.store import SchemaRepository
 from repro.resilience.guards import GuardedEnsemble
 from repro.scoring.tightness import TightnessScorer
 from repro.sharding import ShardedEngine
+
+from tests.conftest import cold_engine
 
 #: Few enough that names repeat; abbreviations, synonyms, case and
 #: delimiter variants, and names that analyse to no words at all.
@@ -127,10 +129,8 @@ class TestColumnPathEqualsReference:
             schema.schema_id = schema_id
             schemas_by_id[schema_id] = schema
             index.add(document_from_schema(schema))
-        source = DictSchemaSource(schemas_by_id)
-        reference = SchemrEngine(index=index, source=source,
-                                 ensemble=ensemble)
-        columns = SchemrEngine(index=index, source=ProfileStore(source),
+        reference = cold_engine(index, ensemble=ensemble)
+        columns = SchemrEngine(index=index, source=ProfileStore(),
                                ensemble=ensemble)
         try:
             if not reference.searcher.analyze_query(query.flatten()):

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import DictSchemaSource, SchemrEngine
+from repro.core.engine import SchemrEngine
 from repro.index.documents import document_from_schema
 from repro.index.inverted import InvertedIndex
 from repro.matching.context import ContextMatcher
@@ -26,6 +26,8 @@ from repro.matching.profile import MatchScratch, ProfileStore, \
 from repro.model.elements import Attribute, Entity, ForeignKey
 from repro.model.query import QueryGraph
 from repro.model.schema import Schema
+
+from tests.conftest import cold_engine
 
 #: Few enough that names repeat; includes abbreviations the analyser
 #: expands, case/delimiter variants and names with no words at all.
@@ -163,11 +165,10 @@ class TestEngineWorkers:
             schema.schema_id = schema_id
             schemas_by_id[schema_id] = schema
             index.add(document_from_schema(schema))
-        source = DictSchemaSource(schemas_by_id)
         query = QueryGraph.build(keywords=keywords, fragments=fragments)
         engines = [
-            SchemrEngine(index=index, source=source),
-            SchemrEngine(index=index, source=ProfileStore(source)),
+            cold_engine(index),
+            SchemrEngine(index=index, source=ProfileStore()),
         ]
         try:
             cold, profiled = (

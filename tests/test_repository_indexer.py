@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.errors import SchemaNotFound
 from repro.matching.profile import ProfileStore, SchemaMatchProfile
 from repro.repository.indexer import RepositoryIndexer
 from repro.repository.store import SchemaRepository
@@ -114,6 +115,48 @@ class TestRefreshBesideAWriter:
                 indexer.index.document(i).title for i in ids}
 
 
+class TestRefreshBesideReaders:
+    """Schema fetches on the same handle never hold a refresh back."""
+
+    def test_refresh_reaches_the_committed_head_beside_readers(
+            self, tmp_path):
+        """Three threads fetch schemas through the handle the indexer
+        reads; every refresh after a commit must still reach the
+        committed head of the change log."""
+        with SchemaRepository(tmp_path / "repo.db") as repo:
+            first = repo.add_schema(build_clinic_schema())
+            indexer = RepositoryIndexer(repo)
+            indexer.refresh()
+            stop = threading.Event()
+            finished = []
+
+            def read():
+                while not stop.is_set():
+                    repo.get_schema(first)
+                finished.append(True)
+
+            readers = [threading.Thread(target=read) for _ in range(3)]
+            for reader in readers:
+                reader.start()
+            behind = []
+            try:
+                for round_ in range(200):
+                    repo.add_schema(_named_clinic(f"clinic_{round_}"))
+                    indexer.refresh()
+                    head = repo.connection.execute(
+                        "SELECT MAX(change_id) FROM changelog"
+                    ).fetchone()[0]
+                    if indexer.last_change_id != head:
+                        behind.append(round_)
+            finally:
+                stop.set()
+                for reader in readers:
+                    reader.join(5)
+            assert finished == [True] * 3  # no reader died
+            assert behind == []
+            assert indexer.index.document_count == 201
+
+
 def _named_clinic(name):
     schema = build_clinic_schema()
     schema.name = name
@@ -134,46 +177,55 @@ def _count_profile_builds(monkeypatch):
     return builds
 
 
+def _lookup(store, index, schema_id):
+    """What phase 2 does: the candidate from the served payload."""
+    return store.lookup(schema_id, index.document(schema_id).payload)
+
+
 class TestProfileSync:
-    """The changelog-driven refresh keeps the profile cache honest."""
+    """The profile cache needs nothing from the indexer: its entries are
+    keyed by payload, and a refresh publishes the payloads."""
 
     def test_refresh_builds_no_profiles_and_drops_changed_ids(
             self, monkeypatch):
-        """A batch of 30 adds and 20 updates costs no profile builds;
-        every resident changed id leaves the store, the rest stay."""
+        """A batch of 30 adds and 20 updates costs no profile builds and
+        leaves the store alone; each changed id's entry is superseded
+        by its next lookup from the index, the rest still hit."""
         with SchemaRepository.in_memory() as repo:
             old = [_named_clinic(f"clinic_{i}") for i in range(25)]
             for schema in old:
                 repo.add_schema(schema)
-            # Not the repository's own store, so only the refresh can
-            # invalidate it.
-            store = ProfileStore(repo)
-            indexer = RepositoryIndexer(repo, profile_store=store)
+            store = ProfileStore()
+            indexer = RepositoryIndexer(repo)
             indexer.refresh()
             for schema in old:
-                store.get_profile(schema.schema_id)  # resident
-            added = [repo.add_schema(_named_clinic(f"new_{i}"))
-                     for i in range(30)]
+                _lookup(store, indexer.index, schema.schema_id)  # resident
+            for i in range(30):
+                repo.add_schema(_named_clinic(f"new_{i}"))
             for schema in old[:20]:
                 schema.name += "_v2"
                 repo.update_schema(schema)
             builds = _count_profile_builds(monkeypatch)
             assert indexer.refresh() == 50
             assert builds == []
-            assert not any(s.schema_id in store for s in old[:20])
-            assert not any(schema_id in store for schema_id in added)
-            assert all(s.schema_id in store for s in old[20:])
-            assert store.get_schema(old[0].schema_id).name == \
-                "clinic_0_v2"
+            assert len(store) == 25
+            hits = store.hits
+            for schema in old:
+                _lookup(store, indexer.index, schema.schema_id)
+            assert sorted(builds) == sorted(s.schema_id for s in old[:20])
+            assert store.hits == hits + 5
+            assert _lookup(store, indexer.index,
+                           old[0].schema_id)[0].name == "clinic_0_v2"
 
     def test_update_via_changelog_refreshes_profile(self):
         with SchemaRepository.in_memory() as repo:
             schema = build_clinic_schema()
             schema_id = repo.add_schema(schema)
-            store = ProfileStore(repo)
-            indexer = RepositoryIndexer(repo, profile_store=store)
+            store = ProfileStore()
+            indexer = RepositoryIndexer(repo)
             indexer.refresh()
-            old_paths = store.get_profile(schema_id).element_paths
+            old_paths = _lookup(store, indexer.index,
+                                schema_id)[1].element_paths
 
             from repro.model.elements import Attribute, Entity
             schema.add_entity(Entity("lab_result", [
@@ -181,27 +233,31 @@ class TestProfileSync:
                 Attribute("value", "DECIMAL(8,2)"),
             ]))
             repo.update_schema(schema)
+            # Committed, not refreshed: the served generation still
+            # holds the old payload.
+            assert _lookup(store, indexer.index,
+                           schema_id)[1].element_paths == old_paths
             indexer.refresh()
-            new_paths = store.get_profile(schema_id).element_paths
-            assert new_paths != old_paths
-            assert "lab_result.value" in new_paths
+            candidate, profile = _lookup(store, indexer.index, schema_id)
+            assert profile.element_paths != old_paths
+            assert "lab_result.value" in profile.element_paths
             # The cached schema moved in step with the profile.
-            assert "lab_result" in store.get_schema(schema_id).entities
+            assert "lab_result" in candidate.entities
 
     def test_delete_via_changelog_drops_profile(self):
         with SchemaRepository.in_memory() as repo:
             schema_id = repo.add_schema(build_clinic_schema())
-            store = ProfileStore(repo)
-            indexer = RepositoryIndexer(repo, profile_store=store)
-            indexer.refresh()
+            engine = repo.engine()
+            assert engine.schema(schema_id).name == "clinic_emr"
             repo.delete_schema(schema_id)
-            indexer.refresh()
-            assert schema_id not in store
+            assert engine.schema(schema_id).name == "clinic_emr"
+            repo.indexer().refresh()
+            with pytest.raises(SchemaNotFound):
+                engine.schema(schema_id)
 
     def test_repository_crud_invalidates_lazily_cached_entries(self):
-        """The repository's own mutation methods invalidate the shared
-        store immediately — a stale schema is never served, even before
-        the next indexer refresh."""
+        """By-id reads take the payload from the repository, so a
+        stale schema is never served, though nothing invalidates."""
         with SchemaRepository.in_memory() as repo:
             schema = build_clinic_schema()
             schema_id = repo.add_schema(schema)
@@ -209,10 +265,10 @@ class TestProfileSync:
             store.get_profile(schema_id)  # lazily cached
             schema.name = "renamed_clinic"
             repo.update_schema(schema)
-            assert schema_id not in store
             assert store.get_schema(schema_id).name == "renamed_clinic"
             repo.delete_schema(schema_id)
-            assert schema_id not in store
+            with pytest.raises(SchemaNotFound):
+                store.get_schema(schema_id)
 
     def test_engine_search_sees_post_update_state(self):
         with SchemaRepository.in_memory() as repo:
@@ -223,40 +279,41 @@ class TestProfileSync:
                 "clinic_emr"
             schema.name = "renamed_clinic"
             repo.update_schema(schema)
-            engine = repo.engine()  # refreshes index + profiles
+            engine = repo.engine()  # refreshes the index
             assert engine.search(keywords="patient height")[0].name == \
                 "renamed_clinic"
 
     def test_rebuild_clears_profiles_without_building(self, monkeypatch):
+        """A rebuild builds no profiles and leaves the store alone: its
+        documents carry the same payloads, so resident entries hit."""
         with SchemaRepository.in_memory() as repo:
             a = repo.add_schema(build_clinic_schema())
             repo.add_schema(build_hr_schema())
             store = ProfileStore(repo)
             store.get_profile(a)
-            indexer = RepositoryIndexer(repo, profile_store=store)
+            indexer = RepositoryIndexer(repo)
             builds = _count_profile_builds(monkeypatch)
             assert indexer.rebuild() == 2
-            assert builds == [] and len(store) == 0
+            assert builds == [] and len(store) == 1
+            _lookup(store, indexer.index, a)
+            assert builds == [] and store.hits == 1
 
     def test_refresh_drops_entries_changed_through_another_handle(
             self, tmp_path):
-        """Another handle's CRUD invalidates only its own store; the
-        refresh is what reaches this one."""
+        """A write through another handle reaches searches exactly when
+        the refresh publishes it."""
         path = tmp_path / "repo.db"
         with SchemaRepository(path) as repo, \
                 SchemaRepository(path) as other:
             schema_id = repo.add_schema(build_clinic_schema())
-            indexer = repo.indexer()
-            indexer.refresh()
-            store = repo.profile_store()
-            assert store.get_schema(schema_id).name == "clinic_emr"
+            engine = repo.engine()
+            assert engine.schema(schema_id).name == "clinic_emr"
             schema = other.get_schema(schema_id)
             schema.name = "renamed_clinic"
             other.update_schema(schema)
-            assert schema_id in store  # stale until the refresh
-            assert indexer.refresh() == 1
-            assert schema_id not in store
-            assert store.get_schema(schema_id).name == "renamed_clinic"
+            assert engine.schema(schema_id).name == "clinic_emr"
+            assert repo.indexer().refresh() == 1
+            assert engine.schema(schema_id).name == "renamed_clinic"
 
 
 class TestRebuild:

@@ -276,10 +276,9 @@ class TestBreakerIntegration:
         repo = make_repo()
         engine = make_engine(repo, FakeClock(),
                              breaker_failure_threshold=2)
-        # Evict cached profiles so candidate fetches go to the source,
-        # then fail every lookup: the response must be the phase-1
-        # ranking, never an empty page masquerading as "no match".
-        repo.profile_store().clear()
+        # Nothing is cached yet, so every candidate's lookup decodes;
+        # fail them all: the response must be the phase-1 ranking,
+        # never an empty page masquerading as "no match".
         FAULTS.inject("profile_store.lookup",
                       error=RuntimeError("store down"))
         results = engine.search(keywords=KEYWORDS)
@@ -398,23 +397,23 @@ class TestCacheUnderMutation:
         repo.close()
 
     def test_profile_invalidation_racing_refresh(self):
+        """Nothing invalidates any more: a search decoding the old
+        payload while the refresh runs caches it, and the first search
+        after the refresh is still served the new version."""
         repo = make_repo()
-        profile_store = repo.profile_store()
+        engine = make_engine(repo, FakeClock())
         indexer = repo.indexer()
-        indexer.refresh()
         updated = build_clinic_schema("clinic_emr_v2")
         updated.schema_id = 1
         repo.update_schema(updated)
 
-        # Mid-refresh (site fires at batch start), a competing thread's
-        # invalidation lands for the schema being refreshed.
+        # Mid-refresh (site fires at batch start), a competing search
+        # fills the profile of the schema being refreshed.
         FAULTS.inject("indexer.refresh",
-                      hook=lambda: profile_store.invalidate(1), times=1)
+                      hook=lambda: engine.schema(1), times=1)
         indexer.refresh()
-        # the refresh re-put the updated schema; the store must serve
-        # the new version, not a resurrected stale profile
-        assert profile_store.get_schema(1).name == "clinic_emr_v2"
-        assert 1 in profile_store
+        assert engine.schema(1).name == "clinic_emr_v2"
+        assert engine.search(keywords=KEYWORDS)[0].name == "clinic_emr_v2"
         repo.close()
 
 
@@ -501,15 +500,6 @@ class TestServerChaos:
         root = ET.fromstring(body)
         assert root.get("degradation") == "phase1_only"
         assert int(root.get("count")) > 0
-
-    def test_sqlite_outage_maps_to_503(self, server):
-        FAULTS.inject(
-            "store.get_schema",
-            error=sqlite3.OperationalError("attempt to write a readonly "
-                                           "database"))
-        status, _, body = _get(f"{server.base_url}/schema/1")
-        assert status == 503
-        assert "storage unavailable" in body
 
     def test_injected_faults_never_yield_500(self, server):
         FAULTS.inject("profile_store.lookup",

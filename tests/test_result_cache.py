@@ -89,7 +89,9 @@ def clean_faults():
 
 class CachedVersusUncached(RuleBasedStateMachine):
     """Two engines over one segmented index and one profile store; only
-    ``query_cache_size`` differs."""
+    ``query_cache_size`` differs.  Both must also answer as a function
+    of (index generation, weights, query): a write the indexer has not
+    refreshed changes no page."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -99,7 +101,6 @@ class CachedVersusUncached(RuleBasedStateMachine):
         # merge_policy "none": segments pile up until a merge step.
         self.indexer = self.repo.indexer(segment_dir=self.workdir,
                                          merge_policy="none")
-        self.store = self.repo.profile_store()
         self.cached = self.repo.engine(config=SchemrConfig(
             breaker_failure_threshold=NEVER_TRIP))
         self.plain = self.repo.engine(config=SchemrConfig(
@@ -109,6 +110,9 @@ class CachedVersusUncached(RuleBasedStateMachine):
         #: A (query, top_n, offset) the cache last served; cleared by
         #: every step that may move the stamp.
         self.warm: tuple[int, int, int] | None = None
+        #: (generation, weights, query, top_n, offset) -> the page the
+        #: uncached engine answered there first.
+        self.pages: dict[tuple, tuple] = {}
 
     def teardown(self) -> None:
         FAULTS.reset()
@@ -124,9 +128,13 @@ class CachedVersusUncached(RuleBasedStateMachine):
     @rule(query=st.integers(0, len(QUERIES) - 1),
           top_n=st.sampled_from([3, 10]), offset=st.sampled_from([0, 3]))
     def search(self, query, top_n, offset):
+        key = (self.indexer.index.generation,
+               tuple(self.plain.ensemble.weights.items()),
+               query, top_n, offset)
         hit, seen = run(self.cached, query, top_n, offset)
         _, expected = run(self.plain, query, top_n, offset)
         assert seen == expected
+        assert self.pages.setdefault(key, expected) == expected
         if hit:
             self.warm = (query, top_n, offset)
 
@@ -203,10 +211,10 @@ class CachedVersusUncached(RuleBasedStateMachine):
 
     @rule(query=st.integers(0, len(QUERIES) - 1), pick=st.integers(0, 100))
     def source_failure(self, query, pick):
-        # Evict one profile so its next fetch reaches the failing path.
-        self.store.invalidate(self._schema_id(pick))
+        # Publish a changed schema, so its next lookup decodes a new
+        # payload and reaches the failing path.
+        self.update_schema(pick, refresh=True)
         self._faulty_search("profile_store.lookup", query)
-        self.warm = None
 
 
 TestCachedVersusUncached = CachedVersusUncached.TestCase
@@ -374,16 +382,24 @@ class TestResultCache:
         finally:
             engine.close()
 
-    def test_writes_move_the_source_versions(self, small_repository):
-        store = small_repository.profile_store()
-        repo_version, store_version = small_repository.version, store.version
-        small_repository.update_schema(small_repository.get_schema(1))
-        assert small_repository.version > repo_version
-        assert store.version > store_version
-        store_version = store.version
-        store.invalidate(2)
-        store.get_schema(2)  # a read-through fill is not a write
-        assert store.version == store_version + 1
+    def test_writes_move_the_stamp_only_through_a_refresh(
+            self, small_repository):
+        """The stamp is (generation, weights): a committed write moves
+        it when the refresh publishes it, never before."""
+        engine = small_repository.engine()
+        try:
+            stamp = engine._page_stamp()
+            generation = engine.searcher.index.generation
+            assert stamp == (generation,
+                             tuple(engine.ensemble.weights.items()))
+            schema = small_repository.get_schema(1)
+            schema.name = "renamed"
+            small_repository.update_schema(schema)
+            assert engine._page_stamp() == stamp
+            small_repository.indexer().refresh()
+            assert engine._page_stamp()[0] > generation
+        finally:
+            engine.close()
 
     def test_concurrent_searches_see_uncached_pages(self, small_repository):
         engine = small_repository.engine()
