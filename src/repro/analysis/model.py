@@ -5,8 +5,8 @@ rules added here (``lock-order``, ``api-blocking``,
 ``resource-lifecycle``) need a *project* view: which classes exist,
 which of their attributes are locks, what type an attribute holds
 (``self._pool = WorkerPool(...)``), and which property is a thin alias
-for a private attribute (``SegmentedIndex.lock`` returning
-``self._lock``).  :class:`ProjectModel` builds that view in one pass
+for a private attribute (``SegmentedIndex.commit_lock`` returning
+``self._commit_lock``).  :class:`ProjectModel` builds that view in one pass
 over the scanned sources; :mod:`repro.analysis.callgraph` layers the
 conservative call graph and lock-acquisition contexts on top.
 

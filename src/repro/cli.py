@@ -119,9 +119,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
                                merge_policy=args.merge_policy,
                                shards=args.shards)
         applied = indexer.refresh()
-        if args.save:
-            indexer.save(args.save)
-            print(f"saved index segment to {args.save}")
         if args.segment_dir:
             index = indexer.index
             shard_note = ""
@@ -332,7 +329,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
     from repro.core.config import SchemrConfig
-    repo = _open_repository(args.db)
+    # A replica serves the segments it pulls and never reads a
+    # repository database, so it opens none.
+    repo = None if args.replicate_from else _open_repository(args.db)
     if args.access_log:
         logging.basicConfig(level=logging.INFO,
                             format="%(asctime)s %(name)s %(message)s")
@@ -371,7 +370,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if previous_handler is not None:
             signal.signal(signal.SIGTERM, previous_handler)
         server.stop()
-        repo.close()
+        if repo is not None:
+            repo.close()
     return 0
 
 
@@ -560,8 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="refresh the text index")
     p.add_argument("db")
-    p.add_argument("--save", default=None,
-                   help="also persist the index segment to this path")
     p.add_argument("--segment-dir", default=None, metavar="DIR",
                    help="build/refresh a durable mmap segment directory "
                         "instead of the in-memory index")
@@ -661,7 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("serve", help="run the HTTP service")
-    p.add_argument("db")
+    p.add_argument("db", help="the repository database (a replica, "
+                   "--replicate-from, opens none)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--access-log", action="store_true",

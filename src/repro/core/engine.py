@@ -65,13 +65,12 @@ from repro.telemetry import (
 logger = logging.getLogger(__name__)
 
 
-def served_payload(index: InvertedIndex, schema_id: int
-                   ) -> bytes | memoryview:
-    """The stored payload of ``schema_id`` in ``index``'s current
-    generation; :class:`SchemaNotFound` when that generation does not
-    hold it."""
+def served_payload(view, schema_id: int) -> bytes | memoryview:
+    """The stored payload of ``schema_id`` in ``view`` (an index view,
+    or an index: its current one); :class:`SchemaNotFound` when that
+    generation does not hold it."""
     try:
-        return index.document(schema_id).payload
+        return view.document(schema_id).payload
     except IndexError_:
         raise SchemaNotFound(
             f"schema {schema_id} is not in the served index "
@@ -144,25 +143,34 @@ def _raw_query(keywords: object, fragment: object) -> tuple | None:
 class SearchExecutor(Protocol):
     """Where the three phases execute; the engine owns the rest.
 
-    Executors that serve an index also expose ``searcher`` (whose
-    index generation stamps the result cache), ``breakers``,
-    ``schema(schema_id)`` (a schema as that generation holds it) and
-    ``close()``; the lifecycle itself needs only the three methods
-    below.  An executor whose :meth:`score` defers the
-    per-element drill-in (``SearchResult.element_matches``) also
+    Executors that serve an index also expose ``searcher``,
+    ``breakers``, ``schema(schema_id)`` (a schema as the current
+    generation holds it) and ``close()``; the lifecycle itself needs
+    only the four methods below.  A search pins one :meth:`view` and
+    hands it to both phases, so a refresh landing mid-search changes
+    nothing the search reads.  An executor whose :meth:`score` defers
+    the per-element drill-in (``SearchResult.element_matches``) also
     exposes ``materialise(results, matched)``, which the engine calls
     for the page only.
     """
 
+    def view(self):  # pragma: no cover
+        """The index view a search pins (its generation stamps the
+        result cache and its cursor the response)."""
+        ...
+
     def candidates(self, flattened: list[str], pool_n: int,
-                   deadline: Deadline
+                   deadline: Deadline, view
                    ) -> tuple[list[IndexHit], Phase1Stats]:  # pragma: no cover
-        """Phase 1: the ``pool_n`` best index hits, and how they were found."""
+        """Phase 1 in ``view``: the ``pool_n`` best index hits, and how
+        they were found."""
         ...
 
     def match(self, query: QueryGraph, pool: list[IndexHit],
-              deadline: Deadline, cheap_only: bool) -> list:  # pragma: no cover
-        """Phase 2 over ``pool``; survivors **in pool order**.
+              deadline: Deadline, cheap_only: bool,
+              view) -> list:  # pragma: no cover
+        """Phase 2 over ``pool``, reading ``view``; survivors **in pool
+        order**.
 
         Raises :class:`DeadlineExceeded` when the budget dies mid-pool
         and :class:`CircuitOpenError` when the schema source failed for
@@ -454,16 +462,18 @@ class SchemrEngine:
         profile = QueryProfile()
         deadline = Deadline(self._config.search_budget_seconds,
                             clock=self._clock)
-        key = self._page_key(keywords, fragment, top_n, offset)
+        view = self._executor.view()
+        key = self._page_key(keywords, fragment, top_n, offset, view)
         if key is not None:
             cached = self._pages.get(key)
             if cached is not None:
+                profile.generation = view.last_change_id
                 return self._serve_cached(cached, profile, started,
                                           top_n, offset, deadline)
         with profile.timed_phase(PHASE_PARSE) as phase:
             query = parse_query(keywords=keywords, fragment=fragment)
             phase.items_out = len(query)
-        return self._run(query, top_n, offset, profile, deadline, key)
+        return self._run(query, top_n, offset, profile, deadline, view, key)
 
     def search_graph(self, query: QueryGraph, top_n: int = 10,
                      offset: int = 0) -> list[SearchResult]:
@@ -472,11 +482,13 @@ class SchemrEngine:
             raise QueryError("query graph is empty")
         deadline = Deadline(self._config.search_budget_seconds,
                             clock=self._clock)
-        return self._run(query, top_n, offset, QueryProfile(), deadline)
+        return self._run(query, top_n, offset, QueryProfile(), deadline,
+                         self._executor.view())
 
     def match_and_score(self, query: QueryGraph, pool: list[IndexHit],
                         deadline: Deadline | None = None,
-                        cheap_only: bool = False) -> list[SearchResult]:
+                        cheap_only: bool = False,
+                        view=None) -> list[SearchResult]:
         """Phases 2+3 for an externally supplied candidate pool.
 
         Returns one :class:`SearchResult` per candidate that survived
@@ -487,12 +499,16 @@ class SchemrEngine:
         and the front's engine applies the final sort, so the merged
         page is byte-identical to a single engine's.
 
-        Raises exactly what :meth:`SearchExecutor.match` does.
+        ``view`` is the index view ``pool`` was read from; without one,
+        the current view.  Raises exactly what
+        :meth:`SearchExecutor.match` does.
         """
         if deadline is None:
             deadline = Deadline(None, clock=self._clock)
         executor = self._executor
-        matched = executor.match(query, pool, deadline, cheap_only)
+        if view is None:
+            view = executor.view()
+        matched = executor.match(query, pool, deadline, cheap_only, view)
         results = executor.score(matched)
         if self._materialise is not None:
             # The caller pages after merging, so every result ships
@@ -503,30 +519,28 @@ class SchemrEngine:
     # -- result cache ----------------------------------------------------
 
     def _page_key(self, keywords: object, fragment: object, top_n: int,
-                  offset: int) -> tuple | None:
+                  offset: int, view) -> tuple | None:
         """The result-cache key of a search; None when it is not cached."""
         if self._pages is None:
             return None
         raw = _raw_query(keywords, fragment)
         if raw is None:
             return None
-        stamp = self._page_stamp()
+        stamp = self._page_stamp(view)
         if stamp != self._pages_stamp:
             # The phase-1 cache's sweep: dead stamps never hit again.
             self._pages.evict_stale(stamp)
             self._pages_stamp = stamp
         return (raw, (top_n, offset), stamp)
 
-    def _page_stamp(self) -> tuple:
+    def _page_stamp(self, view) -> tuple:
         """Everything a page is built from that can change under it.
 
-        The index generation — flushes and merges keep it, and it
-        carries every candidate's payload — and, in process, the
-        ensemble weights.  Read *before* the pipeline runs, so a page
-        is never filed under a stamp newer than the data it was built
-        from.
+        The pinned view's generation — flushes and merges keep it, and
+        it carries every candidate's payload — and, in process, the
+        ensemble weights.
         """
-        stamp: tuple = (self._executor.searcher.index.generation,)
+        stamp: tuple = (view.generation,)
         ensemble = self.ensemble
         if ensemble is not None:
             stamp += (tuple(ensemble.weights.items()),)
@@ -552,13 +566,16 @@ class SchemrEngine:
     # -- pipeline --------------------------------------------------------
 
     def _run(self, query: QueryGraph, top_n: int, offset: int,
-             profile: QueryProfile, deadline: Deadline,
+             profile: QueryProfile, deadline: Deadline, view,
              page_key: tuple | None = None) -> list[SearchResult]:
+        """The pipeline over one pinned index ``view``: phase 1, phase
+        2's payload reads, the page and its generation all read it."""
         if top_n <= 0:
             raise QueryError(f"top_n must be positive, got {top_n}")
         if offset < 0:
             raise QueryError(f"offset must be >= 0, got {offset}")
         executor = self._executor
+        profile.generation = view.last_change_id
 
         # Phase 1: candidate extraction over the document index.
         with profile.timed_phase(PHASE_CANDIDATES) as phase:
@@ -566,7 +583,7 @@ class SchemrEngine:
             phase.items_in = len(flattened)
             FAULTS.hit("engine.phase1")
             hits, stats = executor.candidates(
-                flattened, self._config.candidate_pool, deadline)
+                flattened, self._config.candidate_pool, deadline, view)
             phase.items_out = len(hits)
 
         # Between phases 1 and 2 the degradation ladder decides how
@@ -586,8 +603,10 @@ class SchemrEngine:
                 # Phase 2: fine-grained matching of each candidate.
                 with profile.timed_phase(PHASE_MATCHING) as phase:
                     phase.items_in = len(pool)
+                    FAULTS.hit("engine.phase2")
                     matched = executor.match(
-                        query, pool, deadline, level >= DEGRADE_NAME_ONLY)
+                        query, pool, deadline, level >= DEGRADE_NAME_ONLY,
+                        view)
                     phase.items_out = len(matched)
                 # Phase 3: tightness-of-fit scoring and final ranking.
                 with profile.timed_phase(PHASE_TIGHTNESS) as phase:
@@ -758,8 +777,9 @@ class InProcessExecutor:
             reset_seconds=config.breaker_reset_seconds,
             clock=clock)
         self._tightness = TightnessScorer(config.penalties)
-        # The calling thread's in-flight stats: candidates() opens
-        # them, match() lowers ``clean`` when a breaker saw trouble.
+        # The calling thread's in-flight query: candidates() opens its
+        # stats, match() pins its view and lowers ``clean`` when a
+        # breaker saw trouble.
         self._query = threading.local()
         self._m_source_failures = metrics.counter(
             "schemr_source_failures_total",
@@ -776,6 +796,9 @@ class InProcessExecutor:
                             "Profile-cache LRU evictions",
                             callback=lambda: profiles.evictions)
 
+    def view(self):
+        return self._index.view()
+
     def schema(self, schema_id: int) -> Schema:
         return self._profiles.lookup(
             schema_id, served_payload(self._index, schema_id))[0]
@@ -789,22 +812,27 @@ class InProcessExecutor:
         return all_breakers
 
     def candidates(self, flattened: list[str], pool_n: int,
-                   deadline: Deadline
+                   deadline: Deadline, view
                    ) -> tuple[list[IndexHit], Phase1Stats]:
         searcher = self.searcher
-        searcher.sync_fuzzy()
-        hits = searcher.search(flattened, top_n=pool_n)
+        searcher.sync_fuzzy(view)
+        hits = searcher.search(flattened, top_n=pool_n, view=view)
         stats = Phase1Stats()
         stats.adopt(searcher.last_stats)
         self._query.stats = stats
         return hits, stats
 
     def match(self, query: QueryGraph, pool: list[IndexHit],
-              deadline: Deadline, cheap_only: bool) -> list:
+              deadline: Deadline, cheap_only: bool, view) -> list:
         breakers = self.breakers.values()
         trouble_before = breaker_trouble(breakers)
         source_failures_before = self.store_breaker.failure_count
-        matched = self._match_candidates(query, pool, deadline, cheap_only)
+        self._query.view = view
+        try:
+            matched = self._match_candidates(query, pool, deadline,
+                                             cheap_only)
+        finally:
+            self._query.view = None  # an idle thread pins no segments
         if (not matched and pool and self.store_breaker.failure_count
                 > source_failures_before):
             # Every candidate's schema fetch failed (but the breaker
@@ -879,12 +907,11 @@ class InProcessExecutor:
         """Score one candidate; None when its decode failed.
 
         One :meth:`ProfileStore.lookup` of the payload its document
-        carries, behind the ``schema_source`` circuit breaker:
-        individual failures skip the candidate and count against the
-        breaker; an open breaker aborts the whole match phase with
-        :class:`CircuitOpenError` so the caller can fall back to the
-        phase-1 ranking.  A candidate a refresh removed after phase 1
-        is skipped without counting against the breaker.
+        carries in the pinned view (the one phase 1 searched), behind the
+        ``schema_source`` circuit breaker: individual failures skip the
+        candidate and count against the breaker; an open breaker aborts
+        the whole match phase with :class:`CircuitOpenError` so the
+        caller can fall back to the phase-1 ranking.
         """
         FAULTS.hit("engine.match_one")
         breaker = self.store_breaker
@@ -894,13 +921,7 @@ class InProcessExecutor:
                 breaker=breaker.name, retry_after=breaker.retry_after())
         try:
             candidate, profile = self._profiles.lookup(
-                hit.doc_id, served_payload(self._index, hit.doc_id))
-        except SchemaNotFound:
-            # Removed by a refresh after phase 1 read the index: the
-            # index answered, so the candidate is skipped without
-            # counting a failure.
-            breaker.record_success()
-            return None
+                hit.doc_id, served_payload(self._query.view, hit.doc_id))
         except Exception as exc:
             breaker.record_failure()
             self._m_source_failures.inc()

@@ -15,10 +15,11 @@ schemas".  This package provides exactly that:
 * :mod:`~repro.index.segments` — immutable on-disk segments loaded via
   ``mmap`` with zero-copy reads, plus :class:`SegmentedIndex`, the
   segments-and-delta composite that makes cold start O(segment count)
-  instead of O(corpus);
-* :mod:`~repro.index.store` — persistence routed through the segment
-  format so the offline indexer can restart "at scheduled intervals"
-  without a rebuild from nothing.
+  instead of O(corpus), so the offline indexer can restart "at
+  scheduled intervals" without a rebuild from nothing;
+* :class:`~repro.index.segments.view.IndexView` — one published,
+  immutable index state; every read of every index goes through one,
+  and a search pins one for its whole run.
 """
 
 from repro.index.cache import QueryCache
@@ -30,6 +31,7 @@ from repro.index.postings import Posting, PostingsList
 from repro.index.scoring import TfIdfScorer
 from repro.index.searcher import IndexHit, IndexSearcher
 from repro.index.segments import (
+    IndexView,
     MmapSegment,
     SegmentDirectory,
     SegmentedIndex,
@@ -37,7 +39,6 @@ from repro.index.segments import (
     make_merge_policy,
     write_segment,
 )
-from repro.index.store import load_index, save_index
 
 __all__ = [
     "Document",
@@ -47,6 +48,7 @@ __all__ = [
     "IndexHit",
     "IndexSearcher",
     "IndexSnapshot",
+    "IndexView",
     "InvertedIndex",
     "MmapSegment",
     "Posting",
@@ -56,8 +58,6 @@ __all__ = [
     "TfIdfScorer",
     "TieredMergePolicy",
     "document_from_schema",
-    "load_index",
     "make_merge_policy",
-    "save_index",
     "write_segment",
 ]

@@ -1,197 +1,80 @@
-"""The inverted index: term dictionary + document store + norms."""
+"""The in-memory inverted index: term dictionary + document store + norms."""
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import IndexError_
 from repro.index.documents import Document
-from repro.index.postings import PostingsList
+from repro.index.segments.view import (DeltaWriter, IndexSnapshot,
+                                       IndexView, ViewIndex)
+
+__all__ = ["IndexSnapshot", "InvertedIndex"]
 
 
-@dataclass(frozen=True, slots=True)
-class IndexSnapshot:
-    """A consistent read view of the scorer-facing statistics.
-
-    Built under the mutation lock and stamped with the generation it was
-    taken at; mutations never touch an already-handed-out snapshot, so a
-    searcher can keep reading it while a background refresh rewrites the
-    live index.  ``norms`` is a plain dict — the retrieval hot loop does
-    ``norms[doc_id]`` instead of going through the exception-raising
-    accessor.
-    """
-
-    generation: int
-    document_count: int
-    norms: dict[int, float]
-    #: Largest norm in the corpus (upper-bounds any score contribution).
-    max_norm: float
-    #: Largest doc id (sizes the searcher's dense accumulators).
-    max_doc_id: int
-
-
-class InvertedIndex:
-    """Term dictionary with postings plus a document store.
+class InvertedIndex(ViewIndex):
+    """Term dictionary with postings plus a document store, in memory.
 
     Supports add / remove / replace so the repository's scheduled
     indexer can apply incremental updates.  All statistics the scorer
     needs (document frequency, term frequency, document count, length
-    norms) are served from here.
-
-    Every mutation bumps a monotonically increasing ``generation`` and
-    runs under ``lock`` (re-entrant, so a locked batch of mutations is
-    fine).  Consumers that cache derived artifacts — the query cache,
-    the fuzzy vocabulary, the norms snapshot — key on the generation and
-    self-invalidate when it moves.
+    norms) are served from its published
+    :class:`~repro.index.segments.view.IndexView`, which has no
+    segments: the whole index is its delta.  Every mutation bumps a
+    monotonically increasing ``generation``.
     """
 
     def __init__(self) -> None:
-        self._terms: dict[str, PostingsList] = {}
-        self._documents: dict[int, Document] = {}
-        self._norms: dict[int, float] = {}
+        self._delta = DeltaWriter()
         self._generation = 0
         self._lock = threading.RLock()
-        self._snapshot: IndexSnapshot | None = None
+        self._depth = 0
+        self._view = IndexView()
 
-    # -- concurrency / invalidation ---------------------------------------
-
-    @property
-    def generation(self) -> int:  # lint: unlocked (GIL-atomic int read; locking would stall cache lookups behind refresh batches)
-        """Bumped on every mutation; never decreases."""
-        return self._generation
-
-    @property
-    def lock(self) -> threading.RLock:
-        """The mutation lock.  Hold it to batch mutations atomically or
-        to read postings consistently against a concurrent refresh."""
-        return self._lock
+    def _changed(self) -> None:  # lint: unlocked (caller holds the lock)
+        if not self._depth and self._generation != self._view.generation:
+            self._view = IndexView(self._generation,
+                                   delta=self._delta.freeze())
 
     # -- mutation ----------------------------------------------------------
+
+    def _add(self, document: Document) -> None:  # lint: unlocked (caller holds the lock)
+        if document.doc_id in self._delta.documents:
+            raise IndexError_(
+                f"document {document.doc_id} already indexed; "
+                "use replace()")
+        self._delta.add(document)
+        self._generation += 1
+
+    def _remove(self, doc_id: int) -> None:  # lint: unlocked (caller holds the lock)
+        if doc_id not in self._delta.documents:
+            raise IndexError_(f"document {doc_id} is not indexed")
+        self._delta.remove(doc_id)
+        self._generation += 1
 
     def add(self, document: Document) -> None:
         """Index a document.  Re-adding an existing id is an error; use
         :meth:`replace` for updates so stale postings are cleaned up."""
         with self._lock:
-            if document.doc_id in self._documents:
-                raise IndexError_(
-                    f"document {document.doc_id} already indexed; "
-                    "use replace()")
-            self._documents[document.doc_id] = document
-            for position, term in enumerate(document.terms):
-                postings = self._terms.get(term)
-                if postings is None:
-                    postings = self._terms[term] = PostingsList(term)
-                postings.add(document.doc_id, position)
-            # Lucene-classic length norm: 1/sqrt(numTerms).
-            length = max(document.length, 1)
-            self._norms[document.doc_id] = 1.0 / math.sqrt(length)
-            self._generation += 1
+            self._add(document)
+            self._changed()
 
     def remove(self, doc_id: int) -> None:
         """Remove a document and every posting that references it."""
         with self._lock:
-            document = self._documents.pop(doc_id, None)
-            if document is None:
-                raise IndexError_(f"document {doc_id} is not indexed")
-            del self._norms[doc_id]
-            dead_terms = []
-            for term in set(document.terms):
-                postings = self._terms[term]
-                postings.remove_document(doc_id)
-                if not postings:
-                    dead_terms.append(term)
-            for term in dead_terms:
-                del self._terms[term]
-            self._generation += 1
+            self._remove(doc_id)
+            self._changed()
 
     def replace(self, document: Document) -> None:
-        """Update a document in place (remove + add)."""
+        """Update a document in place (remove + add), published once."""
         with self._lock:
-            if document.doc_id in self._documents:
-                self.remove(document.doc_id)
-            self.add(document)
+            if document.doc_id in self._delta.documents:
+                self._remove(document.doc_id)
+            self._add(document)
+            self._changed()
 
     def clear(self) -> None:
         with self._lock:
-            self._terms.clear()
-            self._documents.clear()
-            self._norms.clear()
+            self._delta = DeltaWriter()
             self._generation += 1
-
-    # -- statistics --------------------------------------------------------
-
-    @property
-    def document_count(self) -> int:
-        with self._lock:
-            return len(self._documents)
-
-    @property
-    def term_count(self) -> int:
-        """Size of the term dictionary."""
-        with self._lock:
-            return len(self._terms)
-
-    def has_document(self, doc_id: int) -> bool:
-        with self._lock:
-            return doc_id in self._documents
-
-    def document(self, doc_id: int) -> Document:
-        try:
-            with self._lock:
-                return self._documents[doc_id]
-        except KeyError:
-            raise IndexError_(f"document {doc_id} is not indexed") from None
-
-    def documents(self) -> Iterator[Document]:
-        with self._lock:
-            return iter(list(self._documents.values()))
-
-    def postings(self, term: str) -> PostingsList | None:  # lint: unlocked (per-term hot-path dict read; GIL-atomic, consistency via lock/snapshot protocol above)
-        """Postings for an (already analyzed) term, or None."""
-        return self._terms.get(term)
-
-    def document_frequency(self, term: str) -> int:  # lint: unlocked (per-term hot-path dict read; GIL-atomic, consistency via lock/snapshot protocol above)
-        postings = self._terms.get(term)
-        return 0 if postings is None else postings.document_frequency
-
-    def norm(self, doc_id: int) -> float:  # lint: unlocked (per-doc hot-path dict read; scorers prefer snapshot().norms)
-        try:
-            return self._norms[doc_id]
-        except KeyError:
-            raise IndexError_(f"document {doc_id} is not indexed") from None
-
-    def snapshot(self) -> IndexSnapshot:
-        """The current :class:`IndexSnapshot`, cached per generation.
-
-        The first read after a mutation copies the norms dict under the
-        lock; subsequent reads at the same generation return the cached
-        object, so taking a snapshot per query is effectively free.
-        """
-        with self._lock:
-            snap = self._snapshot
-            if snap is None or snap.generation != self._generation:
-                norms = dict(self._norms)
-                snap = IndexSnapshot(
-                    generation=self._generation,
-                    document_count=len(self._documents),
-                    norms=norms,
-                    max_norm=max(norms.values(), default=0.0),
-                    max_doc_id=max(norms, default=-1),
-                )
-                self._snapshot = snap
-            return snap
-
-    def vocabulary(self) -> Iterator[str]:
-        with self._lock:
-            return iter(list(self._terms))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._documents)
-
-    def __contains__(self, doc_id: object) -> bool:
-        with self._lock:
-            return doc_id in self._documents
+            self._changed()

@@ -139,6 +139,21 @@ class PostingsList:
             return i
         return None
 
+    def copy(self) -> "PostingsList":
+        """An independent copy (the positions lists are shared: a
+        document's positions are written once, when it is added)."""
+        clone = PostingsList(self.term)
+        clone._doc_ids = array("q", self._doc_ids)
+        clone._freqs = array("q", self._freqs)
+        clone._positions = dict(self._positions)
+        clone._collection_frequency = self._collection_frequency
+        # A reader refreshing a stale maximum writes it before clearing
+        # the flag, so reading the flag first never pairs a cleared flag
+        # with the old maximum.
+        clone._max_stale = self._max_stale
+        clone._max_frequency = self._max_frequency
+        return clone
+
     # -- mutation ----------------------------------------------------------
 
     def add(self, doc_id: int, position: int) -> None:

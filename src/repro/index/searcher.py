@@ -38,6 +38,10 @@ An optional :class:`~repro.index.cache.QueryCache` memoizes whole
 rankings keyed on (analyzed terms, top_n, index generation), making
 repeated and paged queries near-free and self-invalidating whenever the
 indexer refreshes.
+
+Every query reads one :class:`~repro.index.segments.view.IndexView`:
+the caller's pinned view, or the index's current one.  No query takes
+a lock; a refresh landing mid-query changes nothing the query reads.
 """
 
 from __future__ import annotations
@@ -199,22 +203,26 @@ class IndexSearcher:
     def query_cache(self) -> QueryCache | None:
         return self._cache
 
-    def sync_fuzzy(self) -> None:
-        """Re-sync the fuzzy vocabulary with the index generation.
+    def _view(self, view):
+        return self._index.view() if view is None else view
+
+    def sync_fuzzy(self, view) -> None:
+        """Catch the fuzzy vocabulary up with ``view``.
 
         The trigram index is built from the vocabulary at construction
-        time; after an indexer refresh/rebuild the index generation
-        moves and new schemas' terms would be invisible to fuzzy
-        expansion.  Comparing generations makes the check O(1) per
-        query and the vocabulary walk happens only when something
-        actually changed.
+        time; after an indexer refresh/rebuild the generation moves and
+        new schemas' terms would be invisible to fuzzy expansion.
+        Comparing generations makes the check O(1) per query and the
+        vocabulary walk happens only when something actually changed.
+        The trigram index only grows, so it follows the newest view
+        synced; a suggestion absent from an older pinned view has no
+        postings there and contributes nothing.
         """
         if self._fuzzy is None:
             return
-        generation = self._index.generation
-        if generation != self._fuzzy_generation:
-            self._fuzzy.update_from(self._index.vocabulary())
-            self._fuzzy_generation = generation
+        if view.generation > self._fuzzy_generation:
+            self._fuzzy.update_from(view.vocabulary())
+            self._fuzzy_generation = view.generation
 
     def analyze_query(self, raw_terms: list[str]) -> list[str]:
         """Run the flattened query words through the analyzer chain.
@@ -226,8 +234,10 @@ class IndexSearcher:
             raw_terms = expand_query_terms(raw_terms)
         return self._analyzer.analyze_all(raw_terms)
 
-    def search(self, raw_terms: list[str], top_n: int = 10) -> list[IndexHit]:
-        """Return the ``top_n`` highest-scoring candidates.
+    def search(self, raw_terms: list[str], top_n: int = 10,
+               view=None) -> list[IndexHit]:
+        """Return the ``top_n`` highest-scoring candidates in ``view``
+        (default: the index's current view).
 
         ``raw_terms`` is the flattened query graph (keywords + fragment
         element names); analysis happens here so callers hand over raw
@@ -241,17 +251,16 @@ class IndexSearcher:
             raise QueryError(
                 "query is empty after analysis; supply at least one "
                 "non-stopword term")
+        view = self._view(view)
         cache = self._cache
         if cache is None:
-            return self._search_analyzed(terms, top_n)
-        generation = self._index.generation
-        if generation != self._cache_generation:
-            cache.evict_stale(generation)
-            self._cache_generation = generation
-        key = QueryCache.make_key(terms, top_n, generation)
+            return self._dispatch(view, terms, self._term_groups(view, terms),
+                                  None, top_n)
+        key = QueryCache.make_key(terms, top_n, self._stamp(view))
         hits = cache.get(key)
         if hits is None:
-            hits = self._search_analyzed(terms, top_n)
+            hits = self._dispatch(view, terms, self._term_groups(view, terms),
+                                  None, top_n)
             cache.put(key, hits)
         else:
             self.last_stats = SearchStats(
@@ -259,7 +268,16 @@ class IndexSearcher:
                 cache_hit=True)
         return hits
 
-    def prepare(self, raw_terms: list[str]) -> PreparedQuery:
+    def _stamp(self, view) -> int:
+        """``view``'s generation, sweeping cache entries of older ones
+        when it is the newest seen."""
+        generation = view.generation
+        if generation > self._cache_generation:
+            self._cache.evict_stale(generation)
+            self._cache_generation = generation
+        return generation
+
+    def prepare(self, raw_terms: list[str], view=None) -> PreparedQuery:
         """Analyze a query and pin its term groups and idf values.
 
         The returned :class:`PreparedQuery` reproduces this searcher's
@@ -275,21 +293,18 @@ class IndexSearcher:
             raise QueryError(
                 "query is empty after analysis; supply at least one "
                 "non-stopword term")
-        with self._index.lock:
-            groups = self._term_groups(terms)
-            idf: dict[str, float] = {}
-            for group in groups:
-                for term, _weight in group:
-                    if term not in idf:
-                        idf[term] = self._scorer.idf(term)
+        view = self._view(view)
+        groups = self._term_groups(view, terms)
+        idf = self._idf_map(view, groups)
         return PreparedQuery(
             terms=tuple(terms),
             groups=tuple(tuple(group) for group in groups),
             idf=tuple(sorted(idf.items())))
 
-    def search_prepared(self, prepared: PreparedQuery,
+    def search_prepared(self, prepared: PreparedQuery, view,
                         top_n: int = 10) -> list[IndexHit]:
-        """Return the ``top_n`` candidates for a pinned query.
+        """Return the ``top_n`` candidates for a pinned query in
+        ``view``.
 
         No analysis, fuzzy expansion, or idf computation happens here:
         the prepared query's groups and idf values are used verbatim,
@@ -304,17 +319,13 @@ class IndexSearcher:
         idf = prepared.idf_map()
         cache = self._cache
         if cache is None:
-            return self._search_pinned(terms, groups, idf, top_n)
-        generation = self._index.generation
-        if generation != self._cache_generation:
-            cache.evict_stale(generation)
-            self._cache_generation = generation
+            return self._dispatch(view, terms, groups, idf, top_n)
         # Same 3-tuple shape as make_key (generation last) so
         # evict_stale sweeps prepared entries too.
-        key = (prepared, top_n, generation)
+        key = (prepared, top_n, self._stamp(view))
         hits = cache.get(key)
         if hits is None:
-            hits = self._search_pinned(terms, groups, idf, top_n)
+            hits = self._dispatch(view, terms, groups, idf, top_n)
             cache.put(key, hits)
         else:
             self.last_stats = SearchStats(
@@ -322,54 +333,46 @@ class IndexSearcher:
                 cache_hit=True)
         return hits
 
-    def _search_pinned(self, terms: list[str], groups: list[_TermGroup],
-                       idf: dict[str, float], top_n: int) -> list[IndexHit]:
-        with self._index.lock:
-            return self._dispatch(terms, groups, idf, top_n)
-
-    def _term_groups(self, terms: list[str]) -> list[_TermGroup]:
+    def _term_groups(self, view, terms: list[str]) -> list[_TermGroup]:
         """Each analyzed term with its weighted variants."""
         groups: list[_TermGroup] = []
         for term in terms:
             group: _TermGroup = [(term, 1.0)]
             if (self._fuzzy is not None
-                    and self._index.document_frequency(term) == 0):
+                    and view.document_frequency(term) == 0):
                 group.extend((e.term, e.similarity)
                              for e in self._fuzzy.suggest(term))
             groups.append(group)
         return groups
 
-    def _search_analyzed(self, terms: list[str], top_n: int) -> list[IndexHit]:
-        # The mutation lock makes a search atomic against a background
-        # indexer refresh: readers never observe a half-applied batch.
-        with self._index.lock:
-            return self._dispatch(terms, self._term_groups(terms), None,
-                                  top_n)
+    @staticmethod
+    def _idf_map(view, groups: list[_TermGroup]) -> dict[str, float]:
+        """Every variant term's idf in ``view``."""
+        scorer = TfIdfScorer(view)
+        return {term: scorer.idf(term)
+                for group in groups for term, _weight in group}
 
-    def _dispatch(self, terms: list[str], groups: list[_TermGroup],
+    def _dispatch(self, view, terms: list[str], groups: list[_TermGroup],
                   idf: dict[str, float] | None,
                   top_n: int) -> list[IndexHit]:
-        """Run the configured strategy with resolved groups.
+        """Run the configured strategy over ``view`` with resolved groups.
 
         ``idf`` is ``None`` for local queries (each term's idf comes
-        from this index's statistics, exactly as before) or a pinned
-        map for prepared queries.  Must be called under the index lock.
+        from the view's statistics) or a pinned map for prepared
+        queries.
         """
-        if self._strategy == "naive":
-            return self._search_naive(terms, groups, idf, top_n)
-        if self._strategy == "packed":
-            return self._search_packed(terms, groups, idf, top_n)
-        return self._search_pruned(terms, groups, idf, top_n)
-
-    def _idf(self, term: str, idf: dict[str, float] | None) -> float:
         if idf is None:
-            return self._scorer.idf(term)
-        return idf.get(term, 0.0)
+            idf = self._idf_map(view, groups)
+        if self._strategy == "naive":
+            return self._search_naive(view, terms, groups, idf, top_n)
+        if self._strategy == "packed":
+            return self._search_packed(view, terms, groups, idf, top_n)
+        return self._search_pruned(view, terms, groups, idf, top_n)
 
     # -- naive: the golden reference loop ----------------------------------
 
-    def _search_naive(self, terms: list[str], groups: list[_TermGroup],
-                      idf: dict[str, float] | None,
+    def _search_naive(self, view, terms: list[str],
+                      groups: list[_TermGroup], idf: dict[str, float],
                       top_n: int) -> list[IndexHit]:
         # Term-at-a-time accumulation: scores[doc] = sum of per-term
         # parts; a document "matches" a query term when any variant of
@@ -379,13 +382,13 @@ class IndexSearcher:
         for group in groups:
             group_docs: set[int] = set()
             for term, weight in group:
-                postings = self._index.postings(term)
+                postings = view.postings(term)
                 if postings is None:
                     continue
-                idf_sq = self._idf(term, idf) ** 2
+                idf_sq = idf.get(term, 0.0) ** 2
                 for posting in postings:
                     part = (weight * (posting.frequency ** 0.5) * idf_sq
-                            * self._index.norm(posting.doc_id))
+                            * view.norm(posting.doc_id))
                     scores[posting.doc_id] = \
                         scores.get(posting.doc_id, 0.0) + part
                     group_docs.add(posting.doc_id)
@@ -398,23 +401,23 @@ class IndexSearcher:
         self.last_stats = SearchStats(
             strategy="naive", term_count=len(terms),
             docs_scored=len(scores))
-        return self._top_hits(scores.items(), matched, top_n)
+        return self._top_hits(view, scores.items(), matched, top_n)
 
     # -- packed: exhaustive over the packed columns ------------------------
 
-    def _search_packed(self, terms: list[str], groups: list[_TermGroup],
-                       idf: dict[str, float] | None,
+    def _search_packed(self, view, terms: list[str],
+                       groups: list[_TermGroup], idf: dict[str, float],
                        top_n: int) -> list[IndexHit]:
-        norms = self._index.snapshot().norms
+        norms = view.snapshot().norms
         scores: dict[int, float] = {}
         matched: dict[int, int] = {}
         for group in groups:
             group_docs: set[int] = set()
             for term, weight in group:
-                postings = self._index.postings(term)
+                postings = view.postings(term)
                 if postings is None:
                     continue
-                idf_sq = self._idf(term, idf) ** 2
+                idf_sq = idf.get(term, 0.0) ** 2
                 for doc_id, freq in zip(postings.doc_ids_array(),
                                         postings.frequencies_array()):
                     part = (weight * (freq ** 0.5) * idf_sq
@@ -430,14 +433,14 @@ class IndexSearcher:
         self.last_stats = SearchStats(
             strategy="packed", term_count=len(terms),
             docs_scored=len(scores))
-        return self._top_hits(scores.items(), matched, top_n)
+        return self._top_hits(view, scores.items(), matched, top_n)
 
     # -- pruned: MaxScore-style term-at-a-time -----------------------------
 
-    def _search_pruned(self, terms: list[str], groups: list[_TermGroup],
-                       idf: dict[str, float] | None,
+    def _search_pruned(self, view, terms: list[str],
+                       groups: list[_TermGroup], idf: dict[str, float],
                        top_n: int) -> list[IndexHit]:
-        snapshot = self._index.snapshot()
+        snapshot = view.snapshot()
         if snapshot.document_count == 0:
             self.last_stats = SearchStats(strategy="pruned",
                                           term_count=len(terms))
@@ -446,7 +449,7 @@ class IndexSearcher:
         if capacity > _DENSE_FACTOR * snapshot.document_count + _DENSE_SLACK:
             # Doc-id space too sparse for dense accumulators; the packed
             # exhaustive path is exact and still fast.
-            return self._search_packed(terms, groups, idf, top_n)
+            return self._search_packed(view, terms, groups, idf, top_n)
         norms = self._dense_norm_column(snapshot, capacity)
         max_norm = snapshot.max_norm
         n_groups = len(groups)
@@ -462,10 +465,10 @@ class IndexSearcher:
             items: list[tuple[float, float, object]] = []
             ub = 0.0
             for term, weight in group:
-                postings = self._index.postings(term)
+                postings = view.postings(term)
                 if postings is None:
                     continue
-                idf_sq = self._idf(term, idf) ** 2
+                idf_sq = idf.get(term, 0.0) ** 2
                 items.append((weight, idf_sq, postings))
                 ub += (weight * (postings.max_frequency ** 0.5) * idf_sq
                        * max_norm)
@@ -593,7 +596,7 @@ class IndexSearcher:
         self.last_stats = SearchStats(
             strategy="pruned", term_count=len(terms),
             docs_scored=len(touched), pruned_early=and_mode)
-        return self._top_hits(final_scores(), matched, top_n)
+        return self._top_hits(view, final_scores(), matched, top_n)
 
     def _dense_norm_column(self, snapshot, capacity: int) -> array:
         """Norms as a doc-id-indexed array, cached per generation.
@@ -615,12 +618,13 @@ class IndexSearcher:
 
     # -- shared tail -------------------------------------------------------
 
-    def _top_hits(self, scored, matched, top_n: int) -> list[IndexHit]:
+    def _top_hits(self, view, scored, matched,
+                  top_n: int) -> list[IndexHit]:
         best = heapq.nlargest(top_n, scored,
                               key=lambda item: (item[1], -item[0]))
         return [
             IndexHit(doc_id=doc_id, score=score,
                      matched_terms=matched[doc_id],
-                     title=self._index.document(doc_id).title)
+                     title=view.document(doc_id).title)
             for doc_id, score in best
         ]

@@ -1,6 +1,6 @@
 """Immutable on-disk index segments with mmap zero-copy reads.
 
-The package splits Lucene's segment model into four pieces:
+The package splits Lucene's segment model into these pieces:
 
 * :mod:`~repro.index.segments.format` — the binary single-file segment
   layout, its writer, and the :class:`MmapSegment` reader;
@@ -8,6 +8,8 @@ The package splits Lucene's segment model into four pieces:
   segment directory (atomic swaps, crash safety, orphan sweeping);
 * :mod:`~repro.index.segments.merge` — multi-source postings merging
   and the tiered merge policy;
+* :mod:`~repro.index.segments.view` — :class:`IndexView`, one
+  published index state and the one read implementation;
 * :mod:`~repro.index.segments.segmented` — :class:`SegmentedIndex`,
   the ``InvertedIndex``-protocol facade over segments + delta;
 * :mod:`~repro.index.segments.verify` — offline integrity checking
@@ -33,6 +35,7 @@ from repro.index.segments.merge import (
     merge_postings,
 )
 from repro.index.segments.segmented import SegmentedIndex
+from repro.index.segments.view import IndexView
 from repro.index.segments.verify import (
     VerifyReport,
     verify_directory,
@@ -53,6 +56,7 @@ __all__ = [
     "MERGE_POLICIES",
     "SHARDS_NAME",
     "CompactionView",
+    "IndexView",
     "MergedPostings",
     "MmapSegment",
     "NoMergePolicy",

@@ -374,24 +374,28 @@ class MmapSegment:
     are decoded lazily on access.
 
     Readers hand out memoryview slices into the map, so the map stays
-    alive as long as any view does; :meth:`close` is best-effort and
-    the file is unlinked-safe on POSIX either way.
+    alive as long as the segment or any slice does, and is unmapped
+    when the last of them is dropped; the file is unlinked-safe on
+    POSIX meanwhile.  Index views hold segments, so a merged-away
+    segment goes with the last view that can read it.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         try:
-            self._file = open(self.path, "rb")
+            handle = open(self.path, "rb")
         except OSError as exc:
             raise IndexError_(f"segment {self.path} cannot be opened: "
                               f"{exc}") from exc
-        try:
-            self._mmap = mmap.mmap(self._file.fileno(), 0,
-                                   access=mmap.ACCESS_READ)
-        except (ValueError, OSError) as exc:
-            self._file.close()
-            raise IndexError_(f"segment {self.path} cannot be mapped: "
-                              f"{exc}") from exc
+        # The map keeps its own descriptor, so the file closes now and
+        # the map lives exactly as long as this segment and its views.
+        with handle:
+            try:
+                self._mmap = mmap.mmap(handle.fileno(), 0,
+                                       access=mmap.ACCESS_READ)
+            except (ValueError, OSError) as exc:
+                raise IndexError_(f"segment {self.path} cannot be "
+                                  f"mapped: {exc}") from exc
         view = memoryview(self._mmap)
         if len(view) < _HEADER.size:
             raise IndexError_(f"segment {self.path} is truncated: "
@@ -453,20 +457,13 @@ class MmapSegment:
         return self._norm_ids[-1] if self.document_count else -1
 
     def close(self) -> None:
-        """Release the map when no views escaped; best-effort otherwise.
-
-        A swapped-out segment may still be referenced by an in-flight
-        search's postings or payload views, or by a memo a generation
-        bump has not cleared yet; in that case the map stays alive
-        until those views are garbage collected, which is safe (the
-        file may already be unlinked — POSIX keeps the mapping valid).
-        """
+        """Unmap now, for a segment no view holds (a standalone reader);
+        best-effort while slices of it are still alive."""
         try:
             self._view.release()
             self._mmap.close()
         except BufferError:
-            pass  # exported views keep the map alive; GC will finish
-        self._file.close()
+            pass  # exported slices keep the map alive; GC will finish
 
     # -- term dictionary ---------------------------------------------------
 
@@ -540,7 +537,8 @@ class MmapSegment:
         return None
 
     def has_document(self, doc_id: int) -> bool:
-        return self._doc_index(doc_id) is not None
+        return (doc_id in self._doc_cache
+                or self._doc_index(doc_id) is not None)
 
     def norm(self, doc_id: int) -> float:
         i = self._doc_index(doc_id)
@@ -556,22 +554,26 @@ class MmapSegment:
         return iter(self._norm_ids)
 
     def document(self, doc_id: int) -> Document:
+        # Result pages read the same hot documents on every query; a
+        # bounded cache keyed by doc id keeps warm-path lookups (and
+        # has_document) at parity with the in-memory index without
+        # materializing the corpus.
+        document = self._doc_cache.get(doc_id)
+        if document is not None:
+            return document
         i = self._doc_index(doc_id)
         if i is None:
             raise IndexError_(f"document {doc_id} is not indexed")
         return self._document_at(i)
 
     def _document_at(self, i: int) -> Document:
-        # Result pages re-decode the same hot documents on every
-        # query; a bounded cache keeps warm-path latency at parity
-        # with the in-memory index without materializing the corpus.
-        document = self._doc_cache.get(i)
-        if document is not None:
-            return document
-        document = self._decode_document(i)
-        if len(self._doc_cache) >= _DOC_CACHE_MAX:
-            self._doc_cache.clear()
-        self._doc_cache[i] = document
+        doc_id = self._norm_ids[i]
+        document = self._doc_cache.get(doc_id)
+        if document is None:
+            document = self._decode_document(i)
+            if len(self._doc_cache) >= _DOC_CACHE_MAX:
+                self._doc_cache.clear()
+            self._doc_cache[doc_id] = document
         return document
 
     def _record(self, i: int) -> tuple[str, str, array, memoryview]:

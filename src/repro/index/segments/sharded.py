@@ -28,10 +28,11 @@ golden-equivalence suite asserts.
 Generation semantics are inherited by summation: the union generation
 is the sum of the shard generations, so any mutation moves it and
 flushes/merges (which leave shard generations alone) do not — the same
-cache contract as :class:`SegmentedIndex`.  So is the locking rule: a
-union commit lock, ordered before the union lock and every shard lock,
-serialises the compound writers, and flushes and merges never hold the
-union lock that every union read takes.
+cache contract as :class:`SegmentedIndex`.  So is the publishing rule:
+the union's view (:class:`ShardedView`) is the tuple of its shards'
+views, republished after every union write, and no read takes a lock.
+A union commit lock, ordered before the union lock and every shard
+lock, serialises the compound writers.
 
 The same layout is what :mod:`repro.sharding` workers open one shard
 of, each in its own process, for scatter-gather serving.
@@ -42,16 +43,18 @@ from __future__ import annotations
 import json
 import os
 import threading
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Iterator
 
 from repro.errors import IndexError_, SegmentDirectoryError
 from repro.index.documents import Document
-from repro.index.inverted import IndexSnapshot
 from repro.index.segments.directory import (MANIFEST_NAME, RECOVERY_HINT,
                                             fsync_directory)
 from repro.index.segments.merge import union_postings
 from repro.index.segments.segmented import SegmentedIndex
+from repro.index.segments.view import (IndexView, MemoView, SegmentStats,
+                                       ViewIndex)
 
 SHARDS_NAME = "SHARDS.json"
 SHARDS_FORMAT = 1
@@ -140,36 +143,75 @@ def open_segment_index(path: str | Path, shards: int | None = None,
     return SegmentedIndex.open(root, create=create, sweep=sweep)
 
 
-class ShardRoot:
-    """The filesystem root of a sharded layout (directory-protocol stub).
+class ShardedView(MemoView):
+    """A sharded union's view: the tuple of its shards' views.
 
-    Exists so ``index.directory is None`` keeps meaning "nowhere to
-    flush" across flat and sharded indexes.
+    Shards partition the document space, so every merged statistic is
+    exact: postings are a doc-id-ordered union of the shards'
+    tombstone-filtered views, counts are sums, and the snapshot unions
+    the shards' norms.
     """
 
-    def __init__(self, path: Path) -> None:
-        self.path = Path(path)
+    __slots__ = ("shards", "generation", "last_change_id", "document_count")
 
-    @property
-    def marker_path(self) -> Path:
-        return self.path / SHARDS_NAME
+    def __init__(self, shards: tuple[IndexView, ...],
+                 memos: "ShardedView | None" = None) -> None:
+        super().__init__(memos)
+        self.shards = shards
+        self.generation = sum(shard.generation for shard in shards)
+        # The laggiest shard's: after a crash between per-shard commits,
+        # replaying from it re-applies a suffix of changes to the others,
+        # which is idempotent (replace/remove collapse to current state).
+        self.last_change_id = min(
+            (shard.last_change_id for shard in shards), default=0)
+        self.document_count = sum(shard.document_count for shard in shards)
+
+    def _shard(self, doc_id: int) -> IndexView:
+        return self.shards[shard_of(doc_id, len(self.shards))]
+
+    def _merge(self, term: str):
+        return union_postings(
+            term, [shard.postings(term) for shard in self.shards])
+
+    def document_frequency(self, term: str) -> int:
+        """A sum over shards, so no union postings list is built."""
+        return sum(shard.document_frequency(term) for shard in self.shards)
+
+    def _norms(self) -> dict[int, float]:
+        norms: dict[int, float] = {}
+        for shard in self.shards:
+            norms.update(shard.snapshot().norms)
+        return norms
+
+    def _live_terms(self) -> set[str]:
+        return set().union(*(shard.vocabulary() for shard in self.shards))
+
+    def has_document(self, doc_id: int) -> bool:
+        return self._shard(doc_id).has_document(doc_id)
+
+    def document(self, doc_id: int) -> Document:
+        return self._shard(doc_id).document(doc_id)
+
+    def documents(self) -> Iterator[Document]:
+        for shard in self.shards:
+            yield from shard.documents()
+
+    def norm(self, doc_id: int) -> float:
+        return self._shard(doc_id).norm(doc_id)
 
 
-class ShardedSegmentIndex:
+class ShardedSegmentIndex(ViewIndex, SegmentStats):
     """The ``InvertedIndex`` protocol over N doc-id-partitioned shards."""
 
-    def __init__(self, root: ShardRoot,
-                 shards: list[SegmentedIndex]) -> None:
+    def __init__(self, root: Path, shards: list[SegmentedIndex]) -> None:
         self._root = root
         self._shards = shards
         self._lock = threading.RLock()
+        self._depth = 0
         # Serialises the compound writers, like SegmentedIndex's: a
         # request-path epoch sync may flush while the indexer merges.
         self._commit_lock = threading.RLock()
-        self._memo_generation = -1
-        self._postings_memo: dict[str, object] = {}
-        self._snapshot: IndexSnapshot | None = None
-        self._vocab: list[str] | None = None
+        self._view = ShardedView(tuple(shard.view() for shard in shards))
 
     # -- construction ------------------------------------------------------
 
@@ -211,12 +253,12 @@ class ShardedSegmentIndex:
                                 sweep=sweep)
             for i in range(count)
         ]
-        return cls(ShardRoot(root), handles)
+        return cls(root, handles)
 
     # -- shard accessors ---------------------------------------------------
 
     @property
-    def shard_count(self) -> int:  # lint: unlocked (set once in the constructor)
+    def shard_count(self) -> int:
         return len(self._shards)
 
     def shard(self, shard_id: int) -> SegmentedIndex:
@@ -226,244 +268,113 @@ class ShardedSegmentIndex:
     @property
     def shard_dirs(self) -> list[Path]:
         """Per-shard segment directory paths, in shard order."""
-        return [self._root.path / shard_dir_name(i)
+        return [self._root / shard_dir_name(i)
                 for i in range(len(self._shards))]
 
     def shard_for(self, doc_id: int) -> SegmentedIndex:
         return self._shards[shard_of(doc_id, len(self._shards))]
 
-    # -- concurrency / invalidation ---------------------------------------
-
-    @property
-    def generation(self) -> int:  # lint: unlocked (sum of GIL-atomic shard reads; mirrors SegmentedIndex.generation)
-        """Sum of shard generations: moves on any mutation, never on a
-        flush or merge — the cache-invalidation contract readers rely
-        on."""
-        return sum(shard.generation for shard in self._shards)
-
-    @property
-    def lock(self) -> threading.RLock:
-        """The union's mutation lock (ordered before any shard lock)."""
-        return self._lock
+    # -- concurrency -------------------------------------------------------
 
     @property
     def commit_lock(self) -> threading.RLock:
-        """The union's writers' lock (flush, merge, clear, reopen);
-        ordered before :attr:`lock` and every shard lock, never taken
-        by readers."""
+        """The union's compound writers' lock (flush, merge, clear,
+        reopen); ordered before the union's writers' lock and every
+        shard lock.  A union batch holds every shard's writers' lock."""
         return self._commit_lock
 
-    @property
-    def directory(self) -> ShardRoot:  # lint: unlocked (set once in the constructor)
-        """The sharded layout root (never None: sharded layouts are
-        always directory-backed)."""
-        return self._root
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Hold the union's and every shard's writers' lock; each shard
+        and then the union publish once, when the outermost batch
+        exits."""
+        with self._lock, ExitStack() as stack:
+            stack.callback(self._changed)  # last: after every shard's
+            for shard in self._shards:
+                stack.enter_context(shard.batch())
+            self._depth += 1
+            try:
+                yield
+            finally:
+                self._depth -= 1
 
-    def _memos(self) -> dict[str, object]:  # lint: unlocked (caller holds the lock)
-        """The postings memo for the current generation.  Lock held."""
-        generation = self.generation
-        if generation != self._memo_generation:
-            self._postings_memo = {}
-            self._snapshot = None
-            self._vocab = None
-            self._memo_generation = generation
-        return self._postings_memo
+    def _changed(self) -> None:  # lint: unlocked (caller holds the lock)
+        """Publish the union of the shards' current views.  Shard
+        generations only grow, so an equal sum means every shard's
+        logical content is unchanged and the memos carry over."""
+        if self._depth:
+            return
+        shards = tuple(shard.view() for shard in self._shards)
+        previous = self._view
+        if shards != previous.shards:
+            same = (sum(shard.generation for shard in shards)
+                    == previous.generation)
+            self._view = ShardedView(shards,
+                                     memos=previous if same else None)
 
     # -- mutation ----------------------------------------------------------
 
     def add(self, document: Document) -> None:
         with self._lock:
             self.shard_for(document.doc_id).add(document)
+            self._changed()
 
     def remove(self, doc_id: int) -> None:
         with self._lock:
             self.shard_for(doc_id).remove(doc_id)
+            self._changed()
 
     def replace(self, document: Document) -> None:
         with self._lock:
             self.shard_for(document.doc_id).replace(document)
+            self._changed()
 
     def clear(self) -> None:
         with self._commit_lock, self._lock:
             for shard in self._shards:
                 shard.clear()
-
-    # -- statistics --------------------------------------------------------
-
-    @property
-    def document_count(self) -> int:
-        with self._lock:
-            return sum(shard.document_count for shard in self._shards)
-
-    @property
-    def term_count(self) -> int:
-        with self._lock:
-            return len(self._vocabulary_list())
-
-    def has_document(self, doc_id: int) -> bool:
-        with self._lock:
-            return self.shard_for(doc_id).has_document(doc_id)
-
-    def document(self, doc_id: int) -> Document:
-        with self._lock:
-            return self.shard_for(doc_id).document(doc_id)
-
-    def documents(self) -> Iterator[Document]:
-        with self._lock:
-            out: list[Document] = []
-            for shard in self._shards:
-                out.extend(shard.documents())
-            return iter(out)
-
-    def postings(self, term: str):
-        """Merged live postings for ``term`` across shards, or None.
-
-        Shards partition the doc-id space round-robin, so the merge is
-        a pure doc-id-ordered union of already-tombstone-filtered
-        per-shard views (:func:`union_postings`); the single-source case
-        passes through zero-copy.  Memoized per generation.
-        """
-        with self._lock:
-            memo = self._memos()
-            try:
-                return memo[term]
-            except KeyError:
-                pass
-            merged = union_postings(
-                term, [shard.postings(term) for shard in self._shards])
-            memo[term] = merged
-            return merged
-
-    def document_frequency(self, term: str) -> int:
-        """A sum over shards (they partition the doc ids), so no union
-        postings list is built for it."""
-        with self._lock:
-            return sum(shard.document_frequency(term)
-                       for shard in self._shards)
-
-    def norm(self, doc_id: int) -> float:
-        with self._lock:
-            return self.shard_for(doc_id).norm(doc_id)
-
-    def snapshot(self) -> IndexSnapshot:
-        """The scorer-facing statistics view, cached per generation.
-
-        Unions the per-shard norms; identical in shape and values to a
-        flat index holding the same documents.
-        """
-        with self._lock:
-            self._memos()
-            snap = self._snapshot
-            if snap is None:
-                norms: dict[int, float] = {}
-                for shard in self._shards:
-                    norms.update(shard.snapshot().norms)
-                snap = IndexSnapshot(
-                    generation=self._memo_generation,
-                    document_count=len(norms),
-                    norms=norms,
-                    max_norm=max(norms.values(), default=0.0),
-                    max_doc_id=max(norms, default=-1),
-                )
-                self._snapshot = snap
-            return snap
-
-    def _vocabulary_list(self) -> list[str]:  # lint: unlocked (caller holds the lock)
-        self._memos()
-        vocab = self._vocab
-        if vocab is None:
-            seen: set[str] = set()
-            for shard in self._shards:
-                seen.update(shard.vocabulary())
-            vocab = self._vocab = sorted(seen)
-        return vocab
-
-    def vocabulary(self) -> Iterator[str]:
-        with self._lock:
-            return iter(self._vocabulary_list())
-
-    def __len__(self) -> int:
-        return self.document_count
-
-    def __contains__(self, doc_id: object) -> bool:
-        return isinstance(doc_id, int) and self.has_document(doc_id)
+            self._changed()
 
     # -- segment lifecycle -------------------------------------------------
 
-    @property
-    def segment_count(self) -> int:
-        with self._lock:
-            return sum(shard.segment_count for shard in self._shards)
-
-    @property
-    def mmap_bytes(self) -> int:
-        with self._lock:
-            return sum(shard.mmap_bytes for shard in self._shards)
-
-    @property
-    def delta_document_count(self) -> int:
-        with self._lock:
-            return sum(shard.delta_document_count
-                       for shard in self._shards)
-
-    @property
-    def deleted_count(self) -> int:
-        with self._lock:
-            return sum(shard.deleted_count for shard in self._shards)
-
-    @property
-    def last_change_id(self) -> int:
-        """The change-log cursor the whole layout durably reflects.
-
-        The minimum across shards: after a crash between per-shard
-        commits, replaying from the laggiest shard's cursor re-applies
-        a suffix of changes to the others, which is idempotent
-        (replace/remove collapse to current state).
-        """
-        with self._lock:
-            return min((shard.last_change_id for shard in self._shards),
-                       default=0)
+    def _index_views(self) -> tuple:
+        return self._view.shards
 
     def flush(self, last_change_id: int | None = None) -> bool:
         """Flush every shard's delta; returns True if any shard wrote.
 
-        All shards commit the same change-log cursor, so on a clean
-        flush :attr:`last_change_id` advances atomically from the
-        reader's point of view.  Holds the union's commit lock, not its
-        read lock: each shard swaps under its own.
+        All shards commit the same change-log cursor.  Holds the
+        union's commit lock, not its writers' lock: each shard swaps
+        under its own, and the union publishes once at the end.
         """
         with self._commit_lock:
             wrote = False
             for shard in self._shards:
                 if shard.flush(last_change_id=last_change_id):
                     wrote = True
+            with self._lock:
+                self._changed()
             return wrote
 
     def maybe_merge(self, policy) -> int:
         """Offer each shard one policy-selected merge; returns total
-        segments merged across shards.  Like :meth:`flush`, never holds
-        the union's read lock, so union searches run during the
-        rewrites."""
+        segments merged across shards.  Like :meth:`flush`, holds only
+        the union's commit lock while the shards rewrite."""
         with self._commit_lock:
-            return sum(shard.maybe_merge(policy)
-                       for shard in self._shards)
+            merged = sum(shard.maybe_merge(policy)
+                         for shard in self._shards)
+            with self._lock:
+                self._changed()
+            return merged
 
     def reopen_from_disk(self) -> bool:
-        """Re-read every shard's committed manifest and swap in place.
-
-        The replica hot-swap for sharded layouts: each shard reopens
-        independently (reusing already-open maps), and the union's
-        generation-keyed memos invalidate automatically iff any shard's
-        logical content moved, because the union generation is the sum
-        of shard generations.  Returns True when any shard changed.
-        """
+        """Re-read every shard's committed manifest and publish the
+        union of their new views.  Returns True when any shard's
+        logical content changed."""
         with self._commit_lock, self._lock:
             changed = False
             for shard in self._shards:
                 if shard.reopen_from_disk():
                     changed = True
+            self._changed()
             return changed
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid  # lint: unlocked (debug repr; torn reads acceptable)
-        return (f"ShardedSegmentIndex(shards={len(self._shards)}, "
-                f"documents={self.document_count})")

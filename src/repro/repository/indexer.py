@@ -28,7 +28,6 @@ from repro.index.segments import (
     make_merge_policy,
     open_segment_index,
 )
-from repro.index.store import load_index, save_index
 from repro.model.schema import Schema
 from repro.resilience.faults import FAULTS
 from repro.telemetry.metrics import DEFAULT_COUNT_BUCKETS
@@ -139,15 +138,14 @@ class RepositoryIndexer:
         logger.debug("indexer refresh: %d pending change(s)",
                      len(changes))
         # Build off the index lock: decoding and flattening are nearly
-        # all of a batch's cost, and searches keep reading the previous
-        # generation meanwhile.  A build that raises publishes nothing.
+        # all of a batch's cost.  A build that raises publishes nothing.
         edits = self._build(latest)
-        # Publish under the lock: only the prepared index edits, so a
-        # concurrent searcher (run_scheduled in a background thread is
-        # the intended deployment) sees the whole batch or none of it,
-        # and waits at most for this loop, never for the build.
+        # Apply in one index batch: it publishes one view when done, so
+        # a concurrent searcher (run_scheduled in a background thread is
+        # the intended deployment) reads the previous view until then
+        # and sees the whole batch or none of it, never waiting.
         published = time.perf_counter()
-        with self._index.lock, self._refreshing_guard():
+        with self._index.batch(), self._refreshing_guard():
             applied = self._publish(edits)
         publish_seconds = time.perf_counter() - published
         # The cursor moves only after the whole batch applied: a batch
@@ -170,7 +168,7 @@ class RepositoryIndexer:
 
     def _publish(self, edits: list[tuple[int, Document | None]]) -> int:
         """Apply built edits; returns operations applied.  The caller
-        holds the index lock."""
+        holds an index batch open."""
         applied = 0
         for schema_id, document in edits:
             if document is not None:
@@ -193,9 +191,8 @@ class RepositoryIndexer:
         index.
         """
         index = self._index
-        if not isinstance(index, (SegmentedIndex, ShardedSegmentIndex)) \
-                or index.directory is None:
-            return  # in-memory, or a standalone loaded segment file
+        if not isinstance(index, (SegmentedIndex, ShardedSegmentIndex)):
+            return
         index.flush(last_change_id=self._last_change_id)
         for _ in range(4):
             started = time.perf_counter()
@@ -296,32 +293,6 @@ class RepositoryIndexer:
         """Signal :meth:`run_scheduled` to exit."""
         self._stop_event.set()
 
-    # -- persistence ---------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Persist the current index segment to disk."""
-        save_index(self._index, path)
-
-    def load(self, path: str | Path) -> None:
-        """Replace the in-memory index with a persisted segment.
-
-        The change-log cursor advances to the repository's current head:
-        the segment is assumed to be a snapshot of the repository as it
-        is now, so subsequent refreshes only replay *future* changes.
-        Call :meth:`rebuild` instead when the snapshot's provenance is
-        unknown.  Loading a *segment directory* whose manifest recorded
-        a change-log cursor resumes from that cursor instead, replaying
-        exactly the changes the on-disk state has not seen.
-        """
-        loaded = load_index(path)
-        self._index = loaded
-        if loaded.last_change_id:
-            self._last_change_id = loaded.last_change_id
-            return
-        changes = self._repository.changes_since(self._last_change_id)
-        if changes:
-            self._last_change_id = changes[-1][0]
-
     def rebuild(self) -> int:
         """Drop the index and re-flatten every stored schema.
 
@@ -334,14 +305,14 @@ class RepositoryIndexer:
 
     def _rebuild(self) -> int:
         count = 0
-        # A segment index orders its commit lock before its read lock
-        # (flush and merge take them in that order, and clear() below
-        # takes both), so take it first.
+        # Holding a segment index's commit lock keeps flushes, merges
+        # and reopens out of the whole rebuild; it is ordered before the
+        # writers' lock the batch takes.
         commit_lock = getattr(self._index, "commit_lock", None)
         # Read the cursor before the schemas: a change committed while
         # they stream in is replayed by the next refresh, never skipped.
         changes = self._repository.changes_since(self._last_change_id)
-        with commit_lock or nullcontext(), self._index.lock, \
+        with commit_lock or nullcontext(), self._index.batch(), \
                 self._refreshing_guard():
             self._index.clear()
             for schema_id, text in self._repository.iter_stored():

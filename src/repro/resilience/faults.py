@@ -48,6 +48,7 @@ KNOWN_SITES: dict[str, str] = {
     "store.changes_since": "changelog + payload read feeding a refresh",
     "profile_store.lookup": "ProfileStore miss: payload decode + build",
     "engine.phase1": "candidate extraction call in the engine",
+    "engine.phase2": "between the phases in the engine, any executor",
     "engine.match_one": "per-candidate scoring step in the engine",
     "indexer.refresh": "changelog application batch",
     "segments.write.torn": "mid-write of a segment file body",

@@ -274,17 +274,6 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
             for s in shard_status())
         self._send(200, f'<?xml version="1.0"?><ready>{shards}</ready>')
 
-    def _served_generation(self) -> int | None:
-        """The change-log cursor the serving index durably reflects.
-
-        Comparable across processes and hosts (unlike the in-memory
-        generation counter), which is what makes replica staleness
-        observable: a trailing replica stamps a smaller number than
-        the primary.  None for purely in-memory indexes.
-        """
-        index = getattr(self.engine.searcher, "index", None)
-        return getattr(index, "last_change_id", None)
-
     def _handle_search(self, query_string: str, body: str | None) -> None:
         params = urllib.parse.parse_qs(query_string)
         keywords = " ".join(params.get("keywords", []))
@@ -297,7 +286,11 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
                                          offset=offset)
             profile = self.engine.thread_profile
         degradation = profile.degradation if profile is not None else "none"
-        generation = self._served_generation()
+        # The change-log cursor of the index view this page was read
+        # from: comparable across processes and hosts (unlike the
+        # in-memory generation counter), which is what makes replica
+        # staleness observable.  None for purely in-memory indexes.
+        generation = profile.generation if profile is not None else None
         extra = ({"X-Schemr-Generation": str(generation)}
                  if generation is not None else None)
         self._send(200, results_to_xml(results, query=keywords,
@@ -513,10 +506,12 @@ class SchemrServer:
             ...  # point SchemrClient at base_url
     """
 
-    def __init__(self, repository: SchemaRepository,
+    def __init__(self, repository: SchemaRepository | None,
                  host: str = "127.0.0.1", port: int = 0,
                  config: SchemrConfig | None = None,
                  access_log: bool = False) -> None:
+        """``repository`` is None only for a replica
+        (``config.replicate_from``), which reads no database."""
         from repro.index.suggest import PrefixSuggester
         # A serving deployment wants observability: unless the caller
         # supplies a config, telemetry is on (the enabled-path overhead

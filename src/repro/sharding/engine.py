@@ -19,11 +19,17 @@ profile, telemetry) is the engine's own; only this differs:
   restores pool order before the engine applies its final stable sort,
   so the page is byte-identical to single-process serving.
 
+Both phases read the union view the search pinned: each request
+carries its shard's change-log cursor from that view, and a worker
+serving another cursor answers "stale".  A shard whose pinned view
+holds writes no manifest has committed yet is never scattered to.
+
 Failures never change the bytes, only the latency and the
 ``shards_used`` stamp on the query profile: when a worker dies, stalls
-past ``shard_timeout_seconds``, or errors, the front *repairs locally*
-— it re-runs the failed work against its own union index with the same
-code and the same floats — respawns the worker, and keeps serving.
+past ``shard_timeout_seconds``, errors or is stale, the front *repairs
+locally* — it re-runs the failed work against the pinned view with the
+same code and the same floats — respawns a dead worker, and keeps
+serving.
 Per-shard circuit breakers keep a flapping worker from taxing every
 query; they deliberately do **not** surface through :attr:`breakers`,
 because a degraded-but-serving pool must stay ready (the per-shard
@@ -149,7 +155,10 @@ class ShardExecutor:
         self._qid_lock = threading.Lock()
         self._next_qid = 1
         self._epoch_lock = threading.Lock()
-        self._served_generation = index.generation
+        # Per shard, the committed cursor the workers were last told to
+        # reopen at (they opened at the current one).
+        self._served = tuple(shard.last_change_id
+                             for shard in index.view().shards)
         self._reopening = False
         self._fallback_lock = threading.Lock()
         self._fallback_engine: SchemrEngine | None = None
@@ -290,28 +299,29 @@ class ShardExecutor:
 
     # -- epoch sync -----------------------------------------------------
 
-    def _sync_epoch(self) -> None:
-        """Make the workers' view catch up with the union index.
+    def view(self):
+        """The union view a search pins, with the workers told to catch
+        up when one of its shards committed a newer cursor.
 
-        The union generation moves only on mutation, so the common case
-        is one O(1) integer compare.  On change: flush the union (seals
-        every shard's delta durably, preserving the change-log cursor),
-        broadcast ``reopen`` so each worker swaps in a fresh mmap of
-        its shard, and only then adopt the new generation — a query
-        never scatters against workers serving the previous epoch.
+        The common case is one tuple compare.  On a newer cursor every
+        worker reopens its shard directory; a worker that lands on a
+        cursor other than the pinned one answers that search "stale"
+        and the front serves its part locally.
         """
-        if self.index.generation == self._served_generation:  # lint: unlocked (double-checked fast path; re-read under _epoch_lock below)
-            return
+        view = self.index.view()
+        cursors = tuple(shard.last_change_id for shard in view.shards)
+        if any(c > s for c, s in zip(cursors, self._served)):  # lint: unlocked (monotone fast path; re-checked under _epoch_lock below)
+            self._sync_epoch(cursors)
+        return view
+
+    def _sync_epoch(self, cursors: tuple[int, ...]) -> None:
         with self._epoch_lock:
-            generation = self.index.generation
-            if generation == self._served_generation:
+            if not any(c > s for c, s in zip(cursors, self._served)):
                 return
             self._reopening = True
             try:
-                self.index.flush(
-                    last_change_id=self.index.last_change_id)
                 self._broadcast_reopen()
-                self._served_generation = generation
+                self._served = tuple(map(max, cursors, self._served))
             finally:
                 self._reopening = False
 
@@ -357,8 +367,15 @@ class ShardExecutor:
             return qid
 
     def _send(self, tag: str, shard_id: int, payload: dict,
-              state: _QueryState) -> int | None:
-        """Send one request; its qid, or None with the failure booked."""
+              state: _QueryState, view) -> int | None:
+        """Send one request for the pinned ``view``; its qid, or None
+        with the failure booked."""
+        shard = view.shards[shard_id]
+        if not shard.committed:
+            # No manifest holds this state yet: no worker can serve it.
+            self._book_stale(shard_id, state)
+            return None
+        payload["last_change_id"] = shard.last_change_id
         if not self.pool.usable(shard_id,
                                 self._config.shard_timeout_seconds):
             self._handle_unusable(shard_id, state)
@@ -392,8 +409,16 @@ class ShardExecutor:
             self.pool.breakers[shard_id].record_success()
             self._m_shard_requests[shard_id].inc()
             self._m_shard_wait[tag].observe(self._clock() - started)
-            return payload
+            if not payload.get("stale"):
+                return payload
+            self._book_stale(shard_id, state)
         return None
+
+    def _book_stale(self, shard_id: int, state: _QueryState) -> None:
+        """A shard whose worker cannot serve the pinned view: repaired
+        locally like a lost one, but the worker is healthy."""
+        state.fail(shard_id)
+        self._count_failure(shard_id, "stale")
 
     def _handle_failure(self, shard_id: int, kind: str,
                         state: _QueryState) -> None:
@@ -429,7 +454,8 @@ class ShardExecutor:
         self._count_failure(shard_id, "unavailable")
 
     def _fallback(self) -> SchemrEngine:
-        """The local-repair engine over the union index, built lazily.
+        """The local-repair engine over the union index, built lazily;
+        it reads whichever view the repaired search pinned.
 
         Runs the worker config over the same payloads, so anything it
         scores produces exactly the floats a worker would have — repair
@@ -445,35 +471,37 @@ class ShardExecutor:
     # -- phase 1: scatter, merge, cache ---------------------------------
 
     def candidates(self, flattened: list[str], pool_n: int,
-                   deadline: Deadline
+                   deadline: Deadline, view
                    ) -> tuple[list[IndexHit], Phase1Stats]:
-        shard_count = self.index.shard_count
+        shard_count = len(view.shards)
         state = _QueryState(shards_total=shard_count,
                             shards_used=shard_count)
         self._query.state = state
-        self._sync_epoch()
         searcher = self.searcher
-        searcher.sync_fuzzy()
-        prepared = searcher.prepare(flattened)
+        searcher.sync_fuzzy(view)
+        prepared = searcher.prepare(flattened, view=view)
         cache = searcher.query_cache
-        key = (prepared, pool_n, self.index.generation)
+        key = (prepared, pool_n, view.generation)
         if cache is not None:
             hits = cache.get(key)
             if hits is not None:
                 state.strategy = searcher.strategy
                 state.cache_hit = True
                 return hits, state
-        request = {"prepared": prepared, "top_n": pool_n}
-        sent = [(sid, self._send(TAG_PHASE1, sid, request, state))
+        sent = [(sid, self._send(TAG_PHASE1, sid,
+                                 {"prepared": prepared, "top_n": pool_n},
+                                 state, view))
                 for sid in range(shard_count)]
         responses = [self._collect(TAG_PHASE1, sid, qid, deadline, state)
                      for sid, qid in sent]
         if None in responses:
             # One or more shards missing: repair locally against the
-            # union — the exact global ranking, straight from the same
-            # searcher that prepared the query (this also caches it).
+            # pinned union view — the exact global ranking, straight
+            # from the same searcher that prepared the query (this also
+            # caches it).
             self._m_degraded_merges.inc()
-            hits = searcher.search_prepared(prepared, top_n=pool_n)
+            hits = searcher.search_prepared(prepared, top_n=pool_n,
+                                            view=view)
             state.adopt(searcher.last_stats)
             return hits, state
         all_hits: list[IndexHit] = []
@@ -495,7 +523,8 @@ class ShardExecutor:
     # -- phase 2: bucket, scatter, repair -------------------------------
 
     def match(self, query: QueryGraph, pool: list[IndexHit],
-              deadline: Deadline, cheap_only: bool) -> list[SearchResult]:
+              deadline: Deadline, cheap_only: bool,
+              view) -> list[SearchResult]:
         """Phases 2+3 across the workers, restored to pool order.
 
         Raises exactly what the in-process executor would:
@@ -503,7 +532,7 @@ class ShardExecutor:
         and :class:`CircuitOpenError` when the schema source failed for
         every candidate everywhere.
         """
-        shard_count = self.index.shard_count
+        shard_count = len(view.shards)
         state = getattr(self._query, "state", None)
         if state is None:  # match_and_score() without a search
             state = _QueryState(shards_total=shard_count)
@@ -516,7 +545,7 @@ class ShardExecutor:
             (sid, chunk, self._send(
                 TAG_PHASE2, sid,
                 {"query": query, "hits": chunk, "budget": budget,
-                 "cheap_only": cheap_only}, state))
+                 "cheap_only": cheap_only}, state, view))
             for sid, chunk in sorted(buckets.items())
         ]
         results: list[SearchResult] = []
@@ -547,7 +576,8 @@ class ShardExecutor:
             for chunk in repair:
                 try:
                     results.extend(fallback.match_and_score(
-                        query, chunk, deadline, cheap_only=cheap_only))
+                        query, chunk, deadline, cheap_only=cheap_only,
+                        view=view))
                 except CircuitOpenError:
                     source_outage = True
         if not results and pool and source_outage:

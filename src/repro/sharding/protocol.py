@@ -35,7 +35,7 @@ TAG_ERROR = "error"
 TAGS: dict[str, str] = {
     TAG_PHASE1: "scatter one prepared phase-1 retrieval to the shard",
     TAG_PHASE2: "score one bucket of phase-2 candidates on the shard",
-    TAG_REOPEN: "swap in a fresh mmap of the shard directory",
+    TAG_REOPEN: "publish a fresh view of the shard directory",
     TAG_PING: "liveness probe; answers pid and document count",
     TAG_SHUTDOWN: "request a clean worker exit",
     TAG_READY: "startup handshake: the worker engine is serving",

@@ -15,6 +15,11 @@ in a small request loop:
   (the same candidate-matching code path as single-process serving,
   breakers and deadline checks included).
 
+Each phase request names the change-log cursor of the shard view the
+front pinned; a worker whose view has another cursor answers
+``{"stale": True}`` instead, so a page never mixes generations.  A
+``reopen`` swaps the worker's index view in place.
+
 The protocol is qid-tagged tuples ``(kind, qid, payload)`` in both
 directions over a ``multiprocessing`` pipe; the front demultiplexes
 responses so concurrent serving threads can share one worker.  Worker
@@ -32,7 +37,6 @@ from repro.core.config import SchemrConfig
 from repro.core.engine import SchemrEngine, breaker_trouble
 from repro.errors import CircuitOpenError, DeadlineExceeded
 from repro.index.segments import SegmentedIndex
-from repro.matching.profile import ProfileStore
 from repro.resilience.deadline import Deadline
 from repro.sharding.protocol import (
     TAG_BYE,
@@ -64,14 +68,25 @@ class WorkerSpec:
     config: SchemrConfig
 
 
-def _build_engine(spec: WorkerSpec, profiles: ProfileStore) -> SchemrEngine:
-    index = SegmentedIndex.open(spec.shard_dir)
-    return SchemrEngine(index=index, source=profiles, config=spec.config)
+_STALE = {"stale": True}
+
+
+def _pinned(engine: SchemrEngine, payload: dict):
+    """The worker's view when it is the one the front pinned, else
+    None (the request is stale)."""
+    view = engine.searcher.index.view()
+    if view.last_change_id != payload["last_change_id"]:
+        return None
+    return view
 
 
 def _handle_phase1(engine: SchemrEngine, payload: dict) -> dict:
+    view = _pinned(engine, payload)
+    if view is None:
+        return _STALE
     hits = engine.searcher.search_prepared(payload["prepared"],
-                                           top_n=payload["top_n"])
+                                           top_n=payload["top_n"],
+                                           view=view)
     stats = engine.searcher.last_stats
     return {
         "hits": hits,
@@ -83,6 +98,9 @@ def _handle_phase1(engine: SchemrEngine, payload: dict) -> dict:
 
 
 def _handle_phase2(engine: SchemrEngine, payload: dict) -> dict:
+    view = _pinned(engine, payload)
+    if view is None:
+        return _STALE
     budget = payload["budget"]
     if budget is not None and budget <= 0:
         return {"results": [], "deadline_expired": True,
@@ -95,7 +113,7 @@ def _handle_phase2(engine: SchemrEngine, payload: dict) -> dict:
     try:
         results = engine.match_and_score(
             payload["query"], payload["hits"], deadline,
-            cheap_only=payload["cheap_only"])
+            cheap_only=payload["cheap_only"], view=view)
     except DeadlineExceeded:
         return {"results": [], "deadline_expired": True,
                 "all_failed": False, "clean": False}
@@ -117,14 +135,12 @@ def worker_main(spec: WorkerSpec, conn) -> None:
     # The front orchestrates shutdown; a terminal Ctrl-C must not kill
     # workers out from under an in-flight scatter.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # One profile cache for the worker's lifetime: it is keyed by
-    # payload, so it stays warm and correct across reopens.
-    profiles = ProfileStore()
     try:
-        engine = _build_engine(spec, profiles)
+        index = SegmentedIndex.open(spec.shard_dir)
+        engine = SchemrEngine(index=index, config=spec.config)
         conn.send((TAG_READY, 0, {
             "pid": os.getpid(),
-            "documents": engine.searcher.index.document_count,
+            "documents": index.document_count,
         }))
         while True:
             try:
@@ -140,20 +156,14 @@ def worker_main(spec: WorkerSpec, conn) -> None:
                 elif kind == TAG_PHASE2:
                     out = _handle_phase2(engine, payload)
                 elif kind == TAG_REOPEN:
-                    # The front flushed new segments; swap in a fresh
-                    # view of the shard directory (O(segment count)).
-                    engine.close()
-                    engine = _build_engine(spec, profiles)
-                    out = {
-                        "documents":
-                            engine.searcher.index.document_count,
-                    }
+                    # A shard committed a newer cursor: publish a view
+                    # of its directory (O(segment count)); the engine,
+                    # its caches and the maps it still uses stay.
+                    index.reopen_from_disk()
+                    out = {"documents": index.document_count}
                 elif kind == TAG_PING:
-                    out = {
-                        "pid": os.getpid(),
-                        "documents":
-                            engine.searcher.index.document_count,
-                    }
+                    out = {"pid": os.getpid(),
+                           "documents": index.document_count}
                 else:
                     raise ValueError(f"unknown request kind {kind!r}")
             except Exception as exc:

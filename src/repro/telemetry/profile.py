@@ -82,6 +82,9 @@ class QueryProfile:
     #: Whether the engine's result cache served the finished page: no
     #: phase ran, and ``total_seconds`` is the lookup's wall time.
     result_cache_hit: bool = False
+    #: The change-log cursor of the index view the page was read from
+    #: (None for an index that records none, the in-memory one).
+    generation: int | None = None
 
     def timed_phase(self, name: str) -> "_PhaseTimer":
         """Record a phase: ``with profile.timed_phase(name) as ph:``.

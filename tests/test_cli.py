@@ -83,11 +83,6 @@ class TestGenerateAndIndex:
         out = capsys.readouterr().out
         assert "documents" in out
 
-    def test_index_save_segment(self, populated_db, tmp_path, capsys):
-        segment = tmp_path / "seg.jsonl"
-        assert main(["index", populated_db, "--save", str(segment)]) == 0
-        assert segment.exists()
-
 
 class TestSearch:
     def test_search_prints_table(self, populated_db, capsys):

@@ -9,6 +9,7 @@ from repro.core.results import SearchResult
 from repro.errors import (CircuitOpenError, DeadlineExceeded, QueryError,
                           SchemaNotFound)
 from repro.index.documents import document_from_schema
+from repro.index import IndexView
 from repro.index.inverted import InvertedIndex
 from repro.index.searcher import IndexHit
 from repro.matching.ensemble import MatcherEnsemble
@@ -102,8 +103,10 @@ class TestSearch:
         # Ranking never reads the drill-in: score() leaves it to the page.
         graph = QueryGraph.build(keywords=query.split())
         executor = engine._executor
-        pool = engine.searcher.search(graph.flatten(), top_n=10)
-        matched = executor.match(graph, pool, Deadline.unlimited(), False)
+        view = executor.view()
+        pool = engine.searcher.search(graph.flatten(), top_n=10, view=view)
+        matched = executor.match(graph, pool, Deadline.unlimited(), False,
+                                 view)
         assert all(not r.element_matches for r in executor.score(matched))
 
     def test_match_and_score_ships_every_drill_in(self, engine):
@@ -293,18 +296,21 @@ class TestServedSchema:
 
 
 class _FakeExecutor:
-    """The whole port: three methods, no index, no pool."""
+    """The whole port: four methods, no index, no pool."""
 
     def __init__(self, match_error: Exception | None = None) -> None:
         self.match_error = match_error
         self.calls: list[tuple] = []
 
-    def candidates(self, flattened, pool_n, deadline):
+    def view(self):
+        return IndexView()
+
+    def candidates(self, flattened, pool_n, deadline, view):
         self.calls.append(("candidates", tuple(flattened), pool_n))
         hits = [IndexHit(1, 0.9, 2, "first"), IndexHit(2, 0.5, 1, "second")]
         return hits, Phase1Stats(strategy="fake", docs_scored=2)
 
-    def match(self, query, pool, deadline, cheap_only):
+    def match(self, query, pool, deadline, cheap_only, view):
         self.calls.append(("match", len(pool), cheap_only))
         if self.match_error is not None:
             raise self.match_error

@@ -239,6 +239,29 @@ class TestMergeWritesOffLock:
         assert segment_bytes(tmp_path, reopened, "reopened") == \
             segment_bytes(tmp_path, index, "live")
 
+    def test_clear_during_parked_merge_discards_the_merge(
+            self, tmp_path, monkeypatch):
+        """A rebuild's clear holds only the writers' lock, so it does not
+        wait for a merge write; the merge then finds its inputs gone and
+        commits nothing, and the next commit sweeps its file."""
+        root = tmp_path / "d"
+        index = five_segments(SegmentedIndex.open(root, create=True))
+        gate = park_merge_writes(monkeypatch)
+        merger, merged = start(index.maybe_merge, MERGE_ALL)
+        try:
+            assert gate.entered.wait(WAIT_S)
+            read_within_bound(index.clear)
+        finally:
+            gate.open()
+            merger.join(WAIT_S)
+        assert merged == {"value": 0}
+        assert index.document_count == 0 and index.segment_count == 0
+        index.add(Document(99, "d99", terms=["common"]))
+        index.flush(last_change_id=6)
+        assert verify_directory(root).ok
+        assert [path.name for path in root.glob("*.seg")] == [
+            segment.path.name for segment in index.view().segments]
+
     def test_flush_during_parked_merge_waits_and_loses_nothing(
             self, tmp_path, monkeypatch):
         root = tmp_path / "d"
@@ -346,8 +369,13 @@ class TestMergeWritesOffLock:
 
 
 class TestDeletedBeforePublish:
-    def test_unpublished_delete_is_skipped_not_a_source_failure(self):
+    def test_delete_published_mid_search_serves_the_pinned_page(self):
         keywords = ["patient", "gender", "name", "site", "species"]
+
+        def rows(page) -> list:
+            return [(r.schema_id, f"{r.score:.6f}", f"{r.coarse_score:.6f}")
+                    for r in page]
+
         with SchemaRepository.in_memory() as repo:
             repo.add_schema(build_clinic_schema())
             victim = repo.add_schema(build_clinic_schema("clinic_copy"))
@@ -355,28 +383,29 @@ class TestDeletedBeforePublish:
             repo.add_schema(build_conservation_schema())
             engine = repo.engine(config=SchemrConfig(telemetry_enabled=True))
             try:
-                assert victim in {r.schema_id
-                                  for r in engine.search(keywords)}
+                before = engine.search(keywords)
+                assert victim in {r.schema_id for r in before}
                 failures = engine.store_breaker.failure_count
                 repo.delete_schema(victim)  # committed, not yet published
                 assert engine.searcher.index.has_document(victim)
-                # Phase 1 still returns the victim; the refresh that
-                # publishes the delete lands as phase 2 starts.
+                # The refresh that publishes the delete lands as phase 2
+                # starts.  The search pinned its index view before phase
+                # 1, so phase 2 reads that view too: the page is the
+                # pre-delete generation's, victim and coarse scores
+                # included, and nothing counts as a source failure.
                 FAULTS.inject("engine.match_one", hook=repo.reindex,
                               times=1)
                 page = engine.search(keywords)
+                assert FAULTS.hits("engine.match_one") >= 1
                 assert not engine.searcher.index.has_document(victim)
                 assert engine.store_breaker.failure_count == failures
                 snapshot = engine.telemetry.metrics.snapshot()
                 assert snapshot.value("schemr_source_failures_total") == 0
-                assert page
-                assert victim not in {r.schema_id for r in page}
+                assert rows(page) == rows(before)
+                # The next search pins the published delete.
                 refreshed = engine.search(keywords)
-                # Final ranking and scores match; the phase-1 coarse
-                # score moves with the corpus statistics the publish
-                # changed.
-                assert [(r.schema_id, f"{r.score:.6f}") for r in page] \
-                    == [(r.schema_id, f"{r.score:.6f}") for r in refreshed]
+                assert refreshed
+                assert victim not in {r.schema_id for r in refreshed}
             finally:
                 FAULTS.reset()
                 engine.close()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.index.documents import Document
 from repro.index.inverted import InvertedIndex
-from repro.index.store import load_index, save_index
+from repro.index.segments import MmapSegment, write_segment
 from repro.mapping.derive import derive_mapping
 from repro.matching.base import SimilarityMatrix
 from repro.parsers.ddl import parse_ddl
@@ -50,14 +50,14 @@ class TestIndexStoreProperties:
         for i, terms in enumerate(term_lists):
             index.add(Document(i, f"doc{i}", terms=terms))
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "segment.jsonl"
-            save_index(index, path)
-            loaded = load_index(path)
-        assert loaded.document_count == index.document_count
-        assert loaded.term_count == index.term_count
-        for term in index.vocabulary():
-            assert loaded.document_frequency(term) == \
-                index.document_frequency(term)
+            path = Path(tmp) / "segment.seg"
+            write_segment(path, index)
+            loaded = MmapSegment(path)
+            assert loaded.document_count == index.document_count
+            assert loaded.term_count == index.term_count
+            for term in index.vocabulary():
+                assert loaded.document_frequency(term) == \
+                    index.document_frequency(term)
 
 
 class TestSummarizeProperties:

@@ -777,3 +777,51 @@ class TestReplicaFollowsChangeLog:
             replica_repo.close()
             primary_repo.close()
             writer.close()
+
+
+class TestReplicaServeOpensNoDatabase:
+    def test_serve_replica_on_a_missing_database_path(self, tmp_path):
+        """``schemr serve DB --replicate-from SRC`` reads the segments it
+        pulls and never the database: DB need not exist, and no file
+        appears there."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import urllib.request
+        from pathlib import Path
+
+        import repro
+        from repro.repository.store import SchemaRepository
+
+        from tests.conftest import build_clinic_schema, build_hr_schema
+
+        with SchemaRepository.in_memory() as repo:
+            repo.add_schema(build_clinic_schema())
+            repo.add_schema(build_hr_schema())
+            repo.indexer(segment_dir=str(tmp_path / "psegs")).refresh()
+        missing = tmp_path / "nowhere" / "repo.db"
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(repro.__file__).resolve().parents[1]))
+        server = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "serve", str(missing),
+             "--port", "0", "--replicate-from", str(tmp_path / "psegs"),
+             "--segment-dir", str(tmp_path / "rsegs"),
+             "--replica-poll", "3600"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        try:
+            line = server.stdout.readline()
+            assert "listening on" in line, server.stderr.read()
+            base_url = line.split()[-1]
+            with urllib.request.urlopen(
+                    base_url + "/search?keywords=patient+height",
+                    timeout=10) as response:
+                body = response.read().decode()
+            assert "clinic_emr" in body
+        finally:
+            server.send_signal(signal.SIGTERM)
+            server.communicate(timeout=10)
+        assert server.returncode == 0
+        assert not missing.exists()
+        assert not missing.parent.exists()

@@ -340,25 +340,6 @@ class TestRebuild:
             assert indexer.refresh() == 0
 
 
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        with SchemaRepository.in_memory() as repo:
-            repo.add_schema(build_clinic_schema())
-            indexer = RepositoryIndexer(repo)
-            indexer.refresh()
-            path = tmp_path / "segment.jsonl"
-            indexer.save(path)
-
-            fresh = RepositoryIndexer(repo)
-            fresh.load(path)
-            assert fresh.index.document_count == 1
-            # Cursor advanced to head: no replay of old changes.
-            assert fresh.refresh() == 0
-            # New changes still picked up.
-            repo.add_schema(build_hr_schema())
-            assert fresh.refresh() == 1
-
-
 class TestScheduledRuns:
     def test_run_scheduled_with_max_refreshes(self):
         with SchemaRepository.in_memory() as repo:

@@ -382,18 +382,24 @@ class TestCacheUnderMutation:
             repo.add_schema(schema)
             repo.indexer().refresh()
 
-        # The mutation lands right before phase 1 reads the index: the
-        # cached entry's generation is stale, so the search must not
-        # serve it.
+        # The mutation lands right before phase 1 runs, after the search
+        # pinned its index view: the cached entry belongs to that view's
+        # generation, so serving it is right, and the new schema waits
+        # for the next search.
         FAULTS.inject("engine.phase1", hook=mutate, times=1)
         hits_before = cache.hits
         results = engine.search(keywords="employee salary")
-        assert cache.hits == hits_before
+        assert cache.hits == hits_before + 1
+        assert "hr_shadow_payroll" not in {r.name for r in results}
+        # The next search pins the bumped generation: the stale entry is
+        # ignored.
+        results = engine.search(keywords="employee salary")
+        assert cache.hits == hits_before + 1
         assert {r.name for r in results} >= {"hr_payroll",
                                              "hr_shadow_payroll"}
         # same query again (no mutation): now it is a clean cache hit
         engine.search(keywords="employee salary")
-        assert cache.hits == hits_before + 1
+        assert cache.hits == hits_before + 2
         repo.close()
 
     def test_profile_invalidation_racing_refresh(self):

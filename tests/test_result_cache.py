@@ -388,16 +388,17 @@ class TestResultCache:
         it when the refresh publishes it, never before."""
         engine = small_repository.engine()
         try:
-            stamp = engine._page_stamp()
-            generation = engine.searcher.index.generation
+            index = engine.searcher.index
+            stamp = engine._page_stamp(index.view())
+            generation = index.generation
             assert stamp == (generation,
                              tuple(engine.ensemble.weights.items()))
             schema = small_repository.get_schema(1)
             schema.name = "renamed"
             small_repository.update_schema(schema)
-            assert engine._page_stamp() == stamp
+            assert engine._page_stamp(index.view()) == stamp
             small_repository.indexer().refresh()
-            assert engine._page_stamp()[0] > generation
+            assert engine._page_stamp(index.view())[0] > generation
         finally:
             engine.close()
 

@@ -228,3 +228,40 @@ class TestInternalErrorBoundary:
                    and "unhandled error" in r.getMessage()]
         assert records, "500 was served without a server-side log"
         assert records[0].exc_info is not None  # full traceback kept
+
+
+class TestServedGeneration:
+    def test_generation_is_the_cursor_of_the_view_searched(self, tmp_path):
+        """A refresh landing mid-search does not restamp the page: the
+        header and the ``generation`` attribute name the cursor of the
+        view the page was read from."""
+        from repro.core.config import SchemrConfig
+        from repro.repository.store import SchemaRepository
+        from repro.resilience.faults import FAULTS
+
+        from tests.conftest import build_clinic_schema, build_hr_schema
+
+        def search(base_url: str) -> tuple[str, str]:
+            with urllib.request.urlopen(
+                    base_url + "/search?keywords=patient+height") as r:
+                return r.headers["X-Schemr-Generation"], r.read().decode()
+
+        with SchemaRepository.in_memory() as repo:
+            repo.add_schema(build_clinic_schema())
+            server = SchemrServer(repo, config=SchemrConfig(
+                segment_dir=str(tmp_path / "segs"), telemetry_enabled=True))
+            index = server.engine.searcher.index
+            try:
+                with server.running() as base_url:
+                    before = index.last_change_id
+                    repo.add_schema(build_hr_schema())  # not yet published
+                    FAULTS.inject("engine.match_one", hook=repo.reindex,
+                                  times=1)
+                    header, body = search(base_url)
+                    assert index.last_change_id > before  # it landed
+                    assert header == str(before)
+                    assert f'generation="{before}"' in body
+                    header, body = search(base_url)
+                    assert header == str(index.last_change_id)
+            finally:
+                FAULTS.reset()
