@@ -18,7 +18,8 @@ from repro.model.query import QueryGraph, QueryItemKind
 from repro.model.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import MatchScratch, SchemaMatchProfile
+    from repro.matching.base import MatchKeys
+    from repro.matching.profile import MatchScratch
 
 
 class CodebookMatcher(Matcher):
@@ -34,7 +35,7 @@ class CodebookMatcher(Matcher):
         self._same_category_score = same_category_score
 
     def match(self, query: QueryGraph, candidate: Schema,
-              profile: "SchemaMatchProfile | None" = None,
+              profile: "MatchKeys | None" = None,
               scratch: "MatchScratch | None" = None) -> SimilarityMatrix:
         matrix = self.empty_matrix(query, candidate,
                                    profile=profile, scratch=scratch)

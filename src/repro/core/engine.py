@@ -31,13 +31,15 @@ from repro.core.results import ElementMatch, SearchResult
 from repro.errors import IndexError_, QueryError
 from repro.index.cache import QueryCache
 from repro.index.inverted import InvertedIndex
+from repro.index.records import RecordKeys
 from repro.index.searcher import IndexHit, IndexSearcher, SearchStats
+from repro.matching.base import ColumnMatcher, MatchKeys
 from repro.matching.ensemble import MatcherEnsemble
-from repro.matching.profile import (MatchScratch, ProfileStore,
-                                    SchemaMatchProfile)
+from repro.matching.profile import MatchScratch, ProfileStore
 from repro.model.query import QueryGraph
 from repro.model.schema import Schema
-from repro.errors import CircuitOpenError, DeadlineExceeded, SchemaNotFound
+from repro.errors import (CircuitOpenError, DeadlineExceeded, SchemaError,
+                          SchemaNotFound)
 from repro.parsers.query_parser import parse_query
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import (
@@ -144,9 +146,8 @@ class SearchExecutor(Protocol):
     """Where the three phases execute; the engine owns the rest.
 
     Executors that serve an index also expose ``searcher``,
-    ``breakers``, ``schema(schema_id)`` (a schema as the current
-    generation holds it) and ``close()``; the lifecycle itself needs
-    only the four methods below.  A search pins one :meth:`view` and
+    ``breakers`` and ``close()``; the lifecycle itself needs only the
+    four methods below.  A search pins one :meth:`view` and
     hands it to both phases, so a refresh landing mid-search changes
     nothing the search reads.  An executor whose :meth:`score` defers
     the per-element drill-in (``SearchResult.element_matches``) also
@@ -204,12 +205,13 @@ class SchemrEngine:
     ----------
     index:
         The inverted index over the schema corpus — the whole read
-        state: phases two and three decode each candidate from the
-        payload its document carries.
+        state: phases two and three score each candidate from the match
+        record its document carries, and decode no payload.
     source:
-        The :class:`~repro.matching.profile.ProfileStore` that caches
-        decoded candidates and their match profiles; a fresh one
-        (default capacity) when omitted.
+        The :class:`~repro.matching.profile.ProfileStore` that
+        :meth:`schema` decodes served payloads through (by-id reads,
+        cached by payload); a fresh one (default capacity) when
+        omitted.  The search path reads no profile cache.
     ensemble:
         Fine-grained matcher ensemble; defaults to the paper's
         name + context pair with uniform weights.
@@ -221,8 +223,7 @@ class SchemrEngine:
         no-op calls per query.
     executor:
         Where the phases run; defaults to an :class:`InProcessExecutor`
-        over ``index``/``source``/``ensemble`` (which are then
-        required).
+        over ``index``/``ensemble`` (``index`` is then required).
     owns_telemetry:
         Whether :meth:`close` also closes ``telemetry``; defaults to
         "only when the engine built it".
@@ -244,9 +245,10 @@ class SchemrEngine:
                                 else owns_telemetry)
         self._telemetry = telemetry or Telemetry.from_config(self._config)
         self._executor = executor or InProcessExecutor(
-            index, source, ensemble, self._config, self._clock,
+            index, ensemble, self._config, self._clock,
             self._telemetry.metrics)
         self._materialise = getattr(self._executor, "materialise", None)
+        self._schemas = source if source is not None else ProfileStore()
         # The finished-page cache needs an index generation to stamp
         # its entries with, so an executor without a searcher gets none.
         size = self._config.query_cache_size
@@ -391,15 +393,15 @@ class SchemrEngine:
 
     @property
     def store_breaker(self) -> CircuitBreaker:
-        """The breaker around candidate decoding (the ProfileStore
-        fill path)."""
+        """The breaker around phase 2's per-candidate record read."""
         return self._executor.store_breaker
 
     def schema(self, schema_id: int) -> Schema:
         """``schema_id`` as the served index generation holds it;
         :class:`SchemaNotFound` when it does not (deleted, or committed
-        but not yet refreshed)."""
-        return self._executor.schema(schema_id)
+        but not yet refreshed).  The one read that decodes a payload."""
+        return self._schemas.lookup(
+            schema_id, served_payload(self._executor.view(), schema_id))[0]
 
     @property
     def breakers(self) -> dict[str, CircuitBreaker]:
@@ -754,18 +756,26 @@ class SchemrEngine:
 
 
 class InProcessExecutor:
-    """The three phases in this process: index, ensemble, tightness."""
+    """The three phases in this process: index, ensemble, tightness.
 
-    def __init__(self, index: InvertedIndex, profiles: ProfileStore | None,
+    Phase 2 scores each candidate from the match record its document
+    carries in the pinned view (:class:`~repro.index.records.RecordKeys`)
+    and decodes no payload — unless the ensemble holds a matcher that
+    reads the schema itself (one that is not a
+    :class:`~repro.matching.base.ColumnMatcher`, e.g. the codebook
+    matcher), which then gets the decoded schema.
+    """
+
+    def __init__(self, index: InvertedIndex,
                  ensemble: MatcherEnsemble | None, config: SchemrConfig,
                  clock: Callable[[], float],
                  metrics: MetricsRegistry) -> None:
         self._config = config
         self.searcher = build_searcher(index, config)
         self._index = index
-        self._profiles = profiles if profiles is not None \
-            else ProfileStore()
         self.ensemble = ensemble or MatcherEnsemble.default()
+        self._decodes = not all(isinstance(matcher, ColumnMatcher)
+                                for matcher in self.ensemble.matchers)
         self._guard = GuardedEnsemble(
             self.ensemble,
             failure_threshold=config.breaker_failure_threshold,
@@ -784,24 +794,9 @@ class InProcessExecutor:
         self._m_source_failures = metrics.counter(
             "schemr_source_failures_total",
             "Candidate fetches the schema source failed")
-        if metrics.enabled:
-            profiles = self._profiles
-            metrics.counter("schemr_profile_cache_hits_total",
-                            "Profile-cache hits",
-                            callback=lambda: profiles.hits)
-            metrics.counter("schemr_profile_cache_misses_total",
-                            "Profile-cache misses",
-                            callback=lambda: profiles.misses)
-            metrics.counter("schemr_profile_cache_evictions_total",
-                            "Profile-cache LRU evictions",
-                            callback=lambda: profiles.evictions)
 
     def view(self):
         return self._index.view()
-
-    def schema(self, schema_id: int) -> Schema:
-        return self._profiles.lookup(
-            schema_id, served_payload(self._index, schema_id))[0]
 
     @property
     def breakers(self) -> dict[str, CircuitBreaker]:
@@ -835,7 +830,7 @@ class InProcessExecutor:
             self._query.view = None  # an idle thread pins no segments
         if (not matched and pool and self.store_breaker.failure_count
                 > source_failures_before):
-            # Every candidate's schema fetch failed (but the breaker
+            # Every candidate's record read failed (but the breaker
             # has not tripped yet): an empty page would misreport a
             # source outage as "nothing matched".
             raise CircuitOpenError(
@@ -889,7 +884,7 @@ class InProcessExecutor:
 
         The deadline is consulted before every candidate; an exhausted
         budget raises :class:`DeadlineExceeded`, which the caller turns
-        into the phase-1 fallback.  Candidates whose schema fetch fails
+        into the phase-1 fallback.  Candidates whose record read fails
         are skipped (counted, breaker-recorded) rather than failing the
         whole search.
         """
@@ -904,14 +899,14 @@ class InProcessExecutor:
 
     def _match_one(self, query: QueryGraph, hit: IndexHit,
                    scratch: MatchScratch, cheap_only: bool = False):
-        """Score one candidate; None when its decode failed.
+        """Score one candidate; None when its record read failed.
 
-        One :meth:`ProfileStore.lookup` of the payload its document
-        carries in the pinned view (the one phase 1 searched), behind the
-        ``schema_source`` circuit breaker: individual failures skip the
-        candidate and count against the breaker; an open breaker aborts
-        the whole match phase with :class:`CircuitOpenError` so the
-        caller can fall back to the phase-1 ranking.
+        One read of the match record its document carries in the pinned
+        view (the one phase 1 searched), behind the ``schema_source``
+        circuit breaker: individual failures skip the candidate and
+        count against the breaker; an open breaker aborts the whole
+        match phase with :class:`CircuitOpenError` so the caller can
+        fall back to the phase-1 ranking.
         """
         FAULTS.hit("engine.match_one")
         breaker = self.store_breaker
@@ -920,8 +915,7 @@ class InProcessExecutor:
                 "schema source circuit is open",
                 breaker=breaker.name, retry_after=breaker.retry_after())
         try:
-            candidate, profile = self._profiles.lookup(
-                hit.doc_id, served_payload(self._query.view, hit.doc_id))
+            keys, candidate = self._read_candidate(hit.doc_id)
         except Exception as exc:
             breaker.record_failure()
             self._m_source_failures.inc()
@@ -929,13 +923,29 @@ class InProcessExecutor:
                            "(skipped): %s", hit.doc_id, exc)
             return None
         breaker.record_success()
-        columns = self._guard.match(query, candidate, profile=profile,
+        columns = self._guard.match(query, candidate, profile=keys,
                                     scratch=scratch, cheap_only=cheap_only)
-        return (hit, candidate, columns, columns.element_scores(), profile)
+        return (hit, candidate, columns, columns.element_scores(), keys)
 
-    def _score_candidate(self, coarse_score: float, candidate: Schema,
+    def _read_candidate(self, doc_id: int
+                        ) -> tuple[RecordKeys, RecordKeys | Schema]:
+        """The candidate's match keys, from the pinned view's record,
+        and what the matchers get as the candidate: the keys again, or
+        the decoded schema when a matcher reads the schema itself."""
+        FAULTS.hit("index.match_record")
+        document = self._query.view.document(doc_id)
+        record = document.record
+        if record is None:
+            raise SchemaError(f"document {doc_id} carries no match record")
+        keys = record.keys(doc_id, document.title, document.summary)
+        if self._decodes:
+            return keys, Schema.from_payload(document.payload)
+        return keys, keys
+
+    def _score_candidate(self, coarse_score: float,
+                         candidate: RecordKeys | Schema,
                          element_scores: dict[str, float],
-                         profile: SchemaMatchProfile) -> SearchResult:
+                         profile: MatchKeys) -> SearchResult:
         floor = self._config.penalties.match_floor
         matched_scores = {path: value
                           for path, value in element_scores.items()

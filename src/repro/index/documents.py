@@ -3,8 +3,10 @@
 Per the paper: "Each schema in the index is represented as a document,
 for which we store a title, a summary, an ID, and a flattened
 representation of each element in the schema."  A document also
-carries the schema itself (its payload), so phase 2 reads candidates
-from the generation phase 1 searched, never from the repository.
+carries the schema's match keys (its :class:`~repro.index.records.
+MatchRecord`), which phase 2 scores from, and the schema itself (its
+payload), which only ``/schema/<id>`` decodes — both from the
+generation phase 1 searched, never from the repository.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import IndexError_
+from repro.index.records import MatchRecord
 from repro.model.schema import Schema, pack_payload
 from repro.text.analysis import SCHEMA_ANALYZER, Analyzer
 
@@ -25,7 +28,9 @@ class Document:
     gives the index its proximity data for free.  ``payload`` is the
     schema's stored JSON packed by :func:`~repro.model.schema.pack_payload`
     — for a document read from a segment, a zero-copy view of those
-    bytes in the mapped file.
+    bytes in the mapped file.  ``record`` holds the schema's match keys;
+    a document indexed directly, not from a schema, has none and is
+    never scored by phase 2.
     """
 
     doc_id: int
@@ -33,6 +38,7 @@ class Document:
     summary: str = ""
     terms: list[str] = field(default_factory=list)
     payload: bytes | memoryview = b""
+    record: MatchRecord | None = None
 
     def __post_init__(self) -> None:
         if self.doc_id < 0:
@@ -69,4 +75,5 @@ def document_from_schema(schema: Schema,
         summary=schema.description,
         terms=terms,
         payload=pack_payload(schema.to_json() if text is None else text),
+        record=MatchRecord.from_schema(schema),
     )

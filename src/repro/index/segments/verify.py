@@ -4,11 +4,14 @@
 harness (``schemr verify-index``): it walks a flat or sharded layout
 and re-checks everything the reader normally trusts — control-file
 JSON, per-segment header CRCs, the manifest's recorded ``bytes`` and
-``crc32`` against the actual files, section offset monotonicity, sorted
-term and doc-id columns, document record bounds, every live record's
-schema payload, when it has one (it must decode to the schema the
-record's doc id names), tombstone membership, and (for sharded
-layouts) doc-id routing.  Findings come back as a :class:`VerifyReport`
+``crc32`` against the actual files, then every section of the segment
+layout with the verifier its row of
+:data:`~repro.index.segments.format.SECTIONS` declares (offset
+monotonicity, sorted term, name and doc-id columns, document record
+bounds, every live record's schema payload when it has one, match
+record shapes and ordinals), tombstone membership, and (for sharded
+layouts) doc-id routing.  A problem inside a segment names its
+section.  Findings come back as a :class:`VerifyReport`
 of per-file problems and warnings rather than an exception, so one
 torn file does not hide the rest of the picture.
 
@@ -24,16 +27,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from struct import error as struct_error
 
-from repro.errors import SchemaError, SchemrError
+from repro.errors import SchemrError
 from repro.index.segments.directory import SegmentDirectory
-from repro.index.segments.format import MmapSegment, file_crc32
+from repro.index.segments.format import SECTIONS, MmapSegment, file_crc32
 from repro.index.segments.sharded import (
     SHARDS_NAME,
     _read_shards_marker,
     shard_dir_name,
     shard_of,
 )
-from repro.model.schema import Schema
 
 
 @dataclass
@@ -104,97 +106,30 @@ def _check_segment(segment: MmapSegment, path: Path,
                    report: VerifyReport,
                    shard: tuple[int, int] | None,
                    deleted: frozenset[int] | set[int]) -> None:
-    # Offset columns must be non-decreasing; a violation means the
-    # header CRC protected a coherent header over incoherent sections
-    # (targeted corruption) or a writer bug.
-    for name, column in (("tstr_off", segment._tstr_off),
-                         ("post_off", segment._post_off),
-                         ("pos_off", segment._pos_off),
-                         ("doc_off", segment._doc_off),
-                         ("pay_off", segment._pay_off)):
-        previous = 0
-        for value in column:
-            if value < previous:
-                report.problem(path, f"{name} offsets are not monotonic")
-                return
-            previous = value
-    # The term dictionary must be strictly sorted — binary search
-    # correctness depends on it.
-    previous_term = b""
-    for i in range(segment.term_count):
-        t0, t1 = segment._tstr_off[i], segment._tstr_off[i + 1]
-        blob = bytes(segment._term_bytes[t0:t1])
-        if i and blob <= previous_term:
-            report.problem(path, f"term dictionary unsorted at ordinal {i}")
+    # Every section of the layout, in table order, with its own
+    # verifier: the header CRC protects offsets, not what they point
+    # at, so targeted corruption or a writer bug shows up here, named
+    # by its section.
+    for section in SECTIONS:
+        try:
+            problem = section.verify(
+                segment, segment.sections[section.name], deleted)
+        except (ValueError, IndexError, struct_error) as exc:
+            problem = f"does not decode: {exc}"
+        if problem is not None:
+            report.problem(path, f"section {section.name}: {problem}")
             return
-        previous_term = blob
-    # Per-term postings columns: doc ids strictly increasing,
-    # frequencies positive and consistent with the positions extents.
-    for i in range(segment.term_count):
-        p0, p1 = segment._post_off[i], segment._post_off[i + 1]
-        ids = segment._doc_ids_blob[p0:p1]
-        freqs = segment._freqs_blob[p0:p1]
-        previous_id = -1
-        total = 0
-        for j in range(len(ids)):
-            if ids[j] <= previous_id:
-                report.problem(
-                    path, f"postings doc ids unsorted for term ordinal {i}")
-                return
-            previous_id = ids[j]
-            if freqs[j] <= 0:
+    # Routing: a sharded layout's segment holds only its shard's ids.
+    if shard is not None:
+        for doc_id in segment.doc_ids():
+            if shard_of(doc_id, shard[1]) != shard[0]:
                 report.problem(
                     path,
-                    f"non-positive frequency for term ordinal {i}")
+                    f"document {doc_id} routed to shard "
+                    f"{shard_of(doc_id, shard[1])} but stored in shard "
+                    f"{shard[0]}")
                 return
-            total += freqs[j]
-        if total != segment._pos_off[i + 1] - segment._pos_off[i]:
-            report.problem(
-                path,
-                f"positions extent disagrees with frequencies for "
-                f"term ordinal {i}")
-            return
-    # Document store: sorted ids, routing (sharded layouts), and every
-    # record must decode within bounds.
-    previous_id = -1
-    for i in range(segment.document_count):
-        doc_id = segment._norm_ids[i]
-        if doc_id <= previous_id:
-            report.problem(path, f"document ids unsorted at index {i}")
-            return
-        previous_id = doc_id
-        if shard is not None and shard_of(doc_id, shard[1]) != shard[0]:
-            report.problem(
-                path,
-                f"document {doc_id} routed to shard "
-                f"{shard_of(doc_id, shard[1])} but stored in shard "
-                f"{shard[0]}")
-            return
-        try:
-            document = segment._decode_document(i)
-        except (ValueError, struct_error, IndexError) as exc:
-            report.problem(
-                path, f"document record {i} does not decode: {exc}")
-            return
-        # A document indexed directly rather than from a repository
-        # carries no payload, so there is nothing to decode.
-        if doc_id not in deleted and len(document.payload):
-            problem = _payload_problem(document.payload, doc_id)
-            if problem is not None:
-                report.problem(path, f"document {doc_id}: {problem}")
-                return
-        report.documents_checked += 1
-
-
-def _payload_problem(payload, doc_id: int) -> str | None:
-    """Why a live record's payload cannot serve phase 2, or None."""
-    try:
-        schema = Schema.from_payload(payload)
-    except SchemaError as exc:
-        return f"payload does not decode to a schema: {exc}"
-    if schema.schema_id != doc_id:
-        return f"payload holds schema {schema.schema_id}"
-    return None
+    report.documents_checked += segment.document_count
 
 
 def _verify_flat(path: Path, report: VerifyReport,

@@ -249,30 +249,35 @@ class IndexView(MemoView):
                 seen.add(term)
         return seen
 
-    def _segment_of(self, doc_id: int):
-        """The segment holding the *live* copy of ``doc_id``, or None.
+    def _locate(self, doc_id: int):
+        """``(segment, row)`` of the *live* copy of ``doc_id``, or None:
+        the one location probe behind every per-document read.
 
         Newest-first: a replaced document leaves a tombstoned copy in an
         older segment and a live copy in a newer one.
         """
         for i in range(len(self.segments) - 1, -1, -1):
-            if (doc_id not in self.deleted[i]
-                    and self.segments[i].has_document(doc_id)):
-                return self.segments[i]
+            if doc_id not in self.deleted[i]:
+                row = self.segments[i].row(doc_id)
+                if row is not None:
+                    return self.segments[i], row
         return None
 
     def has_document(self, doc_id: int) -> bool:
         return (doc_id in self.delta.documents
-                or self._segment_of(doc_id) is not None)
+                or self._locate(doc_id) is not None)
 
     def document(self, doc_id: int) -> Document:
+        """The live document ``doc_id``: its title, summary, terms, match
+        record and payload."""
         document = self.delta.documents.get(doc_id)
         if document is not None:
             return document
-        segment = self._segment_of(doc_id)
-        if segment is None:
+        location = self._locate(doc_id)
+        if location is None:
             raise IndexError_(f"document {doc_id} is not indexed")
-        return segment.document(doc_id)
+        segment, row = location
+        return segment.document_at(row)
 
     def documents(self) -> Iterator[Document]:
         yield from self.delta.documents.values()
@@ -285,10 +290,11 @@ class IndexView(MemoView):
         norm = self.delta.norms.get(doc_id)
         if norm is not None:
             return norm
-        segment = self._segment_of(doc_id)
-        if segment is None:
+        location = self._locate(doc_id)
+        if location is None:
             raise IndexError_(f"document {doc_id} is not indexed")
-        return segment.norm(doc_id)
+        segment, row = location
+        return segment.norm_at(row)
 
 
 class ViewIndex:

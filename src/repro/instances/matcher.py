@@ -28,7 +28,8 @@ from repro.model.query import QueryGraph, QueryItemKind
 from repro.model.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import MatchScratch, SchemaMatchProfile
+    from repro.matching.base import MatchKeys
+    from repro.matching.profile import MatchScratch
 
 #: schema_id -> {element_path: example values}
 InstanceProvider = Callable[[int], dict[str, list[str]]]
@@ -49,7 +50,7 @@ class InstanceMatcher(Matcher):
         self._threshold = threshold
 
     def match(self, query: QueryGraph, candidate: Schema,
-              profile: "SchemaMatchProfile | None" = None,
+              profile: "MatchKeys | None" = None,
               scratch: "MatchScratch | None" = None) -> SimilarityMatrix:
         matrix = self.empty_matrix(query, candidate,
                                    profile=profile, scratch=scratch)

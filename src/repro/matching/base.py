@@ -7,7 +7,8 @@ which describes the match quality — a value between 0 and 1."
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Optional
+from typing import (TYPE_CHECKING, Hashable, Iterable, Iterator, Optional,
+                    Protocol)
 
 import numpy as np
 
@@ -17,7 +18,40 @@ from repro.model.query import QueryGraph
 from repro.model.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import MatchScratch, SchemaMatchProfile
+    from repro.matching.profile import MatchScratch
+    from repro.scoring.neighborhood import NeighborhoodIndex
+
+
+class MatchKeys(Protocol):  # pragma: no cover - typing only
+    """What phase 2 reads of a candidate: its element paths and owners,
+    one column key per element for each kind of column matcher, and
+    its FK neighborhoods.  Two producers, one interface:
+    :class:`~repro.index.records.RecordKeys` (the search path, from the
+    record the index carries) and
+    :class:`~repro.matching.profile.SchemaMatchProfile` (training and
+    the reference path, from a :class:`Schema`).  Sequences run in
+    ``element_paths`` order."""
+
+    #: Element paths in schema order: each entity, then its attributes.
+    element_paths: list[str]
+    #: path -> owning entity name.
+    entity_of: dict[str, str]
+
+    def element_words(self, expand: bool = True
+                      ) -> Iterable[tuple[str, ...]]:
+        ...
+
+    def element_contexts(self) -> Iterable[frozenset[str]]:
+        ...
+
+    def element_families(self) -> Iterable[str | None]:
+        ...
+
+    def element_shapes(self) -> Iterable[tuple[bool, frozenset[str], int]]:
+        ...
+
+    def neighborhood_index(self) -> "NeighborhoodIndex":
+        ...
 
 
 class SimilarityMatrix:
@@ -183,20 +217,20 @@ class Matcher(abc.ABC):
 
     @abc.abstractmethod
     def match(self, query: QueryGraph, candidate: Schema,
-              profile: "SchemaMatchProfile | None" = None,
+              profile: "MatchKeys | None" = None,
               scratch: "MatchScratch | None" = None) -> SimilarityMatrix:
         """Score every (query element, candidate element) pair.
 
-        ``profile`` carries the candidate's precomputed artifacts (the
-        acceleration layer); ``scratch`` carries per-query memoization
-        shared across candidates.  Both are optional: without them a
-        matcher derives everything from scratch, and the two paths must
-        produce identical matrices (the golden-equivalence tests hold
-        them to it).
+        ``profile`` carries the candidate's match keys (the record the
+        index carries, or a :class:`SchemaMatchProfile`); ``scratch``
+        carries per-query memoization shared across candidates.  Both
+        are optional: without them a matcher derives everything from
+        scratch, and the two paths must produce identical matrices (the
+        golden-equivalence tests hold them to it).
         """
 
     def columns(self, query: QueryGraph, candidate: Schema,
-                profile: "SchemaMatchProfile | None" = None,
+                profile: "MatchKeys | None" = None,
                 scratch: "MatchScratch | None" = None) -> list[Column]:
         """One score column per candidate element, in schema order.
 
@@ -226,7 +260,7 @@ class Matcher(abc.ABC):
         return out
 
     def empty_matrix(self, query: QueryGraph, candidate: Schema,
-                     profile: "SchemaMatchProfile | None" = None,
+                     profile: "MatchKeys | None" = None,
                      scratch: "MatchScratch | None" = None
                      ) -> SimilarityMatrix:
         """A zero matrix with the canonical labels for this pair.
@@ -275,7 +309,7 @@ class ColumnMatcher(Matcher):
     """
 
     def match(self, query: QueryGraph, candidate: Schema,
-              profile: "SchemaMatchProfile | None" = None,
+              profile: "MatchKeys | None" = None,
               scratch: "MatchScratch | None" = None) -> SimilarityMatrix:
         if profile is None:
             return self.reference(query, candidate)
@@ -286,7 +320,7 @@ class ColumnMatcher(Matcher):
             self.columns(query, candidate, profile, scratch))
 
     def columns(self, query: QueryGraph, candidate: Schema,
-                profile: "SchemaMatchProfile | None" = None,
+                profile: "MatchKeys | None" = None,
                 scratch: "MatchScratch | None" = None) -> list[Column]:
         if profile is None:
             return super().columns(query, candidate, scratch=scratch)
@@ -308,8 +342,9 @@ class ColumnMatcher(Matcher):
         once per search)."""
 
     @abc.abstractmethod
-    def column_keys(self, profile: "SchemaMatchProfile") -> Iterable[Hashable]:
-        """One column key per element of ``profile.element_paths``."""
+    def column_keys(self, profile: MatchKeys) -> Iterable[Hashable]:
+        """One column key per element of ``profile.element_paths``,
+        read through the :class:`MatchKeys` interface."""
 
     @abc.abstractmethod
     def score_column(self, rows: object, key: Hashable) -> Column:

@@ -20,11 +20,10 @@ from their fragment.  Similarity is Jaccard over analyzed word sets.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.matching.base import (
     Column,
     ColumnMatcher,
+    MatchKeys,
     SimilarityMatrix,
     column_from_cells,
     distinct_rows,
@@ -34,9 +33,6 @@ from repro.model.elements import ElementRef
 from repro.model.graph import entity_adjacency
 from repro.model.query import QueryGraph, QueryItemKind
 from repro.model.schema import Schema
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import SchemaMatchProfile
 
 
 def _jaccard(a: set[str], b: set[str]) -> float:
@@ -99,8 +95,8 @@ class ContextMatcher(ColumnMatcher):
         return (len(contexts),
                 distinct_rows(context for _label, context in contexts))
 
-    def column_keys(self, profile: "SchemaMatchProfile"):
-        return map(profile.context_terms.__getitem__, profile.element_paths)
+    def column_keys(self, profile: MatchKeys):
+        return profile.element_contexts()
 
     def score_column(self, rows, key: frozenset[str]) -> Column:
         n_rows, forms = rows

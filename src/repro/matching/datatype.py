@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import TYPE_CHECKING
-
 from repro.matching.base import (
     Column,
     ColumnMatcher,
+    MatchKeys,
     SimilarityMatrix,
     column_from_cells,
     distinct_rows,
@@ -25,9 +24,6 @@ from repro.matching.base import (
 from repro.model.elements import ElementKind, ElementRef
 from repro.model.query import QueryGraph, QueryItemKind
 from repro.model.schema import Schema
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import SchemaMatchProfile
 
 #: type-name (lowercased, parameters stripped) -> family
 _TYPE_FAMILIES: dict[str, str] = {
@@ -116,9 +112,9 @@ class DataTypeMatcher(ColumnMatcher):
         families = self._query_families(query)
         return (len(families), distinct_rows(families))
 
-    def column_keys(self, profile: "SchemaMatchProfile"):
+    def column_keys(self, profile: MatchKeys):
         # Entities have no family: their key is None, an empty column.
-        return map(profile.type_families.get, profile.element_paths)
+        return profile.element_families()
 
     def score_column(self, rows, key: str | None) -> Column:
         if key is None:

@@ -25,7 +25,8 @@ from repro.model.query import QueryGraph
 from repro.model.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import MatchScratch, SchemaMatchProfile
+    from repro.matching.base import MatchKeys
+    from repro.matching.profile import MatchScratch
 
 
 @dataclass(slots=True)
@@ -56,7 +57,7 @@ class ColumnMatch:
 
     @classmethod
     def of(cls, query: QueryGraph, candidate: Schema,
-           profile: "SchemaMatchProfile | None",
+           profile: "MatchKeys | None",
            scratch: "MatchScratch | None",
            parts: list[tuple[str, float, list[Column]]]) -> "ColumnMatch":
         """Label ``parts`` with the query's rows and the candidate's
@@ -185,7 +186,7 @@ class MatcherEnsemble:
         self._weights.update(updated)
 
     def match(self, query: QueryGraph, candidate: Schema,
-              profile: "SchemaMatchProfile | None" = None,
+              profile: "MatchKeys | None" = None,
               scratch: "MatchScratch | None" = None) -> EnsembleResult:
         """Run every matcher and combine into the total-similarity matrix.
 

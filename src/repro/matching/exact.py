@@ -8,11 +8,10 @@ baseline in the ablation bench.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.matching.base import (
     Column,
     ColumnMatcher,
+    MatchKeys,
     SimilarityMatrix,
     column_from_cells,
     distinct_rows,
@@ -20,9 +19,6 @@ from repro.matching.base import (
 from repro.matching.normalize import normalize_name
 from repro.model.query import QueryGraph
 from repro.model.schema import Schema
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import SchemaMatchProfile
 
 
 class ExactMatcher(ColumnMatcher):
@@ -55,10 +51,8 @@ class ExactMatcher(ColumnMatcher):
                              for name in query.element_names())
         return (len(query.element_labels()), dict(rows))
 
-    def column_keys(self, profile: "SchemaMatchProfile"):
-        words_of = (profile.words_expanded if self._expand
-                    else profile.words_plain)
-        return map("".join, map(words_of.__getitem__, profile.element_paths))
+    def column_keys(self, profile: MatchKeys):
+        return map("".join, profile.element_words(self._expand))
 
     def score_column(self, rows, key: str) -> Column:
         n_rows, rows_of = rows

@@ -22,11 +22,10 @@ Similarity between two element names is the max of two views:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING
-
 from repro.matching.base import (
     Column,
     ColumnMatcher,
+    MatchKeys,
     SimilarityMatrix,
     column_from_cells,
     distinct_rows,
@@ -35,9 +34,6 @@ from repro.matching.ngram import weighted_ngram_similarity
 from repro.matching.normalize import analysed_words
 from repro.model.query import QueryGraph
 from repro.model.schema import Schema
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import SchemaMatchProfile
 
 
 @lru_cache(maxsize=65536)
@@ -103,10 +99,8 @@ class NameMatcher(ColumnMatcher):
             analysed_words(name, self._expand)
             for name in query.element_names()))
 
-    def column_keys(self, profile: "SchemaMatchProfile"):
-        words_of = (profile.words_expanded if self._expand
-                    else profile.words_plain)
-        return map(words_of.__getitem__, profile.element_paths)
+    def column_keys(self, profile: MatchKeys):
+        return profile.element_words(self._expand)
 
     def score_column(self, rows, key: tuple[str, ...]) -> Column:
         if not key:

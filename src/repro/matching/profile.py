@@ -1,13 +1,12 @@
-"""The match-phase acceleration layer: precomputed schema profiles.
+"""Schema match profiles: the match keys of a :class:`Schema` object.
 
-Phases two and three of the pipeline used to re-derive everything per
-candidate per query: re-split and re-normalize every element name,
-rebuild the entity adjacency map twice (context matcher and tightness
-scorer), and re-run the foreign-key transitive closure.  A
-:class:`SchemaMatchProfile` computes what the matchers and the
-tightness scorer read exactly once per schema version — on the first
-search that needs it, then cached by :class:`ProfileStore` — so a
-query's match phase collapses to dict lookups plus arithmetic:
+A :class:`SchemaMatchProfile` computes, from a decoded schema, what the
+matchers and the tightness scorer read — the key interface
+(:class:`~repro.matching.base.MatchKeys`) that the search path reads
+from the index instead (:class:`~repro.index.records.RecordKeys`, built
+from the match record each document carries, with no schema decoded).
+Profiles serve training and the reference path the record path is held
+to:
 
 * analyzed element words (abbreviation-expanded and plain) per element;
 * neighboring-element context term sets per element;
@@ -20,11 +19,12 @@ Building a profile is cheaper than decoding a persisted one, so
 profiles are never serialized: a cache miss decodes the schema's stored
 payload and builds.
 
-:class:`ProfileStore` is the serving side: an LRU cache of
-``(schema, profile)`` pairs keyed by schema id *and* payload bytes, so
-a candidate decoded (and profiled) for one query is free for the next,
-and a changed schema — which arrives with a different payload — can
-never be served from an older entry.  Nothing invalidates it.
+:class:`ProfileStore` is the by-id side — ``SchemrEngine.schema``
+(``/schema/<id>``) and training read through it, no search does: an
+LRU cache of ``(schema, profile)`` pairs keyed by schema id *and*
+payload bytes, so a changed schema — which arrives with a different
+payload — can never be served from an older entry.  Nothing
+invalidates it.
 
 :class:`MatchScratch` is the per-query companion: memoization shared
 across the candidates of one search — each column matcher's query-side
@@ -146,6 +146,30 @@ class SchemaMatchProfile:
             attribute_counts=attribute_counts,
         )
 
+    # -- the key interface (shared with repro.index.records.RecordKeys) --
+
+    def element_words(self, expand: bool = True):
+        """Each element's analysed local-name words, in path order."""
+        table = self.words_expanded if expand else self.words_plain
+        return map(table.__getitem__, self.element_paths)
+
+    def element_contexts(self):
+        """Each element's context set, in path order."""
+        return map(self.context_terms.__getitem__, self.element_paths)
+
+    def element_families(self):
+        """Each element's declared-type family (None for entities)."""
+        return map(self.type_families.get, self.element_paths)
+
+    def element_shapes(self):
+        """Each element's (is its entity, the entity's attribute-word
+        set, the entity's attribute count)."""
+        entity_of = self.entity_of
+        for path in self.element_paths:
+            entity = entity_of[path]
+            yield (path == entity, self.entity_attr_words[entity],
+                   self.attribute_counts[entity])
+
     # -- fast-path accessors -------------------------------------------
 
     def words(self, path: str, expand: bool = True) -> tuple[str, ...]:
@@ -205,10 +229,10 @@ class ProfileStore:
     """LRU cache of (schema, match profile) pairs, keyed by payload.
 
     :meth:`lookup` hits only when the entry was decoded from the very
-    payload bytes the caller read (phase 2: from the index generation
-    it searched), so a changed schema is decoded afresh and nothing
-    ever invalidates the cache; a fill that loses a race merely
-    replaces an entry the next lookup re-checks.  The by-id reads
+    payload bytes the caller read (``SchemrEngine.schema``: from the
+    served index generation), so a changed schema is decoded afresh
+    and nothing ever invalidates the cache; a fill that loses a race
+    merely replaces an entry the next lookup re-checks.  The by-id reads
     :meth:`get_schema`/:meth:`get_profile` take the payload from
     ``source`` (None: a cache used only through :meth:`lookup`).
     Thread-safe.
@@ -248,8 +272,6 @@ class ProfileStore:
                 return entry[1], entry[2]
             self._misses += 1
         # Decode and build outside the lock: they are the slow part.
-        from repro.resilience.faults import FAULTS
-        FAULTS.hit("profile_store.lookup")
         schema = Schema.from_payload(payload)
         if schema.schema_id != schema_id:
             raise RepositoryError(

@@ -12,11 +12,10 @@ style algorithms.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.matching.base import (
     Column,
     ColumnMatcher,
+    MatchKeys,
     SimilarityMatrix,
     column_from_cells,
 )
@@ -24,9 +23,6 @@ from repro.matching.normalize import normalize_words
 from repro.model.elements import Entity
 from repro.model.query import QueryGraph, QueryItemKind
 from repro.model.schema import Schema
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import SchemaMatchProfile
 
 #: Attribute pairs inherit this fraction of their entities' score.
 _CHILD_PROPAGATION = 0.5
@@ -115,13 +111,8 @@ class StructureMatcher(ColumnMatcher):
                 query_words, len(query_entity.attributes)))
         return (len(index_of), shapes)
 
-    def column_keys(self, profile: "SchemaMatchProfile"):
-        entity_of = profile.entity_of
-        words = profile.entity_attr_words
-        counts = profile.attribute_counts
-        for path in profile.element_paths:
-            entity = entity_of[path]
-            yield (path == entity, words[entity], counts[entity])
+    def column_keys(self, profile: MatchKeys):
+        return profile.element_shapes()
 
     def score_column(self, rows, key) -> Column:
         is_entity, cand_words, cand_count = key

@@ -10,11 +10,12 @@ share synonyms word-wise.  Callers can extend or replace the thesaurus
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.matching.base import (
     Column,
     ColumnMatcher,
+    MatchKeys,
     SimilarityMatrix,
     column_from_cells,
     distinct_rows,
@@ -22,9 +23,6 @@ from repro.matching.base import (
 from repro.matching.normalize import normalize_words
 from repro.model.query import QueryGraph
 from repro.model.schema import Schema
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import SchemaMatchProfile
 
 #: Each inner tuple is one synonym set.
 DEFAULT_THESAURUS: tuple[tuple[str, ...], ...] = (
@@ -124,8 +122,8 @@ class SynonymMatcher(ColumnMatcher):
                          if sets else None)
         return (len(forms), distinct_rows(forms))
 
-    def column_keys(self, profile: "SchemaMatchProfile"):
-        return map(profile.words_expanded.__getitem__, profile.element_paths)
+    def column_keys(self, profile: MatchKeys):
+        return profile.element_words(True)
 
     def score_column(self, rows, key: tuple[str, ...]) -> Column:
         n_rows, forms = rows

@@ -42,10 +42,10 @@ logger = logging.getLogger(__name__)
 class RepositoryIndexer:
     """Keeps an :class:`InvertedIndex` in sync with a repository.
 
-    Each indexed document carries its schema's stored payload, so the
-    index generation is the whole read state of a search: what a
-    refresh has not published, no search sees.  Nothing else needs
-    telling about a batch — the profile cache is keyed by payload.
+    Each indexed document carries its schema's stored payload and match
+    record, so the index generation is the whole read state of a
+    search: what a refresh has not published, no search sees.  Nothing
+    else needs telling about a batch.
     """
 
     def __init__(self, repository: "SchemaRepository",
@@ -332,7 +332,8 @@ class RepositoryIndexer:
 def _stored_document(schema_id: int, text: bytes) -> Document:
     """The index document of one schema's stored text: refresh and
     rebuild both publish through here, so a document's payload is
-    the stored text, packed."""
+    the stored text, packed, and its match record comes from the one
+    decode of it."""
     try:
         schema = Schema.from_json(text)
     except SchemaError as exc:

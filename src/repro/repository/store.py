@@ -188,7 +188,6 @@ class SchemaRepository:
     def add_schema(self, schema: Schema) -> int:
         """Store a schema; returns the assigned id (also set on the object)."""
         now = time.time()
-        payload = schema.to_json()
 
         def insert() -> int:
             with self._lock:
@@ -196,13 +195,14 @@ class SchemaRepository:
                 cursor = self._conn.execute(
                     "INSERT INTO schemas (name, description, source, "
                     "payload, created_at, updated_at) "
-                    "VALUES (?, ?, ?, ?, ?, ?)",
+                    "VALUES (?, ?, ?, '', ?, ?)",
                     (schema.name, schema.description, schema.source,
-                     payload, now, now))
+                     now, now))
                 schema_id = cursor.lastrowid
                 assert schema_id is not None
                 schema.schema_id = schema_id
-                # Rewrite payload so the stored copy knows its own id.
+                # Serialised once, now that the stored copy can carry
+                # its own id; the row commits only with it.
                 self._conn.execute(
                     "UPDATE schemas SET payload = ? WHERE schema_id = ?",
                     (schema.to_json(), schema_id))

@@ -46,7 +46,7 @@ KNOWN_SITES: dict[str, str] = {
     "store.add_schema": "sqlite insert in SchemaRepository",
     "store.iter_schemas": "bulk schema iteration feeding rebuilds",
     "store.changes_since": "changelog + payload read feeding a refresh",
-    "profile_store.lookup": "ProfileStore miss: payload decode + build",
+    "index.match_record": "phase-2 read of one candidate's match record",
     "engine.phase1": "candidate extraction call in the engine",
     "engine.phase2": "between the phases in the engine, any executor",
     "engine.match_one": "per-candidate scoring step in the engine",

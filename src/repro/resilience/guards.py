@@ -29,7 +29,8 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FAULTS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.profile import MatchScratch, SchemaMatchProfile
+    from repro.matching.base import MatchKeys
+    from repro.matching.profile import MatchScratch
     from repro.model.query import QueryGraph
     from repro.model.schema import Schema
 
@@ -73,7 +74,7 @@ class GuardedEnsemble:
         return self._cheap_name
 
     def match(self, query: "QueryGraph", candidate: "Schema",
-              profile: "SchemaMatchProfile | None" = None,
+              profile: "MatchKeys | None" = None,
               scratch: "MatchScratch | None" = None,
               cheap_only: bool = False) -> ColumnMatch:
         """The ensemble's columns, minus matchers whose breakers are open.

@@ -23,11 +23,14 @@ drown any signal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import MatchError
 from repro.model.schema import Schema
 from repro.scoring.neighborhood import NeighborhoodIndex
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.index.records import RecordKeys
 
 
 #: Valid values of :attr:`PenaltyPolicy.aggregation`.
@@ -105,12 +108,16 @@ class TightnessScorer:
     def policy(self) -> PenaltyPolicy:
         return self._policy
 
-    def score(self, schema: Schema,
+    def score(self, schema: "Schema | RecordKeys",
               element_scores: dict[str, float],
               neighborhoods: NeighborhoodIndex | None = None,
               entity_of: Mapping[str, str] | None = None
               ) -> TightnessResult:
         """Score ``schema`` given per-element match scores.
+
+        ``schema`` is the candidate: a :class:`Schema`, or the match
+        keys phase 2 reads from the index (with ``neighborhoods`` and
+        ``entity_of`` supplied, only its ``name`` is read, for errors).
 
         ``element_scores`` maps element paths (``patient.height``,
         ``patient``) to combined similarity in [0, 1] — normally the

@@ -102,6 +102,7 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
               content_type: str = "application/xml",
               extra_headers: dict[str, str] | None = None) -> None:
         payload = body.encode("utf-8")
+        self._count(status)
         self.send_response(status)
         self.send_header("Content-Type", f"{content_type}; charset=utf-8")
         self.send_header("Content-Length", str(len(payload)))
@@ -109,7 +110,6 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
-        self._status = status
 
     def _send_error_xml(self, status: int, message: str,
                         retry_after: float | None = None) -> None:
@@ -135,21 +135,19 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
             # The client promised a body and stalled; the request line
             # already arrived so a structured 408 is still deliverable.
             self.close_connection = True
-            self._status = 0
+            self._begin(_route_of(urllib.parse.urlparse(self.path).path))
             try:
                 self._send_error_xml(408, "timed out reading request body")
             except OSError:  # pragma: no cover - socket already dead
                 pass
-            self._log_access(_route_of(
-                urllib.parse.urlparse(self.path).path), 0.0)
+            self._log_access()
             return
         self._handle(body=body)
 
     def _handle(self, body: str | None) -> None:
         parsed = urllib.parse.urlparse(self.path)
-        self._status = 0
-        started = time.perf_counter()
         route = _route_of(parsed.path)
+        self._begin(route)
         try:
             if parsed.path in ("/health", "/healthz"):
                 self._send(200, '<?xml version="1.0"?><ok/>')
@@ -197,23 +195,43 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
                              route, exc)
             self._send_error_xml(500, f"internal error: {exc}")
         finally:
-            self._log_access(route, time.perf_counter() - started)
+            self._log_access()
 
-    def _log_access(self, route: str, seconds: float) -> None:
-        """Structured access log: metrics always (when enabled), the
-        ``repro.service.access`` logger when opted in."""
+    def _begin(self, route: str) -> None:
+        """Open one request's accounting: its route and start time."""
+        self._route = route
+        self._started = time.perf_counter()
+        self._status = 0
+        self._counted = False
+
+    def _count(self, status: int) -> None:
+        """Record the response status and, once per request, count the
+        request and observe its latency — before any response byte goes
+        out, so a client that scrapes ``/metrics`` as soon as it has its
+        response finds the request there."""
+        self._status = status
+        if self._counted:
+            return
+        self._counted = True
         telemetry = self.telemetry
         if telemetry.enabled:
             m = telemetry.metrics
             m.counter("schemr_http_requests_total", "HTTP requests",
-                      route=route, status=str(self._status)).inc()
+                      route=self._route, status=str(status)).inc()
             m.histogram("schemr_http_request_seconds",
-                        "HTTP request latency", route=route
-                        ).observe(seconds)
+                        "HTTP request latency", route=self._route
+                        ).observe(time.perf_counter() - self._started)
+
+    def _log_access(self) -> None:
+        """Structured access log: a request that never answered is
+        counted here (status 0), and the ``repro.service.access``
+        logger writes one line when opted in."""
+        self._count(self._status)
         if self.access_log:
             access_logger.info(
-                '%s %s %d %.2fms "%s"', self.command, route, self._status,
-                seconds * 1000.0, self.path)
+                '%s %s %d %.2fms "%s"', self.command, self._route,
+                self._status, (time.perf_counter() - self._started) * 1000.0,
+                self.path)
 
     def _handle_metrics(self) -> None:
         self._send(200, self.telemetry.metrics.to_prometheus_text(),
@@ -350,6 +368,7 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
                 return
             else:
                 status, start = 206, offset
+            self._count(status)
             self.send_response(status)
             self.send_header("Content-Type", "application/octet-stream")
             self.send_header("Content-Length", str(size - start))
@@ -364,7 +383,6 @@ class _SchemrRequestHandler(BaseHTTPRequestHandler):
                 if not block:
                     break
                 self.wfile.write(block)
-        self._status = status
 
     def _handle_suggest(self, query_string: str) -> None:
         from repro.index.suggest import PrefixSuggester

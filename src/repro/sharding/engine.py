@@ -47,14 +47,12 @@ import time
 from typing import Callable
 
 from repro.core.config import SchemrConfig
-from repro.core.engine import (Phase1Stats, SchemrEngine, build_searcher,
-                               served_payload)
+from repro.core.engine import Phase1Stats, SchemrEngine, build_searcher
 from repro.core.results import SearchResult
 from repro.errors import CircuitOpenError, DeadlineExceeded, ServiceError
 from repro.index.searcher import IndexHit
 from repro.index.segments import ShardedSegmentIndex, shard_of
 from repro.model.query import QueryGraph
-from repro.model.schema import Schema
 from repro.resilience.breaker import STATE_OPEN
 from repro.resilience.deadline import Deadline
 from repro.sharding.pool import (
@@ -232,10 +230,6 @@ class ShardExecutor:
         health is exported via :meth:`shard_status` instead.
         """
         return {}
-
-    def schema(self, schema_id: int) -> Schema:
-        """A schema as the union index's served generation holds it."""
-        return Schema.from_payload(served_payload(self.index, schema_id))
 
     @property
     def reopening(self) -> bool:  # lint: unlocked (GIL-atomic bool read for readiness reporting)

@@ -4,9 +4,9 @@ Each worker is a real :class:`~repro.core.engine.SchemrEngine` wrapped
 in a small request loop:
 
 * it mmaps its shard's segment directory — O(ms), zero-copy, nothing
-  pickled — and decodes candidates from the payloads the segments
-  carry, through its own :class:`~repro.matching.profile.ProfileStore`
-  (it never opens the repository database);
+  pickled — and scores candidates from the match records the segments
+  carry (it decodes no payload and never opens the repository
+  database);
 * it answers ``phase1`` requests with
   :meth:`~repro.index.searcher.IndexSearcher.search_prepared` (the
   front pins the global idf statistics, so per-shard scores are exactly

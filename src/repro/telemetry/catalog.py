@@ -72,12 +72,6 @@ METRICS: dict[str, tuple[str, str]] = {
         "counter", "Result-cache misses"),
     "schemr_result_cache_entries": (
         "gauge", "Result-cache live pages"),
-    "schemr_profile_cache_hits_total": (
-        "counter", "Profile-cache hits"),
-    "schemr_profile_cache_misses_total": (
-        "counter", "Profile-cache misses"),
-    "schemr_profile_cache_evictions_total": (
-        "counter", "Profile-cache LRU evictions"),
     # -- on-disk segments ---------------------------------------------
     "schemr_segment_count": (
         "gauge", "Live mmapped segments"),

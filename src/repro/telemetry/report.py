@@ -17,8 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telemetry import Telemetry
 
 #: Metric names summarized by both renditions.
-_CACHES = (("query", "schemr_query_cache"),
-           ("profile", "schemr_profile_cache"))
+_CACHES = (("query", "schemr_query_cache"),)
 
 
 def sample_quantile(sample: MetricSample, q: float) -> float:

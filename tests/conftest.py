@@ -116,7 +116,7 @@ def cold_engine(index, ensemble=None, config=None):
 
     config = config or SchemrConfig()
     telemetry = Telemetry.from_config(config)
-    executor = ColdExecutor(index, None, ensemble, config, time.monotonic,
+    executor = ColdExecutor(index, ensemble, config, time.monotonic,
                             telemetry.metrics)
     return SchemrEngine(config=config, telemetry=telemetry,
                         executor=executor, owns_telemetry=True)

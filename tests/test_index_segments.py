@@ -22,6 +22,7 @@ from repro.errors import IndexError_
 from repro.index.documents import Document
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import Posting, PostingsList
+from repro.index.records import MatchRecord
 from repro.index.searcher import IndexSearcher
 from repro.index.segments import (
     MAGIC,
@@ -38,6 +39,8 @@ from repro.index.segments import (
     write_segment,
 )
 from repro.index.segments.merge import kill_set, union_postings
+from repro.model.elements import Attribute, Entity, ForeignKey
+from repro.model.schema import Schema
 
 
 def small_index(count: int = 20, seed: int = 11) -> InvertedIndex:
@@ -243,6 +246,22 @@ class TestMergePolicies:
         assert picked == [0]
 
 
+def _pinned_record(rng: random.Random, words: list[str]) -> MatchRecord:
+    """A small schema's match record: up to three entities over
+    ``words``, typed or untyped attributes, one FK when it can."""
+    schema = Schema("pinned")
+    for name in rng.sample(words, rng.randint(1, 3)):
+        schema.add_entity(Entity(name, [
+            Attribute(attr, rng.choice(["INTEGER", "TEXT", ""]))
+            for attr in rng.sample(words, rng.randint(1, 3))]))
+    entities = list(schema.entities.values())
+    if len(entities) > 1:
+        schema.add_foreign_key(ForeignKey(
+            entities[0].name, entities[0].attributes[0].name,
+            entities[1].name, entities[1].attributes[0].name))
+    return MatchRecord.from_schema(schema)
+
+
 class TestSegmentedIndexLifecycle:
     def test_flush_and_reopen_resumes_cursor(self, tmp_path):
         index = SegmentedIndex.open(tmp_path / "d", create=True)
@@ -374,13 +393,14 @@ class TestSegmentedIndexLifecycle:
     def test_segment_bytes_pinned_for_fixed_operation_sequence(
             self, tmp_path):
         """Flushes, tombstones and merges write exactly the pinned bytes
-        (segment format 2, payloads included; the merged segments were
-        checked byte-identical to a fresh write of their live
-        documents when the pin was taken), so the off-lock merge and
-        the kill-set intersection change nothing on disk."""
+        (segment format 3, payloads and match records included; the
+        merged segments were checked byte-identical to a fresh write of
+        their live documents when the pin was taken), so the off-lock
+        merge and the kill-set intersection change nothing on disk."""
         root = tmp_path / "d"
         index = SegmentedIndex.open(root, create=True)
         rng = random.Random(5)
+        shapes = random.Random(6)
         words = ["patient", "height", "salary", "orbit", "kelp", "ledger",
                  "status", "code", "quasar", "fjord"]
         policy = TieredMergePolicy(max_per_tier=2, floor_docs=16)
@@ -394,7 +414,8 @@ class TestSegmentedIndexLifecycle:
                          for _ in range(rng.randint(2, 9))]
                 terms.append(f"rare{i}")
                 index.add(Document(i, f"d{i}", summary=f"s{i}",
-                                   terms=terms, payload=f"p{i}".encode()))
+                                   terms=terms, payload=f"p{i}".encode(),
+                                   record=_pinned_record(shapes, words)))
             for doc_id in rng.sample(range(batch * 25 + 25), 6):
                 if index.has_document(doc_id):
                     index.remove(doc_id)
@@ -405,13 +426,13 @@ class TestSegmentedIndexLifecycle:
                 crcs.setdefault(path.name, f"{file_crc32(path):08x}")
         assert merges == [3, 1, 3]
         assert dict(sorted(crcs.items())) == {
-            "seg_00000001.seg": "9f930192",
-            "seg_00000002.seg": "01370d57",
-            "seg_00000003.seg": "ce2bef6d",
-            "seg_00000005.seg": "2c579463",
-            "seg_00000006.seg": "4eebf2e6",
-            "seg_00000008.seg": "a7eb732e",
-            "seg_00000009.seg": "b8f5fd00",
+            "seg_00000001.seg": "29a66b21",
+            "seg_00000002.seg": "756c16bb",
+            "seg_00000003.seg": "6ef35a7b",
+            "seg_00000005.seg": "1ee119b8",
+            "seg_00000006.seg": "41f3a29b",
+            "seg_00000008.seg": "99e8f1f9",
+            "seg_00000009.seg": "8f465b1d",
         }
 
     def test_kill_set_equals_probing_on_both_sides(self, tmp_path):

@@ -417,6 +417,20 @@ def _build_engine(profiled=False, store=None):
     return engine
 
 
+def _count_decodes(monkeypatch):
+    """Spy on payload decodes and profile builds; returns the list
+    each appends to."""
+    calls = []
+    from_payload = Schema.from_payload.__func__
+    build = SchemaMatchProfile.build.__func__
+    monkeypatch.setattr(Schema, "from_payload", classmethod(
+        lambda cls, payload: calls.append("decode")
+        or from_payload(cls, payload)))
+    monkeypatch.setattr(SchemaMatchProfile, "build", classmethod(
+        lambda cls, schema: calls.append("build") or build(cls, schema)))
+    return calls
+
+
 def _result_fingerprint(results):
     return [(r.schema_id, r.name, r.score, r.coarse_score, r.match_count,
              r.best_anchor, r.element_scores,
@@ -436,17 +450,18 @@ class TestGoldenEquivalence:
          "fragment": "CREATE TABLE patient (height DECIMAL);"},
     ]
 
-    def test_profiled_path_matches_cold_path(self):
-        store = ProfileStore()
-        fast = _build_engine(profiled=True, store=store)
+    def test_profiled_path_matches_cold_path(self, monkeypatch):
+        fast = _build_engine(profiled=True)
         cold = cold_engine(_build_index())  # no profiles, no cache
-        hits = store.hits
-        for query in self.QUERIES:
-            assert _result_fingerprint(fast.search(**query)) == \
-                _result_fingerprint(cold.search(**query))
-        assert store.hits > hits
+        decoded = _count_decodes(monkeypatch)
+        fast_pages = [_result_fingerprint(fast.search(**query))
+                      for query in self.QUERIES]
+        assert decoded == []  # the served path scored index records
+        monkeypatch.undo()
+        assert fast_pages == [_result_fingerprint(cold.search(**query))
+                              for query in self.QUERIES]
 
-    def test_full_ensemble_equivalence(self):
+    def test_full_ensemble_equivalence(self, monkeypatch):
         from repro.matching.datatype import DataTypeMatcher
         from repro.matching.exact import ExactMatcher
         from repro.matching.structure import StructureMatcher
@@ -464,10 +479,11 @@ class TestGoldenEquivalence:
         fast = SchemrEngine(index=index, source=store, ensemble=ensemble)
         assert _result_fingerprint(fast.search(**query_kwargs)) == \
             _result_fingerprint(cold.search(**query_kwargs))
-        hits = store.hits
-        assert _result_fingerprint(fast.search(**query_kwargs)) == \
-            _result_fingerprint(cold.search(**query_kwargs))
-        assert store.hits > hits
+        decoded = _count_decodes(monkeypatch)
+        page = _result_fingerprint(fast.search(**query_kwargs))
+        assert decoded == []  # six column matchers, no schema decoded
+        monkeypatch.undo()
+        assert page == _result_fingerprint(cold.search(**query_kwargs))
 
     def test_matcher_level_equivalence(self, clinic_schema):
         from repro.model.query import QueryGraph
@@ -487,8 +503,9 @@ class TestGoldenEquivalence:
 
 class TestAdjacencySharing:
     def test_one_adjacency_build_per_candidate(self, monkeypatch):
-        """With profiles, the FK adjacency is built once per candidate
-        (at ingest) instead of twice per candidate per query (context
+        """The FK adjacency is built at most once per candidate, at
+        ingest: each document's match record carries it, so a search
+        builds none, instead of twice per candidate per query (context
         matcher + tightness scorer)."""
         calls = {"n": 0}
         real = entity_adjacency
@@ -501,13 +518,12 @@ class TestAdjacencySharing:
             monkeypatch.setattr(module, "entity_adjacency", counting)
 
         engine = _build_engine()
-        assert calls["n"] == 0  # profiles are built lazily, none yet
         engine.search(keywords="name gender salary species")
         candidates = engine.last_profile.phase_items["schema_matching"][0]
         assert candidates > 1
-        assert calls["n"] == candidates  # one build per candidate
+        assert calls["n"] == 0  # the records carry it
         engine.search(keywords="name gender salary species")
-        assert calls["n"] == candidates  # repeat queries build nothing
+        assert calls["n"] == 0  # repeat queries build nothing
 
     def test_cold_path_builds_twice_per_candidate(self, monkeypatch):
         """Without a profile (the library's unprofiled matcher and

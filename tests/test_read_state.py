@@ -20,6 +20,7 @@ from repro.core.engine import served_payload
 from repro.corpus.domains import domain_by_name
 from repro.corpus.generator import CorpusGenerator
 from repro.index.documents import document_from_schema
+from repro.index.records import MatchRecord
 from repro.index.segments import open_segment_index
 from repro.replication import DirectorySource, ReplicaSyncer
 from repro.repository.store import SchemaRepository
@@ -246,21 +247,27 @@ class TestSearchesNeverReadTheRepository:
 
 
 class TestOneLookupPerCandidate:
-    def test_search_counts_one_lookup_per_candidate(self, corpus):
+    def test_search_counts_one_lookup_per_candidate(self, corpus,
+                                                    monkeypatch):
+        """Phase 2 reads each candidate's match record once, cold or
+        warm (no profile cache sits on the search path)."""
         db, _ = corpus
+        reads = []
+        keys = MatchRecord.keys
+        monkeypatch.setattr(MatchRecord, "keys", lambda record, *args: (
+            reads.append(args[0]) or keys(record, *args)))
         with SchemaRepository(db) as repo:
             engine = repo.engine(config=SchemrConfig(
                 candidate_pool=40, query_cache_size=0))
-            store = repo.profile_store()
             try:
                 for _ in range(2):  # cold, then warm
-                    before = store.hits + store.misses
+                    before = len(reads)
                     engine.search(keywords=KEYWORDS)
                     fetched = engine.last_profile.phase_items[
                         "schema_matching"][0]
                     assert fetched == 40
-                    assert store.hits + store.misses - before == fetched
-                assert store.misses == 40
+                    assert len(reads) - before == fetched
+                assert len(set(reads)) == 40
             finally:
                 engine.close()
 

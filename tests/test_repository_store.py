@@ -93,6 +93,24 @@ class TestCrud:
             assert repo.list_schema_ids() == [schema_id]
 
 
+class TestAddSerialisesOnce:
+    def test_add_schema_serialises_once(self, monkeypatch):
+        """The stored text is written once the id is known, so a schema
+        is serialised once per add, and the row equals ``to_json``."""
+        from repro.model.schema import Schema
+        calls = []
+        to_json = Schema.to_json
+        monkeypatch.setattr(Schema, "to_json", lambda schema: (
+            calls.append(schema.schema_id) or to_json(schema)))
+        with SchemaRepository.in_memory() as repo:
+            schema = build_clinic_schema()
+            schema_id = repo.add_schema(schema)
+            assert calls == [schema_id]
+            monkeypatch.undo()
+            ((_, _, _, stored),) = repo.changes_since(0, texts=True)
+            assert stored.decode("utf-8") == schema.to_json()
+
+
 class TestChangeLog:
     def test_operations_logged_in_order(self, clinic_schema):
         with SchemaRepository.in_memory() as repo:

@@ -276,10 +276,10 @@ class TestBreakerIntegration:
         repo = make_repo()
         engine = make_engine(repo, FakeClock(),
                              breaker_failure_threshold=2)
-        # Nothing is cached yet, so every candidate's lookup decodes;
-        # fail them all: the response must be the phase-1 ranking,
-        # never an empty page masquerading as "no match".
-        FAULTS.inject("profile_store.lookup",
+        # Fail every candidate's record read: the response must be
+        # the phase-1 ranking, never an empty page masquerading as
+        # "no match".
+        FAULTS.inject("index.match_record",
                       error=RuntimeError("store down"))
         results = engine.search(keywords=KEYWORDS)
         assert results
@@ -508,7 +508,7 @@ class TestServerChaos:
         assert int(root.get("count")) > 0
 
     def test_injected_faults_never_yield_500(self, server):
-        FAULTS.inject("profile_store.lookup",
+        FAULTS.inject("index.match_record",
                       error=RuntimeError("store down"))
         server.engine.telemetry  # touch to keep fixture shape obvious
         for url in ("/search?keywords=patient+height",

@@ -211,10 +211,10 @@ class CachedVersusUncached(RuleBasedStateMachine):
 
     @rule(query=st.integers(0, len(QUERIES) - 1), pick=st.integers(0, 100))
     def source_failure(self, query, pick):
-        # Publish a changed schema, so its next lookup decodes a new
-        # payload and reaches the failing path.
+        # Publish a changed schema, then fail the record reads of the
+        # search that follows.
         self.update_schema(pick, refresh=True)
-        self._faulty_search("profile_store.lookup", query)
+        self._faulty_search("index.match_record", query)
 
 
 TestCachedVersusUncached = CachedVersusUncached.TestCase

@@ -175,6 +175,29 @@ class TestObservabilityEndpoints:
         assert snap.find("schemr_http_request_seconds",
                          route="/search").count == 1
 
+    def test_scrape_right_after_a_response_sees_its_request(
+            self, running_server, monkeypatch):
+        """The request is counted before its response goes out: a
+        handler stalled after writing its ``/search`` body still shows
+        in a ``/metrics`` scrape issued the moment the client has it."""
+        from repro.service.server import _SchemrRequestHandler
+        send = _SchemrRequestHandler._send
+
+        def send_then_stall(handler, status, body, *args, **kwargs):
+            send(handler, status, body, *args, **kwargs)
+            if handler.path.startswith("/search"):
+                time.sleep(0.5)  # the body is on the wire
+
+        monkeypatch.setattr(_SchemrRequestHandler, "_send", send_then_stall)
+        base = running_server.base_url
+        with urllib.request.urlopen(f"{base}/search?keywords=patient") as r:
+            assert r.status == 200
+            r.read()
+        with urllib.request.urlopen(f"{base}/metrics") as r:
+            scrape = r.read().decode("utf-8").splitlines()
+        assert 'schemr_http_requests_total{route="/search",status="200"} 1' \
+            in scrape
+
     def test_access_log_opt_in(self, small_repository, caplog):
         server = SchemrServer(small_repository, access_log=True)
         with caplog.at_level("INFO", logger="repro.service.access"):

@@ -43,7 +43,7 @@ CONFIG = dict(candidate_pool=30, query_cache_size=0)
 #: Read sites every in-process search passes.
 IN_PROCESS_SITES = (
     "engine.phase1", "engine.phase2", "engine.match_one",
-    "profile_store.lookup",
+    "index.match_record",
     *(f"matcher.{name}"
       for name in MatcherEnsemble.default().matcher_names))
 #: A sharded front runs the matchers in its workers; these are its own.
